@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import SingularFitSystem, ValidationError
 from .resonances import Resonance
-from .scattering import TruncatedConfig, cross_section, sigma_landmarks
+from .scattering import (Q_EXCLUSION, TruncatedConfig, _ka_rotation, _principal_phase,
+                         _sigma, cross_section, sigma_landmarks)
 
 __all__ = [
     "Doublet",
@@ -95,22 +96,17 @@ def yz(doublet: Doublet, k):
 
 
 def _model_num_den(doublet: Doublet, a: float, lam0: float, lam1: float, k):
+    k = np.asarray(k, dtype=float)
     y, z = yz(doublet, k)
-    lam = lam0 + lam1 * np.asarray(k, dtype=float)
-    ska, cka = np.sin(np.asarray(k) * a), np.cos(np.asarray(k) * a)
-    num = (y - lam * z) * ska + (lam * y + z) * cka
-    den = (y - lam * z) * cka - (lam * y + z) * ska
-    return num, den
+    lam = lam0 + lam1 * k
+    return _ka_rotation(y - lam * z, lam * y + z, k * a)
 
 
 def model_phase_and_sigma(fit: BackgroundFit, k):
     """(delta_model, sigma_model) at k; identical branch handling to the
     exact pipeline (principal arctan phase, branch-free sin^2 for sigma)."""
     num, den = _model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, k)
-    raw = np.arctan2(num, den)
-    delta = -(raw - math.pi * np.round(raw / math.pi))
-    sigma = (4.0 * math.pi / np.asarray(k, dtype=float) ** 2) * num**2 / (num**2 + den**2)
-    return delta, sigma
+    return _principal_phase(num, den), _sigma(k, num, den)
 
 
 def fit_lambda(
@@ -154,32 +150,23 @@ def fit_lambda(
         m1, m2 = sorted(float(m) for m in minima)
 
     a = config.a
-
-    def lam_required(m: float) -> float:
-        y, z = yz(doublet, m)
-        s, c = math.sin(m * a), math.cos(m * a)
-        den = y * c - z * s
-        num = y * s + z * c
+    # (Y sin ma + Z cos ma, Y cos ma - Z sin ma) at each minimum; the second
+    # is also the derivative of the zero condition in lambda
+    zero_terms = [_ka_rotation(*yz(doublet, m), m * a) for m in (m1, m2)]
+    for m, (num, den) in zip((m1, m2), zero_terms):
         if den == 0 or not math.isfinite(num / den):
             raise SingularFitSystem(
                 f"background is unconstrained at minimum k = {m:.9g} "
                 "(degenerate doublet?)"
             )
-        return -num / den
-
-    lr1, lr2 = lam_required(m1), lam_required(m2)
     vander = np.array([[1.0, m1], [1.0, m2]])
     try:
-        lam0, lam1 = np.linalg.solve(vander, [lr1, lr2])
+        lam0, lam1 = np.linalg.solve(vander, [-num / den for num, den in zero_terms])
     except np.linalg.LinAlgError as exc:
         raise SingularFitSystem(f"fit system singular: {exc}") from exc
 
     # Jacobian of the two zero conditions w.r.t. (lambda0, lambda1)
-    jac_rows = []
-    for m in (m1, m2):
-        y, z = yz(doublet, m)
-        c = y * math.cos(m * a) - z * math.sin(m * a)
-        jac_rows.append([c, c * m])
+    jac_rows = [[den, den * m] for m, (_, den) in zip((m1, m2), zero_terms)]
     cond = float(np.linalg.cond(np.array(jac_rows)))
     if not math.isfinite(cond):
         raise SingularFitSystem("fit Jacobian is singular (zero-width doublet)")
@@ -213,7 +200,7 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
         m1, m2 = fit.fit_report["minima"]
         s = m2 - m1
         k_grid = np.arange(m1 - 0.25 * s, m2 + 0.25 * s, 1e-6)
-        k_grid = k_grid[np.abs(k_grid - config.params.q) > 1e-5]
+        k_grid = k_grid[np.abs(k_grid - config.params.q) > Q_EXCLUSION]
     k_grid = np.asarray(k_grid, dtype=float)
     exact = cross_section(config, k_grid)
     _, model = model_phase_and_sigma(fit, k_grid)

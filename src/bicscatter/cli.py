@@ -37,16 +37,12 @@ from .resonances import (
     sweep_cutoff,
 )
 from .scattering import (
+    Q_EXCLUSION,
     TruncatedConfig,
     cross_section,
     phase_shift,
     phase_shift_unwrapped,
 )
-
-# exclusion radius around k = q for phase/cross-section grids: both the
-# numerator and denominator of tan(delta_a) vanish there to fourth order,
-# so the sampled phase at that one point is pure rounding noise
-_Q_EXCLUSION = 1e-5
 
 
 def _fmt(x) -> str:
@@ -176,7 +172,7 @@ def _k_grid(s: _Settings, q: float) -> np.ndarray:
     if not (0 < k_min < k_max) or dk <= 0:
         raise ValidationError("need 0 < k-min < k-max and dk > 0")
     grid = np.arange(k_min, k_max + 0.5 * dk, dk)
-    return grid[np.abs(grid - q) > _Q_EXCLUSION]
+    return grid[np.abs(grid - q) > Q_EXCLUSION]
 
 
 def _floats_csv(raw: str, key: str) -> List[float]:
@@ -296,10 +292,10 @@ def cmd_gamow(s: _Settings) -> None:
     params = _build_params(s)
     a = s.get("cutoff", 5000.0)
     index = int(s.get("root-index", 0, conv=int))
-    config = TruncatedConfig(params=params, a=a)
-    pair = doublet_of(find_resonances(config), params.q)
     if index not in (0, 1):
         raise ValidationError("root-index must be 0 or 1 (doublet member)")
+    config = TruncatedConfig(params=params, a=a)
+    pair = doublet_of(find_resonances(config), params.q)
     state = gamow_state(config, pair[index])
     r = _r_grid(s)
     psi_sq = np.abs(state(r)) ** 2
@@ -333,7 +329,7 @@ def cmd_phase_shift(s: _Settings) -> None:
     ramp_removed = unwrapped + k * a
     meta = _metadata(
         s, "phase-shift", params, cutoff=a,
-        extra={"excluded_near_q": _Q_EXCLUSION},
+        extra={"excluded_near_q": Q_EXCLUSION},
     )
     _write_csv(
         s.get("out", "phase_shift.csv", conv=str),
@@ -353,7 +349,7 @@ def cmd_cross_section(s: _Settings) -> None:
     k = _k_grid(s, params.q)
     header: List[str] = ["k"]
     columns: List[np.ndarray] = [k]
-    extra: dict = {"mode": mode, "excluded_near_q": _Q_EXCLUSION}
+    extra: dict = {"mode": mode, "excluded_near_q": Q_EXCLUSION}
     if mode in ("exact", "both"):
         header.append("sigma_exact")
         columns.append(cross_section(config, k))

@@ -26,7 +26,6 @@ import numpy as np
 
 from .darboux import PhaseData, PotentialParams, phase_data, potential_v4, w1_bundle
 from .errors import NearSpectralSingularity, NotBicMode, ValidationError
-from .numerics import adaptive_quadrature
 
 __all__ = [
     "UVBundle",
@@ -217,20 +216,16 @@ class BoundState:
         return amp / self.norm if self.normalized else amp
 
 
-# psi_B integration defaults (R_cut and the envelope-fit grid density)
-_R_CUT = 1000.0
-_TAIL_FIT_POINTS = 2001
+def bound_state(params: PotentialParams, normalized: bool = True) -> BoundState:
+    """Construct psi_B with its closed-form norm.
 
-
-def bound_state(params: PotentialParams, r_cut: float = _R_CUT,
-                normalized: bool = True) -> BoundState:
-    """Construct psi_B with its norm.
-
-    The norm integral is adaptive quadrature of psi^2 on [0, r_cut] (the
-    range is pre-split into unit cells so the pi/q oscillation cannot alias
-    a Simpson panel) plus the analytic tail of the r^-2 envelope:
-    psi^2 ~ C^2 cos^2 / r^4 averages to m = C^2/2 per unit r^4, so the tail
-    is m / (3 r_cut^3) with m fitted as mean(psi^2 r^4) on [r_cut/2, r_cut].
+    N^2 = int raw^2 dr is a Wronskian boundary term. The solution
+    phi = [u cos(kr + delta) - v sin(kr + delta)] / W1 at energy k^2 is
+    4 q^2 raw at k = q, and d/dr W(phi, dphi/dk) = -2k phi^2. At k = q that
+    Wronskian falls off like r^-3 and phi(q, 0) = 0, so
+    N^2 = -phi'(q, 0) dphi/dk(q, 0) / (32 q^5). The closed forms of u, v at
+    r = 0 reduce this to 72 q^4 gamma0 / W1(0), with W1(0) = 12 beta^2 / D^2,
+    which on beta = 3 alpha q is 2 q^2 (1 + 4 alpha^2 q^2) / (3 alpha).
 
     Raises
     ------
@@ -242,19 +237,12 @@ def bound_state(params: PotentialParams, r_cut: float = _R_CUT,
             f"bound state requires beta = 3*alpha*q "
             f"(beta={params.beta}, 3*alpha*q={3.0 * params.alpha * params.q})"
         )
-    probe = BoundState(params=params, phase=phase_data(params), norm=1.0,
-                       normalized=False)
-    inner = adaptive_quadrature(
-        lambda rr: float(probe.raw(rr)) ** 2, 0.0, r_cut, tol=1e-10,
-        initial_intervals=int(r_cut),
-    )
-    r_fit = np.linspace(0.5 * r_cut, r_cut, _TAIL_FIT_POINTS)
-    tail_scale = float(np.mean(probe.raw(r_fit) ** 2 * r_fit**4))
-    tail = tail_scale / (3.0 * r_cut**3)
+    a, q = params.alpha, params.q
+    norm_sq = 2.0 * q * q * (1.0 + 4.0 * a * a * q * q) / (3.0 * a)
     return BoundState(
         params=params,
-        phase=probe.phase,
-        norm=math.sqrt(inner + tail),
+        phase=phase_data(params),
+        norm=math.sqrt(norm_sq),
         normalized=normalized,
     )
 

@@ -85,12 +85,14 @@ class ComplexRectangle:
         return re[None, :] + 1j * im[:, None]
 
 
-def newton_complex(f, z0: complex, tol: Tolerance = Tolerance(),
-                   step_scale: float = 1e-7):
+_DIFF_STEP = 1e-7  # newton_complex difference step, relative to 1 + |z|
+
+
+def newton_complex(f, z0: complex, tol: Tolerance = Tolerance()):
     """Damped Newton iteration on a complex scalar function.
 
     The derivative is a central complex difference with step
-    h = step_scale*(1+|z|) (the function is already complex-valued, so the
+    h = 1e-7 (1 + |z|) (the function is already complex-valued, so the
     imaginary-perturbation trick does not apply); the update is halved (up
     to 60 times) until |f| decreases, which keeps the iteration inside the
     basin even from seeds several linewidths away.
@@ -110,7 +112,7 @@ def newton_complex(f, z0: complex, tol: Tolerance = Tolerance(),
     z = complex(z0)
     fz = f(z)
     for it in range(tol.max_iter):
-        h = step_scale * (1.0 + abs(z))
+        h = _DIFF_STEP * (1.0 + abs(z))
         df = (f(z + h) - f(z - h)) / (2.0 * h)
         if abs(df) * h < 1e-30 * abs(fz) or df == 0:
             raise ZeroDerivative(f"derivative vanished at {z!r} (|f| = {abs(fz):.3e})")

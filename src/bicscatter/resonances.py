@@ -33,10 +33,9 @@ from .errors import (
     ValidationError,
     ZeroDerivative,
 )
-from .darboux import PotentialParams, w1_bundle
-from .jost import uv_bundle
+from .darboux import PotentialParams
 from .numerics import ComplexRectangle, Tolerance, newton_complex, winding_count
-from .scattering import TruncatedConfig, jost_function, regular_solution
+from .scattering import TruncatedConfig, _boundary, jost_function, regular_solution
 
 __all__ = [
     "Resonance",
@@ -87,31 +86,21 @@ class Resonance:
         return self.k_complex**2
 
 
-def root_function(config: TruncatedConfig) -> Callable[[complex], complex]:
-    """G(k) = e^{-ika} (d + ig), grouped to avoid e^{+ika} overflow.
+def root_function(config: TruncatedConfig) -> Callable:
+    """G(k) = e^{-ika} (d + ig) in the overflow-safe grouping above.
 
-    Writing sin ka and cos ka as exponentials and collecting terms, the
-    e^{+ika} content of d + ig cancels against the prefactor, leaving one
-    e^{-2ika} factor that merely underflows deep below the axis. Agrees
-    with e^{-ika} (d + ig) computed naively wherever the latter is finite.
+    Agrees with e^{-ika} (d + ig) computed naively wherever the latter is
+    finite. Broadcasts over k.
     """
-    p = config.params
     a = config.a
-    wa = w1_bundle(p, a)
 
-    def g_of(k: complex) -> complex:
-        b0 = uv_bundle(p, k, 0.0)
-        ba = uv_bundle(p, k, a)
-        bu = ba.u_r * wa.w1 - ba.u * wa.w1_r - k * ba.v * wa.w1
-        bv = ba.v_r * wa.w1 - ba.v * wa.w1_r + k * ba.u * wa.w1
-        cu = bu - 1j * k * wa.w1 * ba.u
-        cv = bv - 1j * k * wa.w1 * ba.v
-        return complex(
-            0.5
-            * (
-                (b0.u - 1j * b0.v) * (cv - 1j * cu)
-                + np.exp(-2j * k * a) * (b0.u + 1j * b0.v) * (cv + 1j * cu)
-            )
+    def g_of(k):
+        u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
+        cu = bu + 1j * kw * ua
+        cv = bv + 1j * kw * va
+        return 0.5 * (
+            (u0 - 1j * v0) * (cv - 1j * cu)
+            + np.exp(-2j * k * a) * (u0 + 1j * v0) * (cv + 1j * cu)
         )
 
     return g_of
@@ -159,7 +148,7 @@ def find_resonances(
 
     def grid_seeds(n_re: int, n_im: int) -> List[complex]:
         grid = search_box.grid(n_re, n_im)
-        mag = np.abs(np.vectorize(g, otypes=[complex])(grid))
+        mag = np.abs(g(grid))
         # local minima over 3x3 neighborhoods, edges included
         padded = np.pad(mag, 1, constant_values=np.inf)
         neigh = np.stack(
@@ -211,9 +200,9 @@ def find_resonances(
             f"winding number {count} but {len(roots)} distinct converged roots"
         )
 
-    boundary_scale = max(abs(g(c)) for c in search_box.corners)
+    boundary_scale = np.max(np.abs(g(np.array(search_box.corners))))
     roots.sort(key=lambda z: z.real)
-    return [Resonance(k_complex=z, residual=abs(g(z)) / boundary_scale) for z in roots]
+    return [Resonance(complex(z), float(abs(g(z)) / boundary_scale)) for z in roots]
 
 
 def doublet_of(resonances: Sequence[Resonance], q: float) -> Tuple[Resonance, Resonance]:

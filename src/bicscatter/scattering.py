@@ -57,6 +57,10 @@ __all__ = [
 # embedded-state wave number).
 H_DEGENERACY_RTOL = 1e-12
 
+# k grids for phase and cross section skip this neighborhood of k = q, where
+# d and g vanish to fourth order and the sampled phase is rounding noise
+Q_EXCLUSION = 1e-5
+
 
 @dataclass(frozen=True)
 class TruncatedConfig:
@@ -129,6 +133,49 @@ def _check_h(params: PotentialParams, k):
     return h
 
 
+def _uv_combinations(b, w, k):
+    """(u_r W1 - u W1' - k v W1, v_r W1 - v W1' + k u W1) at one radius."""
+    return (b.u_r * w.w1 - b.u * w.w1_r - k * b.v * w.w1,
+            b.v_r * w.w1 - b.v * w.w1_r + k * b.u * w.w1)
+
+
+def _boundary(config: TruncatedConfig, k):
+    """(u0, v0, ua, va, bu, bv, kw): u, v at r = 0 and r = a, the
+    combinations (bu, bv) at r = a, and kw = -k W1(a).
+
+    With (A, B) the ka rotation of (u0, -v0), d = bu A + bv B and
+    g = kw (ua A + va B). Writing sin ka and cos ka as exponentials, with
+    cu = bu + i kw ua and cv = bv + i kw va,
+
+        G = e^{-ika} (d + ig)
+          = [(u0 - i v0)(cv - i cu) + e^{-2ika} (u0 + i v0)(cv + i cu)] / 2.
+
+    Accepts complex k and broadcasts over it.
+    """
+    p = config.params
+    b0 = uv_bundle(p, k, 0.0)
+    ba = uv_bundle(p, k, config.a)
+    wa = w1_bundle(p, config.a)
+    return (b0.u, b0.v, ba.u, ba.v, *_uv_combinations(ba, wa, k), -k * wa.w1)
+
+
+def _ka_rotation(x, y, ka):
+    """(x sin ka + y cos ka, x cos ka - y sin ka)."""
+    s, c = np.sin(ka), np.cos(ka)
+    return x * s + y * c, x * c - y * s
+
+
+def _principal_phase(num, den):
+    """-arctan(num / den) on the principal branch (-pi/2, pi/2]."""
+    raw = np.arctan2(num, den)
+    return -(raw - math.pi * np.round(raw / math.pi))
+
+
+def _sigma(k, num, den):
+    """(4 pi / k^2) num^2 / (num^2 + den^2): sin^2 delta with no arctan."""
+    return (4.0 * math.pi / np.asarray(k) ** 2) * num**2 / (num**2 + den**2)
+
+
 def regular_solution(config: TruncatedConfig, k, r):
     """The solution Phi with Phi(0) = 0, Phi'(0) = 1, and its derivative.
 
@@ -149,14 +196,10 @@ def regular_solution(config: TruncatedConfig, k, r):
     b = uv_bundle(p, k, r)
     w = w1_bundle(p, r)
     w10 = w1_bundle(p, 0.0).w1
-    skr, ckr = np.sin(k * r), np.cos(k * r)
-    a1 = b0.u * skr - b0.v * ckr
-    a2 = b0.v * skr + b0.u * ckr
+    a1, a2 = _ka_rotation(b0.u, -b0.v, k * r)
+    cu, cv = _uv_combinations(b, w, k)
     ph = (w10 / (h * w.w1)) * (b.u * a1 + b.v * a2)
-    ph_r = (w10 / (h * w.w1**2)) * (
-        (b.u_r * w.w1 - b.u * w.w1_r - k * b.v * w.w1) * a1
-        + (b.v_r * w.w1 - b.v * w.w1_r + k * b.u * w.w1) * a2
-    )
+    ph_r = (w10 / (h * w.w1**2)) * (cu * a1 + cv * a2)
     return ph, ph_r
 
 
@@ -167,17 +210,9 @@ def dg(config: TruncatedConfig, k):
     (the prefactor of F(-k) is zero-free), which is why the resonance
     search operates on it directly.
     """
-    p = config.params
-    a = config.a
-    b0 = uv_bundle(p, k, 0.0)
-    ba = uv_bundle(p, k, a)
-    wa = w1_bundle(p, a)
-    ska, cka = np.sin(k * a), np.cos(k * a)
-    bu = ba.u_r * wa.w1 - ba.u * wa.w1_r - k * ba.v * wa.w1
-    bv = ba.v_r * wa.w1 - ba.v * wa.w1_r + k * ba.u * wa.w1
-    d = bu * (b0.u * ska - b0.v * cka) + bv * (b0.u * cka + b0.v * ska)
-    g = -k * wa.w1 * (ba.u * (b0.u * ska - b0.v * cka) + ba.v * (b0.v * ska + b0.u * cka))
-    return d, g
+    u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
+    rot_a, rot_b = _ka_rotation(u0, -v0, k * config.a)
+    return bu * rot_a + bv * rot_b, kw * (ua * rot_a + va * rot_b)
 
 
 def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
@@ -188,9 +223,12 @@ def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
     DegenerateNormalizer
         Propagated from the 1/h(k) prefactor.
     """
+    return _jost_from_dg(config, k, *dg(config, k))
+
+
+def _jost_from_dg(config: TruncatedConfig, k, d, g):
     p = config.params
     h = _check_h(p, k)
-    d, g = dg(config, k)
     w10 = w1_bundle(p, 0.0).w1
     wa = w1_bundle(p, config.a).w1
     pref = w10 / (h * wa**2)
@@ -201,9 +239,7 @@ def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
 
 def _num_den(config: TruncatedConfig, k):
     """Numerator/denominator of tan(-delta_a): sin^2 delta = num^2/(num^2+den^2)."""
-    d, g = dg(config, k)
-    ska, cka = np.sin(k * config.a), np.cos(k * config.a)
-    return d * ska + g * cka, d * cka - g * ska
+    return _ka_rotation(*dg(config, k), k * config.a)
 
 
 def phase_shift(config: TruncatedConfig, k):
@@ -212,10 +248,7 @@ def phase_shift(config: TruncatedConfig, k):
     The underlying arctan is branch-ambiguous mod pi; use
     ``phase_shift_unwrapped`` for a continuous curve on a grid.
     """
-    num, den = _num_den(config, k)
-    raw = np.arctan2(num, den)
-    folded = raw - math.pi * np.round(raw / math.pi)
-    return -folded
+    return _principal_phase(*_num_den(config, k))
 
 
 def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
@@ -248,20 +281,16 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
 
 
 def cross_section(config: TruncatedConfig, k):
-    """sigma(k) = (4 pi / k^2) sin^2 delta_a, computed branch-free.
-
-    sin^2 delta is evaluated as num^2 / (num^2 + den^2), so no arctan branch
-    enters at all.
-    """
-    num, den = _num_den(config, k)
-    return (4.0 * math.pi / np.asarray(k) ** 2) * num**2 / (num**2 + den**2)
+    """sigma(k) = (4 pi / k^2) sin^2 delta_a, computed branch-free."""
+    return _sigma(k, *_num_den(config, k))
 
 
 def scattering_point(config: TruncatedConfig, k: float) -> ScatteringPoint:
     """Bundle every real-axis quantity at one k (requires h(k) healthy)."""
     k = float(k)
     d, g = dg(config, k)
-    f_minus, f_plus = jost_function(config, k)
+    f_minus, f_plus = _jost_from_dg(config, k, d, g)
+    num, den = _ka_rotation(d, g, k * config.a)
     s = np.exp(-2j * k * config.a) * (d - 1j * g) / (d + 1j * g)
     return ScatteringPoint(
         k=k,
@@ -270,8 +299,8 @@ def scattering_point(config: TruncatedConfig, k: float) -> ScatteringPoint:
         F_minus=complex(f_minus),
         F_plus=complex(f_plus),
         S=complex(s),
-        delta_a=float(phase_shift(config, k)),
-        sigma=float(cross_section(config, k)),
+        delta_a=float(_principal_phase(num, den)),
+        sigma=float(_sigma(k, num, den)),
     )
 
 
@@ -341,11 +370,10 @@ def phase_jump(config: TruncatedConfig, k_lo: float, k_hi: float,
 
     Across a window containing the resonance doublet (with enough margin
     for the Breit-Wigner tails to complete) the magnitude approaches 2*pi:
-    each resonance contributes a drop of pi. Grid points within 1e-5 of the
-    embedded-state wave number are excised; both d and g vanish there to
-    fourth order and the principal value is pure rounding noise.
+    each resonance contributes a drop of pi. Grid points within Q_EXCLUSION
+    of the embedded-state wave number are excised.
     """
     grid = np.arange(k_lo, k_hi + dk, dk)
-    grid = grid[np.abs(grid - config.params.q) > 1e-5]
+    grid = grid[np.abs(grid - config.params.q) > Q_EXCLUSION]
     un = phase_shift_unwrapped(config, grid)
     return float(un[-1] - un[0])

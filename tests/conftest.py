@@ -6,9 +6,35 @@ of the default parameter set, so every test that needs them can share one
 instance without coupling.
 """
 
+import functools
+import math
+
+import numpy as np
 import pytest
 
 import bicscatter as bs
+
+
+def _quadrature_norm_sq(params):
+    """Reference for the trapped state's N^2: adaptive Simpson of raw^2 on
+    [0, R] plus the r^-4 tail.
+
+    R is about 300/q, moved onto a node of sin(2 theta) so that the
+    oscillating half of the tail integrates to zero at leading order; the
+    tail's mean envelope is averaged over whole periods past R. Cells are a
+    quarter period (the aliasing guard), and the tolerance is relative to
+    the norm, so large norms (~650 at alpha = q = 3) stay reachable.
+    """
+    psi = bs.bound_state(params, normalized=False)
+    q, delta = params.q, psi.phase.delta
+    period = math.pi / q
+    r_cut = (0.5 * math.pi * math.ceil((300.0 + delta) / (0.5 * math.pi)) - delta) / q
+    inner = bs.adaptive_quadrature(
+        lambda r: float(psi(r)) ** 2, 0.0, r_cut, tol=1e-11 * psi.norm**2,
+        initial_intervals=math.ceil(4.0 * r_cut / period),
+    )
+    r = r_cut + np.linspace(0.0, period * math.ceil(r_cut / period), 20000, endpoint=False)
+    return inner + float(np.mean(psi(r) ** 2 * r**4)) / (3.0 * r_cut**3)
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +61,13 @@ def doublet(doublet_pair):
 @pytest.fixture(scope="session")
 def psi_b(params):
     return bs.bound_state(params)
+
+
+@pytest.fixture(scope="session")
+def quadrature_norm_sq():
+    """``params -> N^2`` by quadrature, independent of the closed-form norm
+    (cached: the default parameters are checked by several tests)."""
+    return functools.lru_cache(maxsize=None)(_quadrature_norm_sq)
 
 
 @pytest.fixture(scope="session")

@@ -146,7 +146,7 @@ def test_criterion_7_width_shrinks_with_cutoff(params):
           f"{r10.second.half_width:.3e} as a doubles")
 
 
-def test_criterion_8_bound_state_properties(params, psi_b):
+def test_criterion_8_bound_state_properties(params, psi_b, quadrature_norm_sq):
     # "zero at the origin": identically zero up to float rounding of the
     # closed form (the sin^2 cos term evaluates to ~1e-16 at r=0)
     at0 = abs(float(psi_b(0.0)))
@@ -159,11 +159,11 @@ def test_criterion_8_bound_state_properties(params, psi_b):
     slope = np.polyfit(np.log(r[peaks]), np.log(amp[peaks]), 1)[0]
     assert slope == pytest.approx(-2.0, abs=0.05)
 
-    # unit norm, cross-checked with an independently truncated integral
-    other = bs.bound_state(params, r_cut=500.0)
-    assert abs(other.norm / psi_b.norm - 1.0) < 1e-6
+    # closed-form norm, cross-checked against quadrature of psi^2
+    norm_dev = abs(quadrature_norm_sq(params) / psi_b.norm**2 - 1.0)
+    assert norm_dev < 1e-6
     print(f"\n[PASS] criterion 8: psi(0) = {at0:.1e}, tail slope {slope:.4f}, "
-          f"norm consistent to {abs(other.norm/psi_b.norm-1.0):.1e}")
+          f"norm^2 matches quadrature to {norm_dev:.1e}")
 
 
 def test_criterion_9_algebraic_cross_checks(params, config, fit):

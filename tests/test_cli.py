@@ -130,7 +130,12 @@ def test_gamow_run(tmp_path):
     assert cols["r"][int(np.argmax(cols["psi_n_sq"]))] < 2.2
 
 
-def test_gamow_bad_root_index(tmp_path, capsys):
+def test_gamow_bad_root_index(tmp_path, capsys, monkeypatch):
+    # the index is checked before any resonance search runs
+    def no_search(*args, **kwargs):
+        raise AssertionError("resonance search ran before input validation")
+
+    monkeypatch.setattr("bicscatter.cli.find_resonances", no_search)
     rc = main(["gamow", "--bic", "--root-index", "5",
                "--out", str(tmp_path / "g.csv")])
     assert rc == 2

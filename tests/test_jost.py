@@ -183,9 +183,22 @@ def test_bound_state_norm_squared(psi_b):
     assert psi_b.norm**2 == pytest.approx(10.0 / 3.0, rel=1e-8)
 
 
-def test_bound_state_normalization_consistency(params, psi_b):
-    other = bs.bound_state(params, r_cut=500.0)
-    assert other.norm == pytest.approx(psi_b.norm, rel=1e-6)
+def test_bound_state_normalization_consistency(params, psi_b, quadrature_norm_sq):
+    # the normalized state integrates to one by quadrature
+    assert quadrature_norm_sq(params) / psi_b.norm**2 == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha,q", [
+    (1.0, 1.0), (0.3, 0.3), (0.3, 3.0), (3.0, 0.3), (2.9, 2.9), (3.0, 3.0),
+])
+def test_bound_state_norm_matches_quadrature(alpha, q, quadrature_norm_sq):
+    # closed form 2 q^2 (1 + 4 alpha^2 q^2) / (3 alpha) across the envelope,
+    # including alpha = q = 3 where N^2 = 650
+    p = bs.PotentialParams.bic(alpha=alpha, q=q)
+    norm_sq = bs.bound_state(p).norm ** 2
+    assert norm_sq == pytest.approx(2 * q**2 * (1 + 4 * alpha**2 * q**2) / (3 * alpha),
+                                    rel=1e-14)
+    assert quadrature_norm_sq(p) == pytest.approx(norm_sq, rel=1e-9)
 
 
 def test_bound_state_zero_at_origin(psi_b):

@@ -53,6 +53,25 @@ def test_default_box_winding_certificate(config, doublet_pair):
     assert bs.winding_count(bs.root_function(config), box) == 2
 
 
+@pytest.mark.parametrize("a", [300.0, 5000.0, 1e5])
+def test_root_function_broadcasts(params, a):
+    # one call on the seeding grid equals point-by-point calls; the gap is
+    # scaled by max|G| because pointwise G cancels to ~1e-7 of its terms
+    config = bs.TruncatedConfig(params=params, a=a)
+    g = bs.root_function(config)
+    grid = bs.default_search_box(config).grid(41, 21)
+    batched = g(grid)
+    pointwise = np.array([[complex(g(complex(z))) for z in row] for row in grid])
+    assert batched.shape == grid.shape
+    assert np.max(np.abs(batched - pointwise)) <= 1e-10 * np.max(np.abs(pointwise))
+
+
+def test_resonances_hold_builtin_numbers(doublet_pair):
+    for res in doublet_pair:
+        assert type(res.k_complex) is complex
+        assert type(res.residual) is float
+
+
 def test_explicit_seeds_reproduce_the_doublet(config, doublet_pair):
     found = bs.find_resonances(config, seeds=[0.999 - 2e-4j, 1.001 - 2e-4j])
     assert len(found) == 2
