@@ -16,6 +16,7 @@ Their agreement is one of the package's standing cross-checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,11 @@ __all__ = [
 SINGULARITY_THRESHOLD = 1e-10
 
 
+def _is_real(v) -> bool:
+    """A real scalar, Python or numpy, that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class PotentialParams:
     """The (alpha, beta, q) triple defining the transformed potential.
@@ -46,7 +52,8 @@ class PotentialParams:
     relation under which the transformation supports a normalizable state at
     energy q**2. ``diagnostic`` permits beta < 0, which produces a singular
     potential (useful only for plotting the W1 sign structure); all scattering
-    machinery requires strict mode (beta > 0).
+    machinery requires strict mode (beta > 0). Fields are stored as builtin
+    floats whatever real type they were given in.
     """
 
     alpha: float
@@ -58,8 +65,9 @@ class PotentialParams:
     def __post_init__(self):
         for name in ("alpha", "beta", "q"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not (_is_real(v) and math.isfinite(v)):
                 raise ValidationError(f"{name} must be a finite real number, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if self.q <= 0:
             raise ValidationError(f"q must be positive, got {self.q}")
         if self.beta == 0:
@@ -78,6 +86,9 @@ class PotentialParams:
     @classmethod
     def bic(cls, alpha: float = 1.0, q: float = 1.0) -> "PotentialParams":
         """Parameters with beta pinned to 3*alpha*q (bound state in the continuum)."""
+        # beta is formed in builtin floats, as the exact bic check compares it
+        if _is_real(alpha) and _is_real(q):
+            alpha, q = float(alpha), float(q)
         return cls(alpha=alpha, beta=3.0 * alpha * q, q=q, bic_mode=True)
 
 
@@ -161,6 +172,43 @@ def _w1_coefficients(params: PotentialParams):
         "s2": (1.0 - 6.0 * t * t + t**4) / d**2,
         "sc": 4.0 * t * (1.0 - t * t) / d**2,
     }
+
+
+def _w1_bounds(params: PotentialParams):
+    """(x_star, lower, m2): polynomial bounds on W1 in x = q*r >= 0, as
+    ascending coefficient arrays for ``numpy.polynomial.polynomial.polyval``.
+
+    The closed form of ``w1_bundle`` is a sum of terms P_j(x) T_j(x), with
+    P_j a polynomial and T_j either 1 or a sine or cosine of frequency
+    w_j in x, so |T_j^(m)| <= w_j^m (3 S2 sin^2(2x) and 3 SC sin(2x)cos(2x)
+    are written as constants plus half-amplitude frequency-4 waves). Let
+    |P| be P with its coefficients replaced by their absolute values, so
+    |P(x)| <= |P|(x) and |P^(m)(x)| <= |P|^(m)(x) for x >= 0; terms of
+    one frequency share a row of |P| coefficients below.
+
+    * lower(x) = 16 x^4 - A3 x^3 - A2 x^2 - A1 x - A0, with A_n the sum over
+      all terms of |coefficient of x^n|, satisfies W1 >= lower; by the
+      Cauchy root bound lower > 0, hence W1 > 0, for x >= x_star =
+      1 + max(A_n)/16.
+    * m2(x) = sum_j |P_j|'' + 2 w_j |P_j|' + w_j^2 |P_j| bounds
+      |d^2 W1/dx^2| by the product rule; it increases with x, so on
+      [0, X] it is at most m2(X). In r, |W1''| <= q^2 m2(q r).
+    """
+    k = _w1_coefficients(params)
+    s2, sc = 1.5 * k["s2"], 1.5 * k["sc"]
+    # |P| of the frequency 0, 2 and 4 terms (rows), coefficients of x^0 .. x^4
+    c = np.array([
+        [abs(k["c0"] + s2), abs(16.0 * k["p1"] - 12.0 * k["d1"]),
+         abs(16.0 * k["p2"] - 12.0), abs(16.0 * k["p3"]), 16.0],
+        [abs(k["cc"]) + abs(k["cs"]), abs(24.0 * k["e1"]) + abs(16.0 * k["f1"] - 12.0),
+         24.0 + abs(16.0 * k["f2"]), 16.0, 0.0],
+        [abs(s2) + abs(sc), 0.0, 0.0, 0.0, 0.0],
+    ])
+    w = np.array([[0.0], [2.0], [4.0]])
+    dx = np.diag(np.arange(1.0, 5.0), -1)  # c @ dx: coefficients of dc/dx
+    m2 = (c @ dx @ dx + 2.0 * w * (c @ dx) + w * w * c).sum(axis=0)
+    a = c.sum(axis=0)[:4]
+    return 1.0 + a.max() / 16.0, np.append(-a, 16.0), m2
 
 
 def w1_bundle(params: PotentialParams, r) -> W1Bundle:

@@ -159,6 +159,13 @@ def winding_count(f, rect: ComplexRectangle) -> int:
     stays small. Requiring the modulus to be resolved as well rules that
     out for zeros up to order ~4.
 
+    ``f`` must broadcast over a 1-d complex array, returning one value per
+    point. The work goes level by level: one call evaluates the 65 samples
+    of each edge (each corner twice, once per edge it ends, so that an
+    integrand whose values drift between calls fails the integer test),
+    then every open segment is judged at once and all midpoints of the
+    rejected ones are evaluated in one call. f is called at most 49 times.
+
     Assumes ``f`` is analytic on and inside the rectangle.
 
     Raises
@@ -171,34 +178,34 @@ def winding_count(f, rect: ComplexRectangle) -> int:
     MaxDepthExceeded
         If a segment fails both acceptance tests at depth 48.
     """
-    corners = list(rect.corners) + [rect.corners[0]]
+    c = rect.corners
+    pts = np.array([np.linspace(a, b, _INITIAL_SEGMENTS + 1)
+                    for a, b in zip(c, c[1:] + c[:1])])
+    vals = np.reshape(f(pts.ravel()), pts.shape)
+    za, zb = pts[:, :-1].ravel(), pts[:, 1:].ravel()
+    fa, fb = vals[:, :-1].ravel(), vals[:, 1:].ravel()
     total = 0.0
-    for a, b in zip(corners[:-1], corners[1:]):
-        pts = np.linspace(a, b, _INITIAL_SEGMENTS + 1)
-        vals = [f(z) for z in pts]
-        stack = [
-            (pts[i], pts[i + 1], vals[i], vals[i + 1], 0)
-            for i in range(_INITIAL_SEGMENTS)
-        ]
-        while stack:
-            za, zb, fa, fb, depth = stack.pop()
-            if fa == 0 or fb == 0:
-                raise BoundaryZero(f"zero of f on the contour near {za!r}")
-            dphi = np.angle(fb / fa)
-            resolved = abs(dphi) < _PHASE_CAP and abs(
-                math.log(abs(fb) / abs(fa))
-            ) < _MAG_RATIO_CAP
-            if resolved or depth >= _MAX_DEPTH:
-                if not resolved:
-                    raise MaxDepthExceeded(
-                        f"edge segment near {za!r} not resolved at depth {_MAX_DEPTH}"
-                    )
-                total += dphi
-            else:
-                zm = 0.5 * (za + zb)
-                fm = f(zm)
-                stack.append((zm, zb, fm, fb, depth + 1))
-                stack.append((za, zm, fa, fm, depth + 1))
+    for depth in range(_MAX_DEPTH + 1):
+        on_zero = (fa == 0) | (fb == 0)
+        if on_zero.any():
+            raise BoundaryZero(f"zero of f on the contour near {za[np.argmax(on_zero)]!r}")
+        dphi = np.angle(fb / fa)
+        resolved = (np.abs(dphi) < _PHASE_CAP) & (
+            np.abs(np.log(np.abs(fb) / np.abs(fa))) < _MAG_RATIO_CAP
+        )
+        total += float(np.sum(dphi[resolved]))
+        if resolved.all():
+            break
+        if depth == _MAX_DEPTH:
+            raise MaxDepthExceeded(
+                f"edge segment near {za[np.argmin(resolved)]!r} not resolved at depth {_MAX_DEPTH}"
+            )
+        rejected = ~resolved
+        za, zb, fa, fb = za[rejected], zb[rejected], fa[rejected], fb[rejected]
+        zm = 0.5 * (za + zb)
+        fm = f(zm)
+        za, zb = np.concatenate([za, zm]), np.concatenate([zm, zb])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
     n = total / (2.0 * math.pi)
     if abs(n - round(n)) >= 0.1:
         raise AmbiguousWinding(f"winding integral gave {n:.4f}, not close to an integer")

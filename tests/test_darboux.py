@@ -152,6 +152,17 @@ def test_parameter_validation():
         bs.PotentialParams(alpha=math.nan, beta=3.0, q=1.0)
 
 
+def test_params_accept_numpy_scalars_and_reject_bools():
+    p = bs.PotentialParams.bic(alpha=np.float32(1.3), q=np.int64(1))
+    assert type(p.alpha) is float and type(p.beta) is float and type(p.q) is float
+    assert p.beta == 3.0 * p.alpha * p.q
+    assert bs.PotentialParams.bic(alpha=np.int64(1)) == bs.PotentialParams.bic()
+    with pytest.raises(bs.ValidationError):
+        bs.PotentialParams.bic(alpha=True)
+    with pytest.raises(bs.ValidationError):
+        bs.PotentialParams(alpha=1.0, beta=3.0, q=True)
+
+
 def test_negative_beta_needs_diagnostic_mode():
     with pytest.raises(bs.StrictModeViolation):
         bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bicscatter as bs
+from bicscatter import numerics
 
 
 # ---------------------------------------------------------------- tolerance
@@ -86,7 +87,7 @@ def test_winding_single_zero():
 def test_winding_no_zero():
     rect = bs.ComplexRectangle(0.0, 2.0, -0.5, 1.5)
     assert bs.winding_count(lambda z: z - (5 + 5j), rect) == 0
-    assert bs.winding_count(lambda z: 1.0 + 0j, rect) == 0
+    assert bs.winding_count(lambda z: np.ones_like(z), rect) == 0
 
 
 def test_winding_counts_multiplicity():
@@ -111,9 +112,10 @@ def test_winding_boundary_zero_detected():
 
 def test_winding_branch_cut_hits_depth_limit():
     # principal sqrt jumps by pi across its cut; no subdivision resolves it
+    # (np.sqrt has the same principal branch as cmath.sqrt)
     rect = bs.ComplexRectangle(-1.0, 1.0, -1.0, 1.0)
     with pytest.raises(bs.MaxDepthExceeded):
-        bs.winding_count(lambda z: cmath.sqrt(z - (0.2 + 0.1j)), rect)
+        bs.winding_count(lambda z: np.sqrt(z - (0.2 + 0.1j)), rect)
 
 
 def test_winding_inconsistent_values_flagged():
@@ -123,12 +125,30 @@ def test_winding_inconsistent_values_flagged():
     state = {"n": 0}
 
     def noisy(z):
-        state["n"] += 1
-        return cmath.exp(0.0123j * state["n"])
+        # one counter tick per element, as if evaluated point by point
+        n = state["n"] + np.arange(1, z.size + 1)
+        state["n"] += z.size
+        return np.exp(0.0123j * n)
 
     rect = bs.ComplexRectangle(-1.0, 1.0, -1.0, 1.0)
     with pytest.raises(bs.AmbiguousWinding):
         bs.winding_count(noisy, rect)
+
+
+def test_winding_evaluates_level_by_level():
+    """f sees only 1-d complex arrays: one call for the four edges, then at
+    most one call per subdivision level."""
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return (z - 1.0) ** 4 * (z - (1.002 - 0.0003j))
+
+    rect = bs.ComplexRectangle(1.0005, 1.01, -0.0009, -1e-5)
+    assert bs.winding_count(f, rect) == 1
+    assert all(z.ndim == 1 and z.dtype == complex for z in calls)
+    assert calls[0].size == 4 * 65
+    assert 1 < len(calls) <= numerics._MAX_DEPTH + 1
 
 
 # -------------------------------------------------------------- quadrature

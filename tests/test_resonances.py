@@ -53,6 +53,12 @@ def test_default_box_winding_certificate(config, doublet_pair):
     assert bs.winding_count(bs.root_function(config), box) == 2
 
 
+@pytest.mark.parametrize("a", [300.0, 1e5])  # a = 5000: the test above
+def test_default_box_winds_twice(params, a):
+    config = bs.TruncatedConfig(params=params, a=a)
+    assert bs.winding_count(bs.root_function(config), bs.default_search_box(config)) == 2
+
+
 @pytest.mark.parametrize("a", [300.0, 5000.0, 1e5])
 def test_root_function_broadcasts(params, a):
     # one call on the seeding grid equals point-by-point calls; the gap is

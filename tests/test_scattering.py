@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bicscatter as bs
+from bicscatter import scattering
+from bicscatter.darboux import _w1_bounds
 
 
 def test_config_validation(params):
@@ -18,6 +23,73 @@ def test_config_validation(params):
             params=bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True),
             a=100.0,
         )
+
+
+def test_config_accepts_numpy_cutoffs(params, doublet_pair):
+    config = bs.TruncatedConfig(params=params, a=np.int64(5000))
+    assert type(config.a) is float and config.a == 5000.0
+    assert bs.doublet_of(bs.find_resonances(config), params.q) == doublet_pair
+    assert type(bs.TruncatedConfig(params=params, a=np.float32(300.5)).a) is float
+    with pytest.raises(bs.ValidationError):
+        bs.TruncatedConfig(params=params, a=True)
+
+
+envelope = st.floats(min_value=0.3, max_value=3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=envelope, q=envelope)
+def test_w1_bounds_hold_on_the_envelope(alpha, q):
+    """The quartic lower bound stays below W1 and m2 above |W1''| (in x =
+    q r) on dense samples of [0, x_star/q], and the certificate proves
+    W1 > 0 over the envelope."""
+    params = bs.PotentialParams.bic(alpha=alpha, q=q)
+    x_star, lower, m2 = _w1_bounds(params)
+    assert x_star <= 3.7
+    r = np.linspace(0.0, x_star / q, 20001)
+    w = bs.w1_bundle(params, r)
+    x = q * r
+    slack = 1e-12 * (1.0 + x**4)  # rounding of the closed form
+    assert np.all(polyval(x, lower) <= w.w1 + slack)
+    assert np.all(np.abs(w.w1_rr) <= q * q * polyval(x, m2) + slack)
+    assert polyval(x_star, lower) > 0.0
+    assert scattering._w1_violation(params, 1e6) is None
+
+
+def test_w1_certificate_finds_the_diagnostic_crossing():
+    """beta = -1 makes W1 cross zero; the certificate reports it within one
+    grid step of the first sign-change bracket of the plain scan."""
+    bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True)
+    lo, hi = bs.scan_w1_sign(bad, 30.0)[0]
+    where = scattering._w1_violation(bad, 30.0)
+    step = _w1_bounds(bad)[0] / bad.q / scattering._W1_CELLS
+    assert where is not None
+    assert lo - step <= where <= hi + step
+    assert float(bs.w1_bundle(bad, where).w1) <= 0.0
+
+
+def test_w1_certificate_refuses_what_its_grid_cannot_prove(monkeypatch):
+    # W1(0) ~ 7e-4 here: the first 64-cell pass leaves cells unproven
+    params = bs.PotentialParams.bic(alpha=100.0, q=1.0)
+    assert scattering._w1_violation(params, 1e3) is None
+    monkeypatch.setattr(scattering, "_W1_REFINEMENTS", 0)
+    assert scattering._w1_violation(params, 1e3) is not None
+
+
+def test_w1_certificate_cost_is_independent_of_cutoff(params, monkeypatch):
+    points = []
+
+    def counting(p, r):
+        points.append(np.size(r))
+        return bs.w1_bundle(p, r)
+
+    monkeypatch.setattr(scattering, "w1_bundle", counting)
+    counts = []
+    for a in (1e3, 1e6):
+        points.clear()
+        bs.TruncatedConfig(params=params, a=a)
+        counts.append(sum(points))
+    assert counts[0] == counts[1] < 1000
 
 
 def test_regular_solution_origin_slope(config):
