@@ -67,6 +67,7 @@ from .resonances import (
     doublet_of,
     find_resonances,
     gamow_state,
+    root_derivative,
     root_function,
     sweep_cutoff,
 )

@@ -70,41 +70,54 @@ class JostValue:
     F_minus: Optional[complex]
 
 
-def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
-    """Evaluate u(k, r), v(k, r) and their analytic r-derivatives.
+def _uv_coefficients(params: PotentialParams, r):
+    """u, v, u_r and v_r at r as polynomials in e2 = k^2 - q^2.
 
-    The radial dependence enters only through gamma = r + gamma0 (polynomial
-    part) and theta = q*r + delta (trigonometric part); k enters only through
-    even polynomials, except for the overall factor k in v. Broadcasting over
-    both k and r works; complex k is evaluated verbatim.
+    Returns four arrays of shape (3,) + shape(r): the coefficients of e2^0,
+    e2^1 and e2^2 of u and u_r, and of v/k and v_r/k (whose e2^2 rows are
+    zero), so that u = U0 + U1 e2 + U2 e2^2 and v = k (V0 + V1 e2). The
+    radial dependence enters only through gamma = r + gamma0 (polynomial
+    part) and theta = q*r + delta (trigonometric part). With K = k^2 and
+    Q = q^2, the k-polynomials of the closed form are
 
-    The coefficient naming below mirrors the assembled structure:
+        K^2 + 6QK + Q^2 = e2^2 + 8Q e2 + 8Q^2          (p)
+        K^2 - 4QK - Q^2 = e2^2 - 2Q e2 - 4Q^2          (mm)
+        K^2 - Q^2       = e2^2 + 2Q e2                  (n)
+        K + Q           = e2 + 2Q
+
+    and every term is linear in one of them, so the closed form below is
+    written once, with each polynomial a column of its coefficients:
 
         u = U0(gamma) + Uc(gamma) cos 2theta + Us(gamma) sin 2theta
-            + 3(k^4 + 6 q^2 k^2 + q^4) sin^2 2theta
+            + 3 p sin^2 2theta
         v = V0(gamma) + Vc(gamma) cos 2theta + Vs(gamma) sin 2theta
-            + 6 q k (k^2 + q^2) sin 4theta
+            + 6 q k (K + Q) sin 4theta
 
-    and each derivative is taken term by term.
+    and each r-derivative is taken term by term.
     """
-    r = np.asarray(r)
-    k = np.asarray(k)
+    r = np.asarray(r, dtype=float)
     q = params.q
+    qq = q * q
     pd = phase_data(params)
     g1, g2 = pd.gamma1, pd.gamma2
     th = q * r + pd.delta
     ga = r + pd.gamma0
 
-    e2 = k * k - q * q
-    p = k**4 + 6.0 * q * q * k * k + q**4
-    mm = k**4 - 4.0 * q * q * k * k - q**4
-    n = k**4 - q**4
-    s2k = k * k + q * q
+    def col(c0, c1, c2):
+        return np.array([c0, c1, c2]).reshape((3,) + (1,) * r.ndim)
 
-    c4u = 16.0 * q**4 * e2**2
+    one = col(1.0, 0.0, 0.0)
+    e2 = col(0.0, 1.0, 0.0)
+    e4 = col(0.0, 0.0, 1.0)
+    p = col(8.0 * qq * qq, 8.0 * qq, 1.0)
+    mm = col(-4.0 * qq * qq, -2.0 * qq, 1.0)
+    n = col(0.0, 2.0 * qq, 1.0)
+    s2k = col(2.0 * qq, 1.0, 0.0)
+
+    c4u = 16.0 * q**4 * e4
     c2u = -12.0 * q**2 * p
-    c1u = 8.0 * g2 * q**4 * e2**2
-    c0u = -12.0 * g1**2 * q**4 * e2**2
+    c1u = 8.0 * g2 * q**4 * e4
+    c0u = -12.0 * g1**2 * q**4 * e4
     u0 = c4u * ga**4 + c2u * ga**2 + c1u * ga + c0u
     du0 = 4.0 * c4u * ga**3 + 2.0 * c2u * ga + c1u
     uc = 24.0 * q**2 * (mm * ga**2 + q * g1 * n * ga)
@@ -118,23 +131,24 @@ def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
     dus = 48.0 * q**3 * n * ga**2 - 12.0 * q * mm
     su = 3.0 * p
 
+    # v / k
     v0 = (
-        64.0 * q**4 * k * e2 * ga**3
-        - 24.0 * q**2 * k * s2k * ga
-        + 8.0 * g2 * q**4 * k * e2
-        - 48.0 * g1 * q**5 * k
+        64.0 * q**4 * e2 * ga**3
+        - 24.0 * q**2 * s2k * ga
+        + 8.0 * g2 * q**4 * e2
+        - 48.0 * g1 * q**5 * one
     )
-    dv0 = 192.0 * q**4 * k * e2 * ga**2 - 24.0 * q**2 * k * s2k
+    dv0 = 192.0 * q**4 * e2 * ga**2 - 24.0 * q**2 * s2k
     vc = (
-        32.0 * q**4 * k * e2 * ga**3
-        + 24.0 * q**2 * k * s2k * ga
-        - 8.0 * g2 * q**4 * k * e2
-        + 48.0 * g1 * q**5 * k
+        32.0 * q**4 * e2 * ga**3
+        + 24.0 * q**2 * s2k * ga
+        - 8.0 * g2 * q**4 * e2
+        + 48.0 * g1 * q**5 * one
     )
-    dvc = 96.0 * q**4 * k * e2 * ga**2 + 24.0 * q**2 * k * s2k
-    vs = 96.0 * q**5 * k * ga**2 - 48.0 * g1 * q**4 * k * e2 * ga - 12.0 * q * k * s2k
-    dvs = 192.0 * q**5 * k * ga - 48.0 * g1 * q**4 * k * e2
-    tv = 6.0 * q * k * s2k
+    dvc = 96.0 * q**4 * e2 * ga**2 + 24.0 * q**2 * s2k
+    vs = 96.0 * q**5 * one * ga**2 - 48.0 * g1 * q**4 * e2 * ga - 12.0 * q * s2k
+    dvs = 192.0 * q**5 * one * ga - 48.0 * g1 * q**4 * e2
+    tv = 6.0 * q * s2k
 
     s, c = np.sin(2.0 * th), np.cos(2.0 * th)
     s4, c4 = np.sin(4.0 * th), np.cos(4.0 * th)
@@ -142,7 +156,47 @@ def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
     u_r = du0 + (duc + 2.0 * q * us) * c + (dus - 2.0 * q * uc) * s + 2.0 * q * su * s4
     v = v0 + vc * c + vs * s + tv * s4
     v_r = dv0 + (dvc + 2.0 * q * vs) * c + (dvs - 2.0 * q * vc) * s + 4.0 * q * tv * c4
-    return UVBundle(u=u, v=v, u_r=u_r, v_r=v_r)
+    return u, v, u_r, v_r
+
+
+def _uv_at(coefficients, k, q) -> UVBundle:
+    """u, v, u_r, v_r from ``_uv_coefficients``, at wave number k."""
+    e2 = k * k - q * q
+
+    def poly(c):
+        return c[0] + e2 * (c[1] + e2 * c[2])
+
+    cu, cv, cu_r, cv_r = coefficients
+    return UVBundle(u=poly(cu), v=k * poly(cv), u_r=poly(cu_r), v_r=k * poly(cv_r))
+
+
+def _uv_dk(coefficients, k, q) -> UVBundle:
+    """Exact k-derivatives of u, v, u_r, v_r from ``_uv_coefficients``.
+
+    With e2 = k^2 - q^2: d(U0 + U1 e2 + U2 e2^2)/dk = 2k (U1 + 2 U2 e2) and
+    d(k (V0 + V1 e2))/dk = V0 + V1 e2 + 2k^2 V1.
+    """
+    e2 = k * k - q * q
+
+    def du(c):
+        return 2.0 * k * (c[1] + 2.0 * e2 * c[2])
+
+    def dv(c):
+        return c[0] + e2 * c[1] + 2.0 * k * k * c[1]
+
+    cu, cv, cu_r, cv_r = coefficients
+    return UVBundle(u=du(cu), v=dv(cv), u_r=du(cu_r), v_r=dv(cv_r))
+
+
+def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
+    """Evaluate u(k, r), v(k, r) and their analytic r-derivatives.
+
+    k enters only through e2 = k^2 - q^2 and, in v, an overall factor k:
+    u = U0 + U1 e2 + U2 e2^2 and v = k (V0 + V1 e2), with coefficients in r
+    from ``_uv_coefficients``. Broadcasting over both k and r works; complex
+    k is evaluated verbatim.
+    """
+    return _uv_at(_uv_coefficients(params, r), np.asarray(k), params.q)
 
 
 def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostValue:

@@ -85,17 +85,12 @@ class ComplexRectangle:
         return re[None, :] + 1j * im[:, None]
 
 
-_DIFF_STEP = 1e-7  # newton_complex difference step, relative to 1 + |z|
-
-
-def newton_complex(f, z0: complex, tol: Tolerance = Tolerance()):
+def newton_complex(f, fprime, z0: complex, tol: Tolerance = Tolerance()):
     """Damped Newton iteration on a complex scalar function.
 
-    The derivative is a central complex difference with step
-    h = 1e-7 (1 + |z|) (the function is already complex-valued, so the
-    imaginary-perturbation trick does not apply); the update is halved (up
-    to 60 times) until |f| decreases, which keeps the iteration inside the
-    basin even from seeds several linewidths away.
+    ``fprime`` is the exact derivative of ``f``; the update f/f' is halved
+    (up to 60 times) until |f| decreases, which keeps the iteration inside
+    the basin even from seeds several linewidths away.
 
     Returns
     -------
@@ -104,17 +99,16 @@ def newton_complex(f, z0: complex, tol: Tolerance = Tolerance()):
     Raises
     ------
     ZeroDerivative
-        If the difference quotient underflows relative to |f| (stationary
-        point between the root and the seed).
+        If f' vanishes, or is so small that the step would exceed
+        1e23 (1 + |z|) (stationary point between the root and the seed).
     NoConvergence
         If the iteration budget leaves the step above tolerance.
     """
     z = complex(z0)
     fz = f(z)
     for it in range(tol.max_iter):
-        h = _DIFF_STEP * (1.0 + abs(z))
-        df = (f(z + h) - f(z - h)) / (2.0 * h)
-        if abs(df) * h < 1e-30 * abs(fz) or df == 0:
+        df = fprime(z)
+        if df == 0 or abs(df) * (1.0 + abs(z)) < 1e-23 * abs(fz):
             raise ZeroDerivative(f"derivative vanished at {z!r} (|f| = {abs(fz):.3e})")
         step = fz / df
         damping = 1.0

@@ -35,7 +35,14 @@ from .errors import (
 )
 from .darboux import PotentialParams
 from .numerics import ComplexRectangle, Tolerance, newton_complex, winding_count
-from .scattering import TruncatedConfig, _boundary, jost_function, regular_solution
+from .scattering import (
+    TruncatedConfig,
+    _boundary,
+    _boundary_dk,
+    _jost_prefactor,
+    jost_function,
+    regular_solution,
+)
 
 __all__ = [
     "Resonance",
@@ -43,6 +50,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "root_function",
+    "root_derivative",
     "default_search_box",
     "find_resonances",
     "doublet_of",
@@ -106,6 +114,36 @@ def root_function(config: TruncatedConfig) -> Callable:
     return g_of
 
 
+def root_derivative(config: TruncatedConfig) -> Callable:
+    """G'(k), the exact k-derivative of ``root_function(config)``.
+
+    The product rule on G's grouping (see ``scattering._boundary``):
+
+        G' = [((u0 - i v0)(cv - i cu))'
+              + e^{-2ika} (((u0 + i v0)(cv + i cu))'
+                           - 2ia (u0 + i v0)(cv + i cu))] / 2,
+
+    with the derivatives of u, v and the r = a combinations from
+    ``scattering._boundary_dk``. Broadcasts over k.
+    """
+    a = config.a
+
+    def dg_of(k):
+        u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
+        du0, dv0, dua, dva, dbu, dbv, dkw = _boundary_dk(config, k)
+        cu = bu + 1j * kw * ua
+        cv = bv + 1j * kw * va
+        dcu = dbu + 1j * (dkw * ua + kw * dua)
+        dcv = dbv + 1j * (dkw * va + kw * dva)
+        m, p = u0 - 1j * v0, u0 + 1j * v0
+        x, y = cv - 1j * cu, cv + 1j * cu
+        dm, dp = du0 - 1j * dv0, du0 + 1j * dv0
+        dx, dy = dcv - 1j * dcu, dcv + 1j * dcu
+        return 0.5 * (dm * x + m * dx + np.exp(-2j * k * a) * (dp * y + p * dy - 2j * a * p * y))
+
+    return dg_of
+
+
 def default_search_box(config: TruncatedConfig) -> ComplexRectangle:
     """Box isolating the doublet: Re within ~2 string spacings of q.
 
@@ -145,6 +183,7 @@ def find_resonances(
     if search_box.im_max > 0:
         raise ValidationError("search box must lie below the real axis")
     g = root_function(config)
+    g_prime = root_derivative(config)
 
     def grid_seeds(n_re: int, n_im: int) -> List[complex]:
         grid = search_box.grid(n_re, n_im)
@@ -165,7 +204,8 @@ def find_resonances(
         failures = 0
         for seed in candidates:
             try:
-                z, _, _ = newton_complex(g, seed, Tolerance(abs_tol=1e-13, rel_tol=1e-13))
+                z, _, _ = newton_complex(g, g_prime, seed,
+                                         Tolerance(abs_tol=1e-13, rel_tol=1e-13))
             except (NoConvergence, ZeroDerivative):
                 failures += 1
                 continue
@@ -241,9 +281,10 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance,
                 residual_tol: float = 1e-6) -> GamowState:
     """Normalize the regular solution at a resonance pole.
 
-    dF(-k)/dk is a central complex difference with h = 1e-7 (1 + |k_n|);
-    F(-k) is analytic and already complex-valued, so the pure
-    imaginary-step trick is unavailable.
+    F(-k) = pref(k) e^{2ika} G(k) with the zero-free pref = W1(0) / (h(k)
+    W1(a)^2), so at a zero of G the derivative is exactly
+    dF(-k)/dk = pref(k_n) e^{2ik_n a} G'(k_n), from ``root_derivative``;
+    the terms it drops are proportional to the root residual.
 
     Raises
     ------
@@ -259,11 +300,9 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance,
             f"resonance residual {resonance.residual:.3e} above {residual_tol:.0e}"
         )
     kn = resonance.k_complex
-    h = 1e-7 * (1.0 + abs(kn))
     _, f_plus = jost_function(config, kn)
-    d_f_minus = (jost_function(config, kn + h)[0] - jost_function(config, kn - h)[0]) / (
-        2.0 * h
-    )
+    d_f_minus = (_jost_prefactor(config, kn) * np.exp(2j * kn * config.a)
+                 * root_derivative(config)(kn))
     if abs(d_f_minus) * (1.0 + abs(kn)) < 1e-12 * abs(f_plus):
         raise ZeroDerivative(
             f"|dF(-k)/dk| = {abs(d_f_minus):.3e} at k = {kn!r}: higher-order zero"

@@ -21,21 +21,21 @@ there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
-from .darboux import PotentialParams, _is_real, _w1_bounds, w1_bundle
+from .darboux import PotentialParams, W1Bundle, _is_real, _w1_bounds, w1_bundle
 from .errors import (
     DegenerateNormalizer,
     MinimaNotFound,
     UnwrapAmbiguity,
     ValidationError,
 )
-from .jost import uv_bundle
+from .jost import _uv_at, _uv_coefficients, _uv_dk, uv_bundle
 from .numerics import unwrap_phase
 
 __all__ = [
@@ -104,6 +104,18 @@ def _w1_violation(params: PotentialParams, a: float) -> Optional[float]:
 
 
 @dataclass(frozen=True)
+class _BoundaryData:
+    """What d, g, G and their k-derivatives need of the closed forms: the
+    e2-coefficients of u, v, u_r, v_r at r = 0 and r = a (see
+    ``jost._uv_coefficients``), W1(0), and W1, W1' at r = a."""
+
+    at_0: tuple
+    at_a: tuple
+    w1_0: float
+    w1_a: W1Bundle
+
+
+@dataclass(frozen=True)
 class TruncatedConfig:
     """Potential parameters plus the truncation radius a.
 
@@ -113,10 +125,18 @@ class TruncatedConfig:
     parameter-dependent radius and a certified grid below it (derived in
     ``_w1_violation`` and ``darboux._w1_bounds``). ``a`` may be any real
     scalar except a bool and is stored as a builtin float.
+
+    Construction also evaluates the boundary data once: u, v, u_r and v_r
+    depend on k only through e2 = k^2 - q^2 (and a factor k in v), so their
+    e2-coefficients at r = 0 and r = a, with W1(0), W1(a) and W1'(a), turn
+    every later d, g, G and G' into a short polynomial evaluation. The data
+    is derived from (params, a) and takes no part in equality, hashing or
+    repr; ``dataclasses.replace`` recomputes it for the new cutoff.
     """
 
     params: PotentialParams
     a: float
+    _boundary_data: _BoundaryData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (_is_real(self.a) and math.isfinite(self.a) and self.a > 0):
@@ -134,6 +154,12 @@ class TruncatedConfig:
             raise ValidationError(
                 f"W1 is not positive on [0, {self.a}] (first violation near r = {bad:.6g})"
             )
+        object.__setattr__(self, "_boundary_data", _BoundaryData(
+            at_0=_uv_coefficients(self.params, 0.0),
+            at_a=_uv_coefficients(self.params, self.a),
+            w1_0=float(w1_bundle(self.params, 0.0).w1),
+            w1_a=w1_bundle(self.params, self.a),
+        ))
 
 
 @dataclass(frozen=True)
@@ -153,21 +179,32 @@ class ScatteringPoint:
 def h_normalizer(params: PotentialParams, k):
     """h(k) = u v' - v u' + k (u^2 + v^2), all at r = 0.
 
-    Normalizes the regular solution's boundary condition. Vanishes like
-    (k^2 - q^2)^4 at the embedded-state wave number.
+    Normalizes the regular solution's boundary condition. With
+    u = U0 + U1 e2 + U2 e2^2 and v = k (V0 + V1 e2), e2 = k^2 - q^2
+    (``jost._uv_coefficients``), h / k is a polynomial of degree 4 in e2
+    whose only e2^4 term comes from u^2. h vanishes like e2^4 at the
+    embedded-state wave number, so its lower coefficients are zero and
+
+        h(k) = k U2(0)^2 (k^2 - q^2)^4
+
+    exactly. The product is accurate to rounding; the combination cancels
+    near k = q, where its rounding error is 1e-5 to 1e-4 of h at the
+    a = 5000 doublet and grows like a^4.
     """
-    b = uv_bundle(params, k, 0.0)
-    return b.u * b.v_r - b.v * b.u_r + k * (b.u**2 + b.v**2)
+    return _h_of(_uv_coefficients(params, 0.0)[0][2], k, params.q)
 
 
-def _h_scale(params: PotentialParams, k) -> float:
-    b = uv_bundle(params, k, 0.0)
-    return max(1.0, float(np.max(np.abs(b.u) ** 2 + np.abs(b.v) ** 2)))
+def _h_of(u2, k, q):
+    e2 = (k - q) * (k + q)
+    return k * (u2 * e2 * e2) ** 2
 
 
-def _check_h(params: PotentialParams, k):
-    h = h_normalizer(params, k)
-    if np.min(np.abs(h)) < H_DEGENERACY_RTOL * _h_scale(params, k):
+def _check_h(config: TruncatedConfig, k):
+    at_0, q = config._boundary_data.at_0, config.params.q
+    b = _uv_at(at_0, k, q)
+    h = _h_of(at_0[0][2], k, q)
+    scale = max(1.0, float(np.max(np.abs(b.u) ** 2 + np.abs(b.v) ** 2)))
+    if np.min(np.abs(h)) < H_DEGENERACY_RTOL * scale:
         raise DegenerateNormalizer(
             f"|h(k)| = {float(np.min(np.abs(h))):.3e} at k = {k!r}: boundary-condition "
             "normalization degenerates (k too close to the embedded-state wave number)"
@@ -190,15 +227,38 @@ def _boundary(config: TruncatedConfig, k):
     cu = bu + i kw ua and cv = bv + i kw va,
 
         G = e^{-ika} (d + ig)
-          = [(u0 - i v0)(cv - i cu) + e^{-2ika} (u0 + i v0)(cv + i cu)] / 2.
+          = [(u0 - i v0)(cv - i cu) + e^{-2ika} (u0 + i v0)(cv + i cu)] / 2,
 
-    Accepts complex k and broadcasts over it.
+    and by the product rule, with ' = d/dk (``_boundary_dk``),
+
+        G' = [((u0 - i v0)(cv - i cu))'
+              + e^{-2ika} (((u0 + i v0)(cv + i cu))'
+                           - 2ia (u0 + i v0)(cv + i cu))] / 2.
+
+    Evaluated from the config's boundary data. Accepts complex k and
+    broadcasts over it.
     """
-    p = config.params
-    b0 = uv_bundle(p, k, 0.0)
-    ba = uv_bundle(p, k, config.a)
-    wa = w1_bundle(p, config.a)
-    return (b0.u, b0.v, ba.u, ba.v, *_uv_combinations(ba, wa, k), -k * wa.w1)
+    bd = config._boundary_data
+    q = config.params.q
+    b0 = _uv_at(bd.at_0, k, q)
+    ba = _uv_at(bd.at_a, k, q)
+    return (b0.u, b0.v, ba.u, ba.v, *_uv_combinations(ba, bd.w1_a, k), -k * bd.w1_a.w1)
+
+
+def _boundary_dk(config: TruncatedConfig, k):
+    """Exact k-derivatives of the seven ``_boundary`` values.
+
+    W1 does not depend on k, so bu' = u_r' W1 - u' W1' - (v + k v') W1,
+    bv' = v_r' W1 - v' W1' + (u + k u') W1 and kw' = -W1(a).
+    """
+    bd = config._boundary_data
+    q = config.params.q
+    d0 = _uv_dk(bd.at_0, k, q)
+    ba = _uv_at(bd.at_a, k, q)
+    da = _uv_dk(bd.at_a, k, q)
+    w1 = bd.w1_a.w1
+    dbu, dbv = _uv_combinations(da, bd.w1_a, k)
+    return d0.u, d0.v, da.u, da.v, dbu - ba.v * w1, dbv + ba.u * w1, -w1
 
 
 def _ka_rotation(x, y, ka):
@@ -233,11 +293,14 @@ def regular_solution(config: TruncatedConfig, k, r):
     if np.any(r < 0) or np.any(r > config.a):
         raise ValidationError("regular solution is defined on 0 <= r <= a")
     p = config.params
-    h = _check_h(p, k)
-    b0 = uv_bundle(p, k, 0.0)
+    _check_h(config, k)
+    b0 = _uv_at(config._boundary_data.at_0, k, p.q)
+    # h from the same u0, v0 as the numerator, not the closed form: near
+    # k = q both cancel alike, and only this pairing keeps Phi'(0) = 1
+    h = b0.u * b0.v_r - b0.v * b0.u_r + k * (b0.u**2 + b0.v**2)
     b = uv_bundle(p, k, r)
     w = w1_bundle(p, r)
-    w10 = w1_bundle(p, 0.0).w1
+    w10 = config._boundary_data.w1_0
     a1, a2 = _ka_rotation(b0.u, -b0.v, k * r)
     cu, cv = _uv_combinations(b, w, k)
     ph = (w10 / (h * w.w1)) * (b.u * a1 + b.v * a2)
@@ -268,12 +331,14 @@ def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
     return _jost_from_dg(config, k, *dg(config, k))
 
 
+def _jost_prefactor(config: TruncatedConfig, k):
+    """W1(0) / (h(k) W1(a)^2), the zero-free factor of F(-k) / (e^{ika} (d + ig))."""
+    bd = config._boundary_data
+    return bd.w1_0 / (_check_h(config, k) * bd.w1_a.w1**2)
+
+
 def _jost_from_dg(config: TruncatedConfig, k, d, g):
-    p = config.params
-    h = _check_h(p, k)
-    w10 = w1_bundle(p, 0.0).w1
-    wa = w1_bundle(p, config.a).w1
-    pref = w10 / (h * wa**2)
+    pref = _jost_prefactor(config, k)
     f_minus = pref * np.exp(1j * k * config.a) * (d + 1j * g)
     f_plus = pref * np.exp(-1j * k * config.a) * (d - 1j * g)
     return f_minus, f_plus

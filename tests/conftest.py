@@ -8,6 +8,9 @@ instance without coupling.
 
 import functools
 import math
+from types import SimpleNamespace
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -35,6 +38,86 @@ def _quadrature_norm_sq(params):
     )
     r = r_cut + np.linspace(0.0, period * math.ceil(r_cut / period), 20000, endpoint=False)
     return inner + float(np.mean(psi(r) ** 2 * r**4)) / (3.0 * r_cut**3)
+
+
+def _uv_reference(k, r, q, ph, sin=np.sin, cos=np.cos):
+    """Reference re-derivation of the oscillator amplitudes (u, v).
+
+    Written directly from the displayed closed forms, term by term and in
+    display order, with no shared scaffolding with the production code:
+    production groups by trigonometric basis function with hoisted
+    coefficients and expands in k^2 - q^2, this keeps each displayed line
+    intact. Agreement between the two transcriptions is the strongest guard
+    we have against a copying slip in either one. ``ph`` carries delta and
+    gamma0..2; with mpmath numbers and functions the same lines are the
+    high-precision oracle (``_uv_oracle``).
+    """
+    g = r + ph.gamma0
+    g1, g2 = ph.gamma1, ph.gamma2
+    th = q * r + ph.delta
+
+    kk = k * k
+    qq = q * q
+    dsq = kk - qq                      # k^2 - q^2
+    A = kk * kk + 6 * qq * kk + qq * qq
+    B = kk * kk - 4 * qq * kk - qq * qq
+    C = kk * kk - qq * qq
+    s2, c2 = sin(2 * th), cos(2 * th)
+
+    u = (
+        16 * q**4 * dsq**2 * g**4
+        - 12 * qq * A * g**2
+        + 8 * g2 * q**4 * dsq**2 * g
+        - 12 * g1**2 * q**4 * dsq**2
+        + 24 * qq * (B * g**2 + q * g1 * C * g) * c2
+        + (16 * q**3 * C * g**3 - 12 * q * B * g - 4 * g2 * q**3 * C
+           - 12 * g1 * qq * B) * s2
+        + 3 * A * s2**2
+    )
+    v = (
+        64 * q**4 * k * dsq * g**3
+        - 24 * qq * k * (kk + qq) * g
+        + 8 * g2 * q**4 * k * dsq
+        - 48 * g1 * q**5 * k
+        + (32 * q**4 * k * dsq * g**3 + 24 * qq * k * (kk + qq) * g
+           - 8 * g2 * q**4 * k * dsq + 48 * g1 * q**5 * k) * c2
+        + (96 * q**5 * k * g**2 - 48 * g1 * q**4 * k * dsq * g
+           - 12 * q * k * (kk + qq)) * s2
+        + 6 * q * k * (kk + qq) * sin(4 * th)
+    )
+    return u, v
+
+
+def _phase_data_mp(params):
+    """``phase_data`` in mpmath arithmetic, from the same binary alpha, beta, q."""
+    a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+    t = a * mpmath.mpf(params.q) - b
+    d = 1 + t * t
+    return SimpleNamespace(delta=mpmath.atan(t), gamma0=a / d, gamma1=-2 * a**2 * t / d**2,
+                           gamma2=-2 * a**3 * (1 - 3 * t * t) / d**3)
+
+
+def _uv_oracle(params, k, r):
+    """(u, v, u_r, v_r) of ``_uv_reference`` in mpmath at the working
+    precision, the r-derivatives by mpmath differentiation."""
+    ph, q, r = _phase_data_mp(params), mpmath.mpf(params.q), mpmath.mpf(r)
+    k = mpmath.mpc(k)
+
+    def uv(rr, i):
+        return _uv_reference(k, rr, q, ph, mpmath.sin, mpmath.cos)[i]
+
+    return (uv(r, 0), uv(r, 1),
+            mpmath.diff(lambda rr: uv(rr, 0), r), mpmath.diff(lambda rr: uv(rr, 1), r))
+
+
+@pytest.fixture(scope="session")
+def uv_reference():
+    return _uv_reference
+
+
+@pytest.fixture(scope="session")
+def uv_oracle():
+    return _uv_oracle
 
 
 @pytest.fixture(scope="session")

@@ -1,57 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import bicscatter as bs
-
-
-def _uv_reference(params, k, r):
-    """Reference re-derivation of the oscillator amplitudes (u, v).
-
-    Written directly from the displayed closed forms, term by term and in
-    display order, with no shared scaffolding with the production code:
-    production groups by trigonometric basis function with hoisted
-    coefficients, this keeps each displayed line intact. Agreement between
-    the two transcriptions is the strongest guard we have against a copying
-    slip in either one.
-    """
-    ph = bs.phase_data(params)
-    q = params.q
-    g = r + ph.gamma0
-    g1, g2 = ph.gamma1, ph.gamma2
-    th = q * r + ph.delta
-
-    kk = k * k
-    qq = q * q
-    dsq = kk - qq                      # k^2 - q^2
-    A = kk * kk + 6 * qq * kk + qq * qq
-    B = kk * kk - 4 * qq * kk - qq * qq
-    C = kk * kk - qq * qq
-    s2, c2 = np.sin(2 * th), np.cos(2 * th)
-
-    u = (
-        16 * q**4 * dsq**2 * g**4
-        - 12 * qq * A * g**2
-        + 8 * g2 * q**4 * dsq**2 * g
-        - 12 * g1**2 * q**4 * dsq**2
-        + 24 * qq * (B * g**2 + q * g1 * C * g) * c2
-        + (16 * q**3 * C * g**3 - 12 * q * B * g - 4 * g2 * q**3 * C
-           - 12 * g1 * qq * B) * s2
-        + 3 * A * s2**2
-    )
-    v = (
-        64 * q**4 * k * dsq * g**3
-        - 24 * qq * k * (kk + qq) * g
-        + 8 * g2 * q**4 * k * dsq
-        - 48 * g1 * q**5 * k
-        + (32 * q**4 * k * dsq * g**3 + 24 * qq * k * (kk + qq) * g
-           - 8 * g2 * q**4 * k * dsq + 48 * g1 * q**5 * k) * c2
-        + (96 * q**5 * k * g**2 - 48 * g1 * q**4 * k * dsq * g
-           - 12 * q * k * (kk + qq)) * s2
-        + 6 * q * k * (kk + qq) * np.sin(4 * th)
-    )
-    return u, v
 
 
 @pytest.mark.parametrize("alpha,beta,q", [
@@ -59,15 +12,31 @@ def _uv_reference(params, k, r):
     (0.8, 2.1, 1.3),
     (1.5, 0.9, 0.6),
 ])
-def test_uv_against_reference_transcription(alpha, beta, q):
+def test_uv_against_reference_transcription(alpha, beta, q, uv_reference):
     p = bs.PotentialParams(alpha=alpha, beta=beta, q=q)
     r = np.array([0.0, 0.3, 1.0, 2.5, 7.0, 31.0])
     for k in (2.0, 1.5, 0.35, 1.2 - 0.3j, 0.4 + 0.05j):
         b = bs.uv_bundle(p, k, r)
-        u_ref, v_ref = _uv_reference(p, k, r)
+        u_ref, v_ref = uv_reference(k, r, p.q, bs.phase_data(p))
         scale = np.maximum(1.0, np.abs(u_ref))
         assert np.max(np.abs(b.u - u_ref) / scale) < 1e-12
         assert np.max(np.abs(b.v - v_ref) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,q", [(1.0, 1.0), (0.3, 3.0), (3.0, 0.3)])
+def test_uv_against_mpmath_oracle(alpha, q, uv_oracle):
+    """u, v, u_r, v_r against the display-form closed form at 60 digits,
+    out to r = 5000 and at complex k one doublet spacing from q."""
+    p = bs.PotentialParams.bic(alpha=alpha, q=q)
+    worst = 0.0
+    with mpmath.workdps(60):
+        for r in (0.0, 1.0, 300.0, 5000.0):
+            for k in (q + 0.3, q - 0.2 + 0.01j, q / 2, q + math.pi / 5000 - 0.9j / 5000):
+                b = bs.uv_bundle(p, k, r)
+                for got, want in zip((b.u, b.v, b.u_r, b.v_r), uv_oracle(p, k, r)):
+                    want = complex(want)
+                    worst = max(worst, abs(complex(got) - want) / abs(want))
+    assert worst < 1e-10
 
 
 def test_v_vanishes_at_zero_momentum():

@@ -40,7 +40,7 @@ def test_rectangle_basics():
 
 
 def test_newton_simple_root():
-    z, fz, its = bs.newton_complex(lambda z: z * z - 1.0, 1.1)
+    z, fz, its = bs.newton_complex(lambda z: z * z - 1.0, lambda z: 2.0 * z, 1.1)
     assert abs(z - 1.0) < 1e-14
     assert its < 10
 
@@ -51,7 +51,10 @@ def test_newton_constructed_complex_root():
     def f(z):
         return (z - root) * (z - 2.0)
 
-    z, fz, _ = bs.newton_complex(f, 1.01 - 0.001j)
+    def fprime(z):
+        return 2.0 * z - root - 2.0
+
+    z, fz, _ = bs.newton_complex(f, fprime, 1.01 - 0.001j)
     assert abs(z - root) < 1e-12
 
 
@@ -59,21 +62,21 @@ def test_newton_on_scattering_root_function(config):
     """Seeding just below the real axis converges onto the lower doublet
     member."""
     g = bs.root_function(config)
-    z, fz, _ = bs.newton_complex(g, 0.999 - 0.0002j)
+    z, fz, _ = bs.newton_complex(g, bs.root_derivative(config), 0.999 - 0.0002j)
     assert z.real == pytest.approx(0.9989844032, abs=1e-6)
     assert z.imag == pytest.approx(-0.0001730065, abs=1e-6)
 
 
 def test_newton_zero_derivative():
     with pytest.raises(bs.ZeroDerivative):
-        bs.newton_complex(lambda z: z * z + 1.0, 0.0)
+        bs.newton_complex(lambda z: z * z + 1.0, lambda z: 2.0 * z, 0.0)
 
 
 def test_newton_no_convergence():
     # exp has no zeros; |f| keeps decreasing so the iteration never stalls,
     # it just runs out of budget with a unit step
     with pytest.raises(bs.NoConvergence):
-        bs.newton_complex(cmath.exp, 0.0, tol=bs.Tolerance(max_iter=25))
+        bs.newton_complex(cmath.exp, cmath.exp, 0.0, tol=bs.Tolerance(max_iter=25))
 
 
 # ----------------------------------------------------------------- winding

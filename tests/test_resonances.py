@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -70,6 +71,127 @@ def test_root_function_broadcasts(params, a):
     pointwise = np.array([[complex(g(complex(z))) for z in row] for row in grid])
     assert batched.shape == grid.shape
     assert np.max(np.abs(batched - pointwise)) <= 1e-10 * np.max(np.abs(pointwise))
+
+
+def _cauchy_derivative(f, z0, radius, n=256):
+    """f'(z0) from n points of the Cauchy integral on a circle (f broadcasts)."""
+    e = np.exp(2j * np.pi * np.arange(n) / n)
+    return np.mean(f(z0 + radius * e) / e) / radius
+
+
+@pytest.mark.parametrize("alpha,q,a", [(1.0, 1.0, 300.0), (1.0, 1.0, 5000.0),
+                                       (1.0, 1.0, 2e4), (0.5, 2.0, 3000.0)])
+def test_root_derivative_matches_cauchy_derivative(alpha, q, a):
+    """At both doublet members and at 1.3 q - i/a on a circle of radius
+    0.05/a, and deeper below the axis, where e^{-2ika} no longer dominates
+    G' and the k-derivatives of u and v show, on one of radius 1e-3 q."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    g, g_prime = bs.root_function(config), bs.root_derivative(config)
+    doublet = [res.k_complex for res in bs.doublet_of(bs.find_resonances(config), q)]
+    for k, radius in ([(k, 0.05 / a) for k in doublet + [1.3 * q - 1j / a]]
+                      + [(q * (1.3 - 0.01j), 1e-3 * q), (q * (0.6 - 0.002j), 1e-3 * q)]):
+        want = _cauchy_derivative(g, k, radius)
+        assert abs(g_prime(k) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("alpha,q,a", [(1.0, 1.0, 5000.0), (0.5, 2.0, 3000.0)])
+def test_gamow_norm_matches_cauchy_derivative(alpha, q, a):
+    """N^2 = F(k_n) dF(-k)/dk / (4 i k_n^2), with dF(-k)/dk from the Cauchy
+    integral of F(-k) itself (a difference quotient of F(-k) was off by
+    ~1e-3 here)."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    for res in bs.doublet_of(bs.find_resonances(config), q):
+        kn = res.k_complex
+        d_f_minus = _cauchy_derivative(lambda k: bs.jost_function(config, k)[0], kn, 0.05 / a)
+        want = bs.jost_function(config, kn)[1] * d_f_minus / (4j * kn**2)
+        got = bs.gamow_state(config, res).N_squared
+        assert abs(got - want) <= 1e-5 * abs(want)
+
+
+def _gamow_norm_oracle(config, kn, uv_oracle):
+    """N^2 = F(k_n) dF(-k)/dk / (4 i k_n^2) at 50 digits: d, g, h and G
+    from the display-form u, v (``uv_oracle``), dG/dk by mpmath
+    differentiation; W1(0), W1(a) and W1'(a) are the library's floats."""
+    p, a = config.params, config.a
+    w0 = float(bs.w1_bundle(p, 0.0).w1)
+    wb = bs.w1_bundle(p, a)
+    wa, wa_r = float(wb.w1), float(wb.w1_r)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a)
+
+        def parts(k):
+            u0, v0, u0_r, v0_r = uv_oracle(p, k, 0.0)
+            ua, va, ua_r, va_r = uv_oracle(p, k, a)
+            s, c = mpmath.sin(k * a), mpmath.cos(k * a)
+            rot_a, rot_b = u0 * s - v0 * c, u0 * c + v0 * s
+            d = (ua_r * wa - ua * wa_r - k * va * wa) * rot_a + (
+                va_r * wa - va * wa_r + k * ua * wa) * rot_b
+            g = -k * wa * (ua * rot_a + va * rot_b)
+            return d, g, u0 * v0_r - v0 * u0_r + k * (u0**2 + v0**2)
+
+        def big_g(k):
+            d, g, _ = parts(k)
+            return mpmath.exp(-1j * k * a) * (d + 1j * g)
+
+        k = mpmath.mpc(kn)
+        d, g, h = parts(k)
+        pref = w0 / (h * wa**2)
+        f_plus = pref * mpmath.exp(-1j * k * a) * (d - 1j * g)
+        d_f_minus = pref * mpmath.exp(2j * k * a) * mpmath.diff(big_g, k)
+        return complex(f_plus * d_f_minus / (4j * k**2))
+
+
+@pytest.mark.parametrize("alpha,q,a", [(1.0, 1.0, 5000.0), (0.5, 2.0, 3000.0)])
+def test_gamow_norm_against_mpmath_oracle(alpha, q, a, uv_oracle):
+    """The whole N^2, G' and h included, against 50-digit arithmetic
+    (measured <= 5e-13; the difference quotient and the cancelling h were
+    off by 1e-4 to 7e-4 here)."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    for res in bs.doublet_of(bs.find_resonances(config), q):
+        want = _gamow_norm_oracle(config, res.k_complex, uv_oracle)
+        assert abs(bs.gamow_state(config, res).N_squared - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("alpha,q,a", [(1.0, 1.0, 2e4), (1.5627, 2.861, 73949.5881),
+                                       (0.7904, 2.279, 202505.0041)])
+def test_gamow_norm_is_right_or_refused(alpha, q, a, uv_oracle):
+    """Where h(k_n) is tiny, N^2 is either accurate or refused. A cancelling
+    h gave N^2 off by 17% at the first point and by 100% at the other two,
+    certified."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    for res in bs.doublet_of(bs.find_resonances(config), q):
+        try:
+            got = bs.gamow_state(config, res).N_squared
+        except bs.DegenerateNormalizer:
+            continue
+        want = _gamow_norm_oracle(config, res.k_complex, uv_oracle)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("a", [5e5, 1e6])
+@pytest.mark.parametrize("alpha,q", [(1.0, 1.0), (0.3, 0.3), (3.0, 3.0)])
+def test_census_at_large_cutoffs(alpha, q, a):
+    """Exactly the doublet, at its asymptotic place: (Re k - q) a / pi near
+    +-1.616 and Im k a near -0.865. Grid seeds on the top edge of the box
+    sit next to the fourth-order zero of d + ig at k = q; they must not
+    come back as roots."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    found = bs.find_resonances(config)
+    assert len(found) == 2
+    for res, sign in zip(found, (-1.0, 1.0)):
+        assert (res.k_re - q) * a / math.pi == pytest.approx(sign * 1.616, abs=1e-3)
+        assert res.k_complex.imag * a == pytest.approx(-0.865, abs=1e-3)
+        assert res.residual <= 1e-9
+
+
+def test_newton_near_the_removable_zero_leaves_the_box(params):
+    config = bs.TruncatedConfig(params=params, a=1e6)
+    try:
+        z, _, _ = bs.newton_complex(bs.root_function(config), bs.root_derivative(config),
+                                    1.0 - 1e-7j, bs.Tolerance(abs_tol=1e-13, rel_tol=1e-13))
+    except (bs.NoConvergence, bs.ZeroDerivative):
+        return
+    assert not bs.default_search_box(config).contains(z)
 
 
 def test_resonances_hold_builtin_numbers(doublet_pair):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
@@ -32,6 +34,20 @@ def test_config_accepts_numpy_cutoffs(params, doublet_pair):
     assert type(bs.TruncatedConfig(params=params, a=np.float32(300.5)).a) is float
     with pytest.raises(bs.ValidationError):
         bs.TruncatedConfig(params=params, a=True)
+
+
+def test_config_boundary_data_is_not_identity(params):
+    """Equality, hash and repr see (params, a) only, and replace() derives
+    the boundary data of the new cutoff."""
+    c1 = bs.TruncatedConfig(params=params, a=5000.0)
+    c2 = bs.TruncatedConfig(params=params, a=5000.0)
+    assert c1 == c2 and hash(c1) == hash(c2) and c1 is not c2
+    assert repr(c1) == f"TruncatedConfig(params={params!r}, a=5000.0)"
+    other = dataclasses.replace(c1, a=300.0)
+    k = np.array([0.99, 1.0 - 3e-3j, 1.02 - 1e-2j])
+    fresh = bs.root_function(bs.TruncatedConfig(params=params, a=300.0))(k)
+    assert np.array_equal(bs.root_function(other)(k), fresh)
+    assert not np.allclose(bs.root_function(c1)(k), fresh)
 
 
 envelope = st.floats(min_value=0.3, max_value=3.0)
@@ -177,6 +193,20 @@ def test_normalizer_positive_off_the_singular_point(params):
     h = bs.h_normalizer(params, k)
     assert np.all(np.real(h) > 0)
     assert np.max(np.abs(np.imag(h))) == 0
+
+
+@pytest.mark.parametrize("alpha,q", [(1.0, 1.0), (0.3, 3.0), (3.0, 0.3)])
+def test_normalizer_closed_form_against_mpmath(alpha, q, uv_oracle):
+    """h = k U2(0)^2 (k^2 - q^2)^4 equals u v' - v u' + k (u^2 + v^2) at
+    r = 0 evaluated at 60 digits, also at the a = 5000 and a = 2e4 doublets,
+    where the float combination cancels to 2e-4 and 5e-2 relative."""
+    p = bs.PotentialParams.bic(alpha=alpha, q=q)
+    with mpmath.workdps(60):
+        for k in (q * (0.998984403241 - 1.73006555e-4j), q * (1.000253892492 - 4.3271688e-5j),
+                  1.3 * q, q * (0.5 + 0.1j)):
+            u, v, u_r, v_r = uv_oracle(p, k, 0.0)
+            want = complex(u * v_r - v * u_r + mpmath.mpc(k) * (u * u + v * v))
+            assert abs(complex(bs.h_normalizer(p, k)) - want) <= 1e-12 * abs(want)
 
 
 def test_degenerate_normalizer_guard(config):
