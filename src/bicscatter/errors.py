@@ -39,7 +39,8 @@ class NearSpectralSingularity(NumericalError):
 
 
 class DegenerateNormalizer(NumericalError):
-    """h(k) is numerically zero: the regular-solution normalization breaks down."""
+    """Too close to k = q: h(k) is below the regular solution's threshold,
+    or the d - ig and G' that Gamow N^2 is built from are rounding noise."""
 
 
 class UnwrapAmbiguity(NumericalError):

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    DegenerateNormalizer,
     NoConvergence,
     RootCountMismatch,
     TrackingLost,
@@ -40,7 +41,7 @@ from .scattering import (
     _boundary,
     _boundary_dk,
     _jost_prefactor,
-    jost_function,
+    dg,
     regular_solution,
 )
 
@@ -67,6 +68,8 @@ _GRID_IM = 21
 _MAX_GRID_REFINEMENTS = 3
 # two polished roots closer than this are the same zero
 _DEDUPE_DISTANCE = 1e-8
+# gamow_state refuses N^2 whose estimated relative rounding is above this
+_N_SQUARED_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -277,6 +280,27 @@ class GamowState:
         return ph / self.N
 
 
+def _n_squared_rounding(config: TruncatedConfig, k, d_minus_ig, g_prime) -> float:
+    """Estimated relative rounding error of N^2 built from d - ig and G' at k.
+
+    d + ig and d - ig vanish at k = q to fourth order and G' to third, so
+    their values computed at q are pure rounding: the noise floor of this
+    config's d, g and G', which stays at that level near q. Divided by
+    |d - ig| and |G'| at k they give the share lost to cancellation. The
+    rounding of the phases k a and theta(a) = q a + delta adds about
+    2 eps (|k| + 2q) a. Against N^2 in 50-digit arithmetic the estimate
+    was 0.7 to 2 times the error where cancellation dominates (k within
+    1e-3 of q at a = 300 and 5000, error up to 0.3), above 1 wherever N^2
+    was pure noise, and 1.5 to 400 times the error at doublets with a up
+    to 1e8, where the phases dominate.
+    """
+    q = config.params.q
+    d_q, g_q = dg(config, q)
+    phases = 2.0 * np.finfo(float).eps * (abs(k) + 2.0 * q) * config.a
+    return float(math.hypot(d_q, g_q) / abs(d_minus_ig)
+                 + abs(root_derivative(config)(q)) / abs(g_prime) + phases)
+
+
 def gamow_state(config: TruncatedConfig, resonance: Resonance,
                 residual_tol: float = 1e-6) -> GamowState:
     """Normalize the regular solution at a resonance pole.
@@ -284,13 +308,20 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance,
     F(-k) = pref(k) e^{2ika} G(k) with the zero-free pref = W1(0) / (h(k)
     W1(a)^2), so at a zero of G the derivative is exactly
     dF(-k)/dk = pref(k_n) e^{2ik_n a} G'(k_n), from ``root_derivative``;
-    the terms it drops are proportional to the root residual.
+    the terms it drops are proportional to the root residual. h and pref
+    are products, accurate to rounding however small h gets, so N^2 is as
+    accurate as d - ig and G' at k_n (``_n_squared_rounding``). Evaluating
+    the state keeps the |h| threshold of ``regular_solution``, whose
+    numerator cancels to about h r.
 
     Raises
     ------
     ValidationError
         If the resonance residual is above ``residual_tol`` (not a certified
         root).
+    DegenerateNormalizer
+        If the estimated relative rounding of N^2 is above 1e-6: k_n is so
+        close to q that d - ig and G' are rounding noise.
     ZeroDerivative
         If |dF(-k)/dk| at the root is negligible against F(k_n) — the zero
         would be higher-order and the state degenerate.
@@ -300,9 +331,17 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance,
             f"resonance residual {resonance.residual:.3e} above {residual_tol:.0e}"
         )
     kn = resonance.k_complex
-    _, f_plus = jost_function(config, kn)
-    d_f_minus = (_jost_prefactor(config, kn) * np.exp(2j * kn * config.a)
-                 * root_derivative(config)(kn))
+    d, g = dg(config, kn)
+    g_prime = root_derivative(config)(kn)
+    rounding = _n_squared_rounding(config, kn, d - 1j * g, g_prime)
+    if not rounding <= _N_SQUARED_RTOL:
+        raise DegenerateNormalizer(
+            f"N^2 at k = {kn!r} is resolved only to {rounding:.1e} relative: d - ig and "
+            "G' are rounding noise this close to the embedded-state wave number"
+        )
+    pref = _jost_prefactor(config, kn)
+    f_plus = pref * np.exp(-1j * kn * config.a) * (d - 1j * g)
+    d_f_minus = pref * np.exp(2j * kn * config.a) * g_prime
     if abs(d_f_minus) * (1.0 + abs(kn)) < 1e-12 * abs(f_plus):
         raise ZeroDerivative(
             f"|dF(-k)/dk| = {abs(d_f_minus):.3e} at k = {kn!r}: higher-order zero"

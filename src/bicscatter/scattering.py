@@ -35,7 +35,7 @@ from .errors import (
     UnwrapAmbiguity,
     ValidationError,
 )
-from .jost import _uv_at, _uv_coefficients, _uv_dk, uv_bundle
+from .jost import UVBundle, _uv_at, _uv_coefficients, _uv_dk, uv_bundle
 from .numerics import unwrap_phase
 
 __all__ = [
@@ -54,8 +54,9 @@ __all__ = [
 ]
 
 # |h(k)| below 1e-12 * scale(k) means the boundary-condition normalization
-# of the regular solution has degenerated (h -> 0 like (k-q)^4 at the
-# embedded-state wave number).
+# of the regular solution and of F+- has degenerated (h -> 0 like (k-q)^4 at
+# the embedded-state wave number). ``resonances.gamow_state`` refuses on the
+# rounding of what N^2 is built from instead.
 H_DEGENERACY_RTOL = 1e-12
 
 # k grids for phase and cross section skip this neighborhood of k = q, where
@@ -199,11 +200,11 @@ def _h_of(u2, k, q):
     return k * (u2 * e2 * e2) ** 2
 
 
-def _check_h(config: TruncatedConfig, k):
-    at_0, q = config._boundary_data.at_0, config.params.q
-    b = _uv_at(at_0, k, q)
-    h = _h_of(at_0[0][2], k, q)
-    scale = max(1.0, float(np.max(np.abs(b.u) ** 2 + np.abs(b.v) ** 2)))
+def _check_h(config: TruncatedConfig, k, b0: UVBundle):
+    """h(k), or DegenerateNormalizer if it is below the threshold; b0 is
+    u, v at r = 0, which set the scale."""
+    h = _h_of(config._boundary_data.at_0[0][2], k, config.params.q)
+    scale = max(1.0, float(np.max(np.abs(b0.u) ** 2 + np.abs(b0.v) ** 2)))
     if np.min(np.abs(h)) < H_DEGENERACY_RTOL * scale:
         raise DegenerateNormalizer(
             f"|h(k)| = {float(np.min(np.abs(h))):.3e} at k = {k!r}: boundary-condition "
@@ -293,11 +294,8 @@ def regular_solution(config: TruncatedConfig, k, r):
     if np.any(r < 0) or np.any(r > config.a):
         raise ValidationError("regular solution is defined on 0 <= r <= a")
     p = config.params
-    _check_h(config, k)
     b0 = _uv_at(config._boundary_data.at_0, k, p.q)
-    # h from the same u0, v0 as the numerator, not the closed form: near
-    # k = q both cancel alike, and only this pairing keeps Phi'(0) = 1
-    h = b0.u * b0.v_r - b0.v * b0.u_r + k * (b0.u**2 + b0.v**2)
+    h = _check_h(config, k, b0)
     b = uv_bundle(p, k, r)
     w = w1_bundle(p, r)
     w10 = config._boundary_data.w1_0
@@ -332,12 +330,17 @@ def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
 
 
 def _jost_prefactor(config: TruncatedConfig, k):
-    """W1(0) / (h(k) W1(a)^2), the zero-free factor of F(-k) / (e^{ika} (d + ig))."""
+    """W1(0) / (h(k) W1(a)^2), the zero-free factor of F(-k) / (e^{ika} (d + ig)).
+
+    Not guarded: h is the exact closed form, and what the prefactor
+    multiplies decides the accuracy.
+    """
     bd = config._boundary_data
-    return bd.w1_0 / (_check_h(config, k) * bd.w1_a.w1**2)
+    return bd.w1_0 / (_h_of(bd.at_0[0][2], k, config.params.q) * bd.w1_a.w1**2)
 
 
 def _jost_from_dg(config: TruncatedConfig, k, d, g):
+    _check_h(config, k, _uv_at(config._boundary_data.at_0, k, config.params.q))
     pref = _jost_prefactor(config, k)
     f_minus = pref * np.exp(1j * k * config.a) * (d + 1j * g)
     f_plus = pref * np.exp(-1j * k * config.a) * (d - 1j * g)
