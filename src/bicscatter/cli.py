@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -39,9 +40,9 @@ from .resonances import (
 from .scattering import (
     Q_EXCLUSION,
     TruncatedConfig,
+    _unwrap_principal,
     cross_section,
     phase_shift,
-    phase_shift_unwrapped,
 )
 
 
@@ -141,14 +142,29 @@ def _metadata(s: _Settings, command: str, params: PotentialParams,
     return meta
 
 
+# rows per %-format call in _write_csv: bounds the builtin floats alive at once
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: str, meta: dict, header: Sequence[str], columns: Sequence[np.ndarray]):
-    rows = len(columns[0])
+    """Metadata block, header row, then the columns at 12 significant digits.
+
+    Columns must be floating point. Each block of rows becomes builtin floats
+    in one ``tolist`` and text in one %-format, which spells every value as
+    ``_fmt`` does (``'%.12g' % x == f"{x:.12g}"``).
+    """
+    for name, col in zip(header, columns):
+        if np.asarray(col).dtype.kind != "f":
+            raise TypeError(f"CSV column {name!r} is not floating point")
+    table = np.column_stack(columns)
+    row_fmt = ",".join(["%.12g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in meta.items():
             fh.write(f"# {key} = {value if isinstance(value, str) else _fmt(value)}\n")
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: str, obj) -> None:
@@ -325,7 +341,7 @@ def cmd_phase_shift(s: _Settings) -> None:
     config = TruncatedConfig(params=params, a=a)
     k = _k_grid(s, params.q)
     raw = phase_shift(config, k)
-    unwrapped = phase_shift_unwrapped(config, k)
+    unwrapped = _unwrap_principal(raw, k)
     ramp_removed = unwrapped + k * a
     meta = _metadata(
         s, "phase-shift", params, cutoff=a,
@@ -435,7 +451,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, each returns a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", type=float, default=None)
     common.add_argument("--beta", type=float, default=None)
@@ -501,8 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     file_cfg: Dict[str, str] = {}
     try:
         if args.config:

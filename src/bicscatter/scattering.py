@@ -108,10 +108,15 @@ def _w1_violation(params: PotentialParams, a: float) -> Optional[float]:
 class _BoundaryData:
     """What d, g, G and their k-derivatives need of the closed forms: the
     e2-coefficients of u, v, u_r, v_r at r = 0 and r = a (see
-    ``jost._uv_coefficients``), W1(0), and W1, W1' at r = a."""
+    ``jost._uv_coefficients``), W1(0), and W1, W1' at r = a.
 
-    at_0: tuple
-    at_a: tuple
+    Every number is a builtin float, so a scalar k runs on Python float and
+    complex arithmetic, at a fraction of numpy's per-scalar cost, while an
+    array k still broadcasts. Sums and products round as numpy's do; a
+    complex quotient may differ from numpy's in the last bits."""
+
+    at_0: list
+    at_a: list
     w1_0: float
     w1_a: W1Bundle
 
@@ -155,11 +160,12 @@ class TruncatedConfig:
             raise ValidationError(
                 f"W1 is not positive on [0, {self.a}] (first violation near r = {bad:.6g})"
             )
+        w1_a = w1_bundle(self.params, self.a)
         object.__setattr__(self, "_boundary_data", _BoundaryData(
-            at_0=_uv_coefficients(self.params, 0.0),
-            at_a=_uv_coefficients(self.params, self.a),
+            at_0=np.array(_uv_coefficients(self.params, 0.0)).tolist(),
+            at_a=np.array(_uv_coefficients(self.params, self.a)).tolist(),
             w1_0=float(w1_bundle(self.params, 0.0).w1),
-            w1_a=w1_bundle(self.params, self.a),
+            w1_a=W1Bundle(float(w1_a.w1), float(w1_a.w1_r), float(w1_a.w1_rr)),
         ))
 
 
@@ -375,9 +381,15 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
         half-widths are ~1e-4 at a = 5000, so dk must be well below that).
     """
     k_grid = np.asarray(k_grid, dtype=float)
+    return _unwrap_principal(phase_shift(config, k_grid), k_grid, max_step_fraction)
+
+
+def _unwrap_principal(raw: np.ndarray, k_grid: np.ndarray,
+                      max_step_fraction: float = 0.45) -> np.ndarray:
+    """``phase_shift_unwrapped`` from the principal values ``raw`` already
+    computed on ``k_grid``: grid check, both unwrap passes, step test."""
     if k_grid.ndim != 1 or k_grid.size < 2 or np.any(np.diff(k_grid) <= 0):
         raise ValidationError("k_grid must be strictly increasing, length >= 2")
-    raw = phase_shift(config, k_grid)
     out = unwrap_phase(raw, period=math.pi)
     out = unwrap_phase(out, period=2.0 * math.pi)
     steps = np.abs(np.diff(out))

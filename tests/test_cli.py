@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bicscatter import cli
 from bicscatter.cli import main
 
 
@@ -294,3 +295,69 @@ def test_values_survive_roundtrip_at_12_digits(tmp_path):
     p = bs.PotentialParams.bic()
     exact = bs.w1_bundle(p, cols["r"]).w1
     assert np.max(np.abs(cols["w1"] - exact) / exact) < 1e-11
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    awkward = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+               2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300, 3.0, 1e12,
+               0.5000000000005, 0.5000000000015, 1.0000000000005, 123456789012.5,
+               -2.5e-7, 0.1, 1.0 / 3.0]
+    x64 = np.array(awkward)
+    with np.errstate(over="ignore"):
+        x32 = x64.astype(np.float32)
+    ramp = np.linspace(-1.0, 1.0, x64.size)
+    meta = {"command": "test", "flag": True, "np_flag": np.bool_(False), "count": 7,
+            "np_count": np.int64(-3), "value": 0.1, "label": "a = b"}
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), meta, ["x64", "x32", "ramp"], [x64, x32, ramp])
+    expected = ["# command = test", "# flag = true", "# np_flag = false", "# count = 7",
+                "# np_count = -3", "# value = 0.1", "# label = a = b", "x64,x32,ramp"]
+    expected += [",".join(format(float(col[i]), ".12g") for col in (x64, x32, ramp))
+                 for i in range(x64.size)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    # the spellings the README promises
+    assert expected[8:13] == ["0,0,-1", "-0,-0,-0.894736842105", "inf,inf,-0.789473684211",
+                              "-inf,-inf,-0.684210526316", "nan,nan,-0.578947368421"]
+
+
+def test_write_csv_spans_row_blocks(tmp_path):
+    k = np.linspace(0.5, 1.5, 2 * cli._CSV_BLOCK_ROWS + 3)
+    path = tmp_path / "b.csv"
+    cli._write_csv(str(path), {}, ["k", "k2"], [k, k * k])
+    rows = path.read_text().splitlines()[1:]
+    assert rows == [f"{x:.12g},{x * x:.12g}" for x in k]
+
+
+@pytest.mark.parametrize("column", [np.arange(3), np.array([True, False, True]),
+                                    np.array([1 + 1j, 2, 3])])
+def test_write_csv_rejects_non_float_columns(tmp_path, column):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(TypeError, match="not floating point"):
+        cli._write_csv(str(path), {}, ["k", "c"], [np.linspace(0, 1, 3), column])
+    assert not path.exists()
+
+
+def test_flags_do_not_leak_between_calls(tmp_path):
+    window = ["--k-min", "0.9995", "--k-max", "1.0005"]
+    runs = [
+        (["resonances", "--bic", "--wide-box"], "wide.json"),
+        (["resonances", "--bic"], "res.json"),
+        (["cross-section", "--bic", *window, "--mode", "both"], "both.csv"),
+        (["cross-section", "--bic", *window], "exact.csv"),
+    ]
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    for argv, name in runs:
+        assert main(argv + ["--reproducible", "--out", str(shared / name)]) == 0
+    assert len(json.loads((shared / "wide.json").read_text())["roots"]) > 2
+    doc = json.loads((shared / "res.json").read_text())
+    assert doc["winding_count"] == 2 and len(doc["roots"]) == 2
+    assert _read_csv(shared / "both.csv")[1] == ["k", "sigma_exact", "sigma_model"]
+    meta, header, _ = _read_csv(shared / "exact.csv")
+    assert header == ["k", "sigma_exact"] and meta["mode"] == "exact"
+    # each argv again as the first call of a freshly built parser
+    for argv, name in runs:
+        cli._build_parser.cache_clear()
+        assert main(argv + ["--reproducible", "--out", str(fresh / name)]) == 0
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
