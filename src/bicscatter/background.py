@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import SingularFitSystem, ValidationError
 from .resonances import Resonance
-from .scattering import (Q_EXCLUSION, TruncatedConfig, _ka_rotation, _principal_phase,
-                         _sigma, cross_section, sigma_landmarks)
+from .scattering import (TruncatedConfig, _blockwise, _ka_rotation, _noise_floor,
+                         _principal_phase, _sigma, cross_section, dg, sigma_landmarks)
 
 __all__ = [
     "Doublet",
@@ -104,9 +104,13 @@ def _model_num_den(doublet: Doublet, a: float, lam0: float, lam1: float, k):
 
 def model_phase_and_sigma(fit: BackgroundFit, k):
     """(delta_model, sigma_model) at k; identical branch handling to the
-    exact pipeline (principal arctan phase, branch-free sin^2 for sigma)."""
-    num, den = _model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, k)
-    return _principal_phase(num, den), _sigma(k, num, den)
+    exact pipeline (principal arctan phase, branch-free sin^2 for sigma).
+    Evaluated in blocks, like ``scattering.cross_section``."""
+    def block(kk):
+        num, den = _model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, kk)
+        return _principal_phase(num, den), _sigma(kk, num, den)
+
+    return _blockwise(block, k)
 
 
 def fit_lambda(
@@ -193,14 +197,15 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     """Max |sigma_model - sigma_exact| / (4 pi / k^2) over a k grid.
 
     Default grid: the inter-minima span widened by a quarter on each side
-    (where the factorization is meant to hold), dk = 1e-6, with the
-    removable point at k = q excised.
+    (where the factorization is meant to hold), step pi/(640 a), without
+    the points near the removable point k = q where d and g are rounding
+    noise (the rule of ``scattering.sigma_landmarks``).
     """
     if k_grid is None:
         m1, m2 = fit.fit_report["minima"]
         s = m2 - m1
-        k_grid = np.arange(m1 - 0.25 * s, m2 + 0.25 * s, 1e-6)
-        k_grid = k_grid[np.abs(k_grid - config.params.q) > Q_EXCLUSION]
+        k_grid = np.arange(m1 - 0.25 * s, m2 + 0.25 * s, math.pi / (640.0 * config.a))
+        k_grid = k_grid[np.hypot(*dg(config, k_grid)) > _noise_floor(config)]
     k_grid = np.asarray(k_grid, dtype=float)
     exact = cross_section(config, k_grid)
     _, model = model_phase_and_sigma(fit, k_grid)

@@ -264,9 +264,10 @@ def unwrap_phase(values: np.ndarray, period: float = math.pi) -> np.ndarray:
 
     Shifts each sample by the integer multiple of ``period`` that brings
     successive differences into (-period/2, period/2]; the first value is
-    preserved. Phases extracted through a tangent need period pi; a second
-    pass with period 2*pi restores the physical (mod 2*pi) level. Coarse
-    sampling is diagnosed by the caller, which knows the grid.
+    preserved. Phases extracted through a tangent need period pi. After
+    one pass every step lies within period/2, so a further pass with a
+    longer period changes nothing. Coarse sampling is diagnosed by the
+    caller, which knows the grid.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:

@@ -63,6 +63,15 @@ H_DEGENERACY_RTOL = 1e-12
 # d and g vanish to fourth order and the sampled phase is rounding noise
 Q_EXCLUSION = 1e-5
 
+# Real-axis arrays are evaluated this many points at a time: the float64
+# temporaries of one block (128 KB each) are reused from cache, where those of a
+# whole 10^6-point grid (8 MB each) would stream through memory on every pass
+_BLOCK = 16384
+
+# d and g are resolved where hypot(d, g) exceeds this multiple of its value at
+# k = q, which is pure rounding (they vanish there to fourth order)
+_NOISE_FACTOR = 1e3
+
 
 # W1 certificate grid: cells on the first pass, and doublings before giving up
 _W1_CELLS = 64
@@ -270,8 +279,40 @@ def _boundary_dk(config: TruncatedConfig, k):
 
 def _ka_rotation(x, y, ka):
     """(x sin ka + y cos ka, x cos ka - y sin ka)."""
-    s, c = np.sin(ka), np.cos(ka)
+    return _rotate(x, y, np.sin(ka), np.cos(ka))
+
+
+def _rotate(x, y, s, c):
+    """``_ka_rotation`` given s = sin ka and c = cos ka."""
     return x * s + y * c, x * c - y * s
+
+
+def _blockwise(fn, k):
+    """fn(k) for an elementwise fn returning a tuple of arrays shaped like k,
+    evaluated ``_BLOCK`` points at a time into preallocated outputs.
+
+    A scalar or 0-d k reaches fn unchanged (Python complex arithmetic rounds
+    differently from numpy's), and so does an array of at most one block.
+    Outputs are bit-identical to fn(k) on the whole array; what is alive at
+    once is the outputs plus one block's temporaries.
+    """
+    if np.size(k) <= _BLOCK:
+        return fn(k)
+    flat = np.asarray(k).reshape(-1)
+    out = None
+    for start in range(0, flat.size, _BLOCK):
+        part = fn(flat[start:start + _BLOCK])
+        if out is None:
+            out = tuple(np.empty(flat.size, dtype=p.dtype) for p in part)
+        for o, p in zip(out, part):
+            o[start:start + _BLOCK] = p
+    return tuple(o.reshape(np.shape(k)) for o in out)
+
+
+def _noise_floor(config: TruncatedConfig) -> float:
+    """hypot(d, g) at or below which d, g (and num, den, their rotation)
+    are rounding noise: ``_NOISE_FACTOR`` times hypot(d(q), g(q))."""
+    return _NOISE_FACTOR * math.hypot(*dg(config, config.params.q))
 
 
 def _principal_phase(num, den):
@@ -318,10 +359,21 @@ def dg(config: TruncatedConfig, k):
     d + ig carries every zero of the truncated problem's Jost function
     (the prefactor of F(-k) is zero-free), which is why the resonance
     search operates on it directly.
+
+    An array k is evaluated in blocks of ``_BLOCK`` points, so beyond the
+    two outputs the peak memory is one block's temporaries, whatever the
+    grid size; a scalar k gives scalars.
     """
+    return _blockwise(lambda kk: _dg_sin_cos(config, kk)[:2], k)
+
+
+def _dg_sin_cos(config: TruncatedConfig, k):
+    """(d, g, sin ka, cos ka) at k, unblocked."""
+    ka = k * config.a
+    s, c = np.sin(ka), np.cos(ka)
     u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
-    rot_a, rot_b = _ka_rotation(u0, -v0, k * config.a)
-    return bu * rot_a + bv * rot_b, kw * (ua * rot_a + va * rot_b)
+    rot_a, rot_b = _rotate(u0, -v0, s, c)
+    return bu * rot_a + bv * rot_b, kw * (ua * rot_a + va * rot_b), s, c
 
 
 def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
@@ -354,24 +406,29 @@ def _jost_from_dg(config: TruncatedConfig, k, d, g):
 
 
 def _num_den(config: TruncatedConfig, k):
-    """Numerator/denominator of tan(-delta_a): sin^2 delta = num^2/(num^2+den^2)."""
-    return _ka_rotation(*dg(config, k), k * config.a)
+    """Numerator/denominator of tan(-delta_a): sin^2 delta = num^2/(num^2+den^2).
+
+    One sin/cos of ka serves both the rotation inside d, g and the rotation
+    of (d, g). Unblocked: callers pass one block or a scalar.
+    """
+    return _rotate(*_dg_sin_cos(config, k))
 
 
 def phase_shift(config: TruncatedConfig, k):
     """Principal-value phase shift delta_a(k) in (-pi/2, pi/2].
 
     The underlying arctan is branch-ambiguous mod pi; use
-    ``phase_shift_unwrapped`` for a continuous curve on a grid.
+    ``phase_shift_unwrapped`` for a continuous curve on a grid. Evaluated
+    in blocks, like ``dg``.
     """
-    return _principal_phase(*_num_den(config, k))
+    return _blockwise(lambda kk: (_principal_phase(*_num_den(config, kk)),), k)[0]
 
 
 def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
                           max_step_fraction: float = 0.45) -> np.ndarray:
     """Continuous delta_a along a monotone k grid.
 
-    Unwraps the principal values mod pi, then applies a 2*pi-level pass.
+    Unwraps the principal values mod pi.
 
     Raises
     ------
@@ -387,11 +444,10 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
 def _unwrap_principal(raw: np.ndarray, k_grid: np.ndarray,
                       max_step_fraction: float = 0.45) -> np.ndarray:
     """``phase_shift_unwrapped`` from the principal values ``raw`` already
-    computed on ``k_grid``: grid check, both unwrap passes, step test."""
+    computed on ``k_grid``: grid check, unwrap mod pi, step test."""
     if k_grid.ndim != 1 or k_grid.size < 2 or np.any(np.diff(k_grid) <= 0):
         raise ValidationError("k_grid must be strictly increasing, length >= 2")
     out = unwrap_phase(raw, period=math.pi)
-    out = unwrap_phase(out, period=2.0 * math.pi)
     steps = np.abs(np.diff(out))
     if np.any(steps > max_step_fraction * math.pi):
         i = int(np.argmax(steps))
@@ -403,8 +459,12 @@ def _unwrap_principal(raw: np.ndarray, k_grid: np.ndarray,
 
 
 def cross_section(config: TruncatedConfig, k):
-    """sigma(k) = (4 pi / k^2) sin^2 delta_a, computed branch-free."""
-    return _sigma(k, *_num_den(config, k))
+    """sigma(k) = (4 pi / k^2) sin^2 delta_a, computed branch-free.
+
+    Evaluated in blocks of ``_BLOCK`` points (see ``dg``): on 10^6 points
+    the peak allocation stays below three output-sized arrays.
+    """
+    return _blockwise(lambda kk: (_sigma(kk, *_num_den(config, kk)),), k)[0]
 
 
 def scattering_point(config: TruncatedConfig, k: float) -> ScatteringPoint:
@@ -435,18 +495,23 @@ class SigmaLandmarks:
 
 
 def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
-                    dk: float = 1e-5) -> SigmaLandmarks:
+                    dk: Optional[float] = None) -> SigmaLandmarks:
     """Locate the sigma ~ 0 minima and the full-height peak on [k_lo, k_hi].
 
     Minima are the real zeros of the phase-shift numerator
     d sin ka + g cos ka (there sigma vanishes identically); the peak is the
     zero of the denominator between the two innermost minima (there
     delta_a = pi/2 mod pi, so sigma touches 4 pi / k^2). Both are bracketed
-    on a dk grid and refined by bisection.
+    on a dk grid and refined by bisection. The resonance structure scales
+    with pi/a (the minima sit at fixed (k - q) a / pi for every a), so dk
+    defaults to pi/(64 a), 64 cells per pi/a. The grid is evaluated in
+    blocks, like ``dg``.
 
     d + ig also vanishes (removably, to fourth order) at the embedded-state
     wave number q, dragging both numerator and denominator through zero
-    there; brackets straddling q are discarded.
+    there. A bracket is discarded when it contains q, or when at either end
+    hypot(num, den) = hypot(d, g) is within a factor 1e3 of its value at q,
+    which is pure rounding: a sign change there is noise.
 
     Raises
     ------
@@ -455,16 +520,20 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     """
     if not (k_lo < k_hi):
         raise ValidationError("need k_lo < k_hi")
+    if dk is None:
+        dk = math.pi / (64.0 * config.a)
     q = config.params.q
     grid = np.arange(k_lo, k_hi + dk, dk)
-    num, den = _num_den(config, grid)
+    num, den = _blockwise(lambda kk: _num_den(config, kk), grid)
+    floor = _noise_floor(config)
 
     def refine(fvec, scalar_f) -> List[float]:
         idx = np.nonzero(np.signbit(fvec[:-1]) != np.signbit(fvec[1:]))[0]
         roots = []
         for i in idx:
             lo, hi = grid[i], grid[i + 1]
-            if lo - dk <= q <= hi + dk:
+            if (lo <= q <= hi or math.hypot(num[i], den[i]) <= floor
+                    or math.hypot(num[i + 1], den[i + 1]) <= floor):
                 continue
             roots.append(float(brentq(scalar_f, lo, hi, xtol=1e-14)))
         return roots

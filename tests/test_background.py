@@ -157,6 +157,18 @@ def test_shape_deviation_at_minima(config, fit):
     assert bs.hadamard_residual(config, fit, grid) < 1e-3
 
 
+def test_shape_deviation_at_large_cutoff(params):
+    # the default grid scales with pi/a: at a = 10^6 the whole doublet
+    # window lies within 1e-5 of q
+    config = bs.TruncatedConfig(params=params, a=1e6)
+    fit = bs.fit_lambda(config, bs.Doublet.from_resonances(
+        *bs.doublet_of(bs.find_resonances(config), params.q)))
+    m1, m2 = fit.fit_report["minima"]
+    assert m1 < params.q < m2
+    dev = bs.hadamard_residual(config, fit)
+    assert math.isfinite(dev) and dev >= 0
+
+
 def test_shape_deviation_far_field_reported(config, fit):
     # the two-pole model is not claimed outside the doublet window; the
     # deviation there is just recorded as finite

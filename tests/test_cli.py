@@ -192,6 +192,12 @@ def test_fit_background_run(tmp_path):
     assert "mu_identifiability" in doc["meta"]
 
 
+def test_fit_background_at_large_cutoff(tmp_path):
+    out = tmp_path / "fit.json"
+    assert main(["fit-background", "--bic", "--cutoff", "1e6", "--out", str(out)]) == 0
+    assert math.isfinite(json.loads(out.read_text())["max_deviation"])
+
+
 def test_fit_background_barren_window(tmp_path, capsys):
     rc = main(["fit-background", "--bic", "--window", "0.9999,1.0004",
                "--out", str(tmp_path / "f.json")])

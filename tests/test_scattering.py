@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -156,6 +157,43 @@ def test_dg_real_for_real_k(config):
     assert np.imag(d) == 0 and np.imag(g) == 0
 
 
+@pytest.mark.parametrize("k", [1.0004, 1.003 - 1e-4j])
+def test_dg_scalar_skips_numpy_arrays(config, k):
+    # a builtin scalar stays a scalar through d, g: wrapping a complex k in
+    # a 0-d array would round the products as numpy complex arithmetic does
+    d, g = bs.dg(config, k)
+    assert not isinstance(d, np.ndarray) and not isinstance(g, np.ndarray)
+    u0, v0, ua, va, bu, bv, kw = scattering._boundary(config, k)
+    s, c = np.sin(k * config.a), np.cos(k * config.a)
+    rot_a, rot_b = u0 * s - v0 * c, u0 * c + v0 * s
+    assert d == bu * rot_a + bv * rot_b
+    assert g == kw * (ua * rot_a + va * rot_b)
+
+
+@pytest.mark.parametrize("name", ["dg", "phase_shift", "cross_section",
+                                  "model_phase_and_sigma"])
+def test_blocked_grid_matches_sub_block_slices(config, fit, name):
+    fn = {"model_phase_and_sigma": lambda k: bs.model_phase_and_sigma(fit, k)}.get(
+        name, lambda k: getattr(bs, name)(config, k))
+    k = np.linspace(0.995, 1.005, 5 * scattering._BLOCK // 2)
+    whole = np.array(fn(k))
+    sliced = np.concatenate([np.array(fn(k[i:i + 1000])) for i in range(0, k.size, 1000)],
+                            axis=-1)
+    assert whole.shape == sliced.shape
+    assert np.array_equal(whole, sliced)
+
+
+def test_cross_section_peak_memory_is_bounded(config):
+    k = np.linspace(0.995, 1.005, 10**6)
+    tracemalloc.start()
+    try:
+        sigma = bs.cross_section(config, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sigma.nbytes
+
+
 def test_jost_function_conjugation(config):
     k = 1.003 - 1e-4j
     fm, fp = bs.jost_function(config, k)
@@ -253,6 +291,22 @@ def test_phase_at_landmarks(config, landmarks):
     for m in landmarks.minima:
         assert abs(math.sin(float(bs.phase_shift(config, m)))) < 1e-8
     assert abs(math.cos(float(bs.phase_shift(config, landmarks.peak)))) < 0.05
+
+
+def test_fine_grid_finds_no_minimum_in_the_noise_at_q(config):
+    # dk = 2.3e-7 samples within 1e-6 of q, where d and g are rounding noise
+    # and the numerator changes sign at random
+    assert len(bs.sigma_landmarks(config, 0.995, 1.005, dk=2.3e-7).minima) == 2
+
+
+@pytest.mark.parametrize("a", [5e4, 3e5, 1e6])
+def test_sigma_minima_sit_at_fixed_scaled_positions(params, a):
+    # the minima sit at fixed (k - q) a / pi, which the default dk = pi/(64 a)
+    # resolves at every cutoff
+    config = bs.TruncatedConfig(params=params, a=a)
+    marks = bs.sigma_landmarks(config, 1 - 3 * math.pi / a, 1 + 3 * math.pi / a)
+    x = [(m - 1.0) * a / math.pi for m in marks.minima]
+    assert x == pytest.approx([-0.444, 0.837], abs=1e-3)
 
 
 def test_minima_not_found_in_barren_window(config):
