@@ -208,6 +208,8 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
         k_grid = k_grid[np.hypot(*dg(config, k_grid)) > _noise_floor(config)]
     k_grid = np.asarray(k_grid, dtype=float)
     exact = cross_section(config, k_grid)
-    _, model = model_phase_and_sigma(fit, k_grid)
+    # sigma_model only, blocked like model_phase_and_sigma: the phase is not needed
+    model = _blockwise(lambda kk: (_sigma(kk, *_model_num_den(
+        fit.doublet, fit.a, fit.lambda0, fit.lambda1, kk)),), k_grid)[0]
     scale = 4.0 * math.pi / k_grid**2
     return float(np.max(np.abs(model - exact) / scale))

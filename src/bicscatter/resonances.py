@@ -59,13 +59,16 @@ __all__ = [
     "sweep_cutoff",
 ]
 
-# seeding grid for the box scan (local minima of log|G| feed Newton)
+# fallback seeding grid, for a census the scaling limit leaves short of the
+# winding number (local minima of |G| feed Newton)
 _GRID_RE = 41
 _GRID_IM = 21
-# grid-density doublings allowed when the census comes up short of the
-# winding number (boxes much wider than the doublet hold ~width/(pi/a)
-# zeros and need proportionally more seeds)
+# grid-density doublings allowed when the census is still short (a box far
+# from q holds ~width/(pi/a) zeros and needs proportionally more seeds)
 _MAX_GRID_REFINEMENTS = 3
+# Newton steps allowed on the scaling-limit equation (3 to 7 are taken)
+_LIMIT_MAX_ITER = 30
+_EPS = np.finfo(float).eps
 # two polished roots closer than this are the same zero
 _DEDUPE_DISTANCE = 1e-8
 # gamow_state refuses N^2 whose estimated relative rounding is above this
@@ -147,19 +150,94 @@ def root_derivative(config: TruncatedConfig) -> Callable:
     return dg_of
 
 
-def default_search_box(config: TruncatedConfig) -> ComplexRectangle:
-    """Box isolating the doublet: Re within ~2 string spacings of q.
+def _limit_root(n: int) -> complex:
+    """x_n, the n-th root (n >= 1) in Re x > 0 of the zero string's scaling limit
 
-    The zero string is spaced pi/a in Re with the doublet offset ~1.6 pi/a
-    from q and depth ~0.87/a; the nearest non-doublet members sit at
-    ~2.7 pi/a and depth ~1.09/a. The bounds below (scale-free in a) keep
-    exactly the two innermost zeros inside with comfortable margin on all
-    four sides.
+        (x + 3i/2) e^{2ix} = -i (x^2 - 2ix - 3/2),
+
+    by Newton from the large-|x| asymptote (n + 3/4) pi - (i/2) ln((n + 3/4) pi).
+    The doublet is x_1 = (1.61637 - 0.27545i) pi. -conj(x_n) is a root too,
+    and x = 0 (the removable zero of d + ig at k = q, on the real axis).
+
+    Derivation (``_limit_seeds`` maps x to k = q + x/a): with x fixed and
+    a -> infinity, e2 = k^2 - q^2 = 2qx/a + x^2/a^2 and gamma(a) = a + gamma0,
+    so the a^2 terms of ``jost._uv_coefficients`` at r = a dominate. With
+    theta = qa + delta they sum to
+
+        u +- iv = 32 q^6 a^2 [2x^2 +- 4ix - 3 +- i (2x +- 3i) e^{-+2i theta}],
+
+    and d/dr falls on theta alone at this order:
+    (u +- iv)_r = 64 q^7 a^2 (2x +- 3i) e^{-+2i theta}. In G (see
+    ``scattering._boundary``), cv - i cu = -i (W1 (u + iv)_r - W1' (u + iv))
+    and cv + i cu = i (W1 (u - iv)_r - W1' (u - iv)) + 2k W1 (u - iv). As
+    W1'/W1 = O(1/a), to leading order
+
+        cv - i cu = -64i q^7 a^2 W1 (2x + 3i) e^{-2i theta},
+        cv + i cu = 64 q^7 a^2 W1 (2x^2 - 4ix - 3),
+
+    the e^{2i theta} of i (u - iv)_r cancelling that of 2k (u - iv). At r = 0
+    the e2^0 coefficients of u and v vanish on beta = 3 alpha q, and the
+    e2^1 ones give u0 +- i v0 = M e2 e^{-+i delta} (1 + O(1/a)) with
+    M = 144 alpha^2 q^4 / (1 + 4 alpha^2 q^2)^{3/2} > 0. Writing
+    e^{-2ika} = e^{-2i theta + 2i delta - 2ix},
+
+        G = 32 q^7 a^2 W1(a) M e2 e^{i delta - 2i theta}
+            [-i (2x + 3i) + e^{-2ix} (2x^2 - 4ix - 3)] (1 + O(1/a)),
+
+    whose bracket is the equation above: alpha and q drop out, and the zeros
+    approach k_n = q + x_n/a with an O(1/a^2) error. (The expansions were
+    checked symbolically.)
+    """
+    z = (n + 0.75) * math.pi
+    x = complex(z, -0.5 * math.log(z))
+    for _ in range(_LIMIT_MAX_ITER):
+        e = cmath.exp(2j * x)
+        step = (((x + 1.5j) * e + 1j * (x * x - 2j * x - 1.5))
+                / ((2j * x - 2.0) * e + 2j * x + 2.0))
+        x -= step
+        if abs(step) <= 4.0 * _EPS * abs(x):
+            break
+    return x
+
+
+def _limit_seeds(config: TruncatedConfig, box: ComplexRectangle) -> List[complex]:
+    """k = q + x/a for every root x_n, -conj(x_n) of the scaling limit
+    (``_limit_root``) in the box widened by pi/(2a) on each side.
+
+    Re x_n lies in ((n + 1/2) pi, (n + 3/4) pi), which bounds n. A member
+    polished from the margin counts only if it lands inside the box.
+    """
+    q, a = config.params.q, config.a
+    lo, hi = (box.re_min - q) * a - 0.5 * math.pi, (box.re_max - q) * a + 0.5 * math.pi
+    im_lo, im_hi = box.im_min * a - 0.5 * math.pi, box.im_max * a + 0.5 * math.pi
+    nearest = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    first = max(1, math.ceil(nearest / math.pi - 0.75))
+    last = math.floor(max(abs(lo), abs(hi)) / math.pi - 0.5)
+    seeds = []
+    for n in range(first, last + 1):
+        x = _limit_root(n)
+        for z in (-x.conjugate(), x):
+            if lo <= z.real <= hi and im_lo <= z.imag <= im_hi:
+                seeds.append(q + z / a)
+    return seeds
+
+
+def default_search_box(config: TruncatedConfig) -> ComplexRectangle:
+    """Box holding exactly the doublet: Re within 2.1 pi/a of q, Im in
+    [-1.5/a, -0.1/a].
+
+    In x = (k - q) a the zero string tends to the a-independent roots of
+    ``_limit_root``: the doublet at x/pi = +-1.61637 - 0.27545i and the next
+    members at +-2.66382 - 0.34660i. The box is fixed in x. Its Re edges
+    hold the doublet 0.48 pi inside and the next members 0.56 pi outside;
+    its Im edges stay clear of the removable zero at k = q and of the
+    doublet's O(1/a) offsets from the limit, which at qa = 30 put Im x at
+    -0.98 to -0.73 (Im x = -0.865 in the limit).
     """
     q = config.params.q
     a = config.a
     half = 2.1 * math.pi / a
-    return ComplexRectangle(q - half, q + half, -0.97 / a, -0.1 / a)
+    return ComplexRectangle(q - half, q + half, -1.5 / a, -0.1 / a)
 
 
 def find_resonances(
@@ -169,10 +247,15 @@ def find_resonances(
 ) -> List[Resonance]:
     """All zeros of F(-k) inside a box, certified by the argument principle.
 
-    Seeds come from local minima of |G| on a 41x21 grid over the box (or
-    are supplied explicitly); each is polished by damped Newton. The final
-    count must match the winding number of G around the box, which is what
-    makes the result a census rather than a sample.
+    The winding number of G around the box is the certificate: the census
+    is returned only if it holds exactly that many distinct roots. Each seed
+    is polished by damped Newton on the exact G'. Unless ``seeds`` are
+    given, they are the scaling-limit predictions k = q + x_n/a of every
+    string member in or near the box (``_limit_seeds``), one Newton run per
+    zero. Only if these leave the census short of the winding number (a box
+    the limit does not describe) are local minima of |G| on a 41x21 grid
+    over the box polished as well, with the grid doubled up to three times.
+    A seed carries no trust: a bad one costs the grid, never a wrong census.
 
     Raises
     ------
@@ -223,14 +306,14 @@ def find_resonances(
     if seeds is not None:
         failures = polish(seeds, roots)
     else:
-        # densify the seeding grid until the census matches the certificate:
+        failures = polish(_limit_seeds(config, search_box), roots)
         # adjacent zeros merge into one grid minimum when the node spacing
-        # exceeds their separation
+        # exceeds their separation, hence the doublings
         n_re, n_im = _GRID_RE, _GRID_IM
-        for refinement in range(_MAX_GRID_REFINEMENTS + 1):
-            failures = polish(grid_seeds(n_re, n_im), roots)
+        for _ in range(_MAX_GRID_REFINEMENTS + 1):
             if len(roots) >= count:
                 break
+            failures += polish(grid_seeds(n_re, n_im), roots)
             n_re, n_im = 2 * n_re - 1, 2 * n_im - 1
 
     if count != len(roots):

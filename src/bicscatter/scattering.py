@@ -330,7 +330,9 @@ def regular_solution(config: TruncatedConfig, k, r):
     """The solution Phi with Phi(0) = 0, Phi'(0) = 1, and its derivative.
 
     Valid on 0 <= r <= a (inside the truncated well the potential is the
-    full closed form). Accepts complex k; broadcasts over r.
+    full closed form). Accepts complex k; broadcasts over r. Phi is exactly
+    0 at r = 0, the boundary condition that defines it: the closed form
+    there cancels u(k, 0) a1 + v(k, 0) a2 to rounding, which 1/h amplifies.
 
     Raises
     ------
@@ -348,7 +350,7 @@ def regular_solution(config: TruncatedConfig, k, r):
     w10 = config._boundary_data.w1_0
     a1, a2 = _ka_rotation(b0.u, -b0.v, k * r)
     cu, cv = _uv_combinations(b, w, k)
-    ph = (w10 / (h * w.w1)) * (b.u * a1 + b.v * a2)
+    ph = np.where(r == 0.0, 0.0, (w10 / (h * w.w1)) * (b.u * a1 + b.v * a2))[()]
     ph_r = (w10 / (h * w.w1**2)) * (cu * a1 + cv * a2)
     return ph, ph_r
 

@@ -4,9 +4,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import bicscatter as bs
+from bicscatter import numerics, resonances
 
 
 def test_doublet_positions(doublet_pair):
@@ -233,6 +236,70 @@ def test_census_at_large_cutoffs(alpha, q, a):
         assert res.residual <= 1e-9
 
 
+def test_limit_roots_against_mpmath():
+    """x_n for n = 1..50 against mpmath's root of the limit equation at 30
+    digits, each in ((n + 1/2) pi, (n + 3/4) pi); -conj(x_n) solves it too."""
+    def f(x):
+        return (x + 1.5j) * mpmath.exp(2j * x) + 1j * (x * x - 2j * x - 1.5)
+
+    with mpmath.workdps(30):
+        for n in range(1, 51):
+            x = resonances._limit_root(n)
+            assert (n + 0.5) * math.pi < x.real < (n + 0.75) * math.pi
+            for root in (x, -x.conjugate()):
+                assert abs(root - complex(mpmath.findroot(f, mpmath.mpc(root)))) <= 1e-13
+    assert resonances._limit_root(1) / math.pi == pytest.approx(1.61637 - 0.27545j, abs=1e-5)
+
+
+@pytest.mark.parametrize("alpha,q", [(1.0, 1.0), (0.3, 3.0), (2.0, 0.5)])
+def test_doublet_approaches_the_scaling_limit(alpha, q):
+    """(k_n - q) a = x_n + O(1/a), with no alpha or q in x_n: a times the gap
+    stays below 10 (at most 8.2 for a from 1e3 to 1e8 at these points; it
+    oscillates with q a rather than decaying)."""
+    x = resonances._limit_root(1)
+    for a in (1e3, 1e4, 1e5, 1e6):
+        config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+        first, second = bs.find_resonances(config)
+        assert a * abs((second.k_complex - q) * a - x) <= 10.0
+        assert a * abs((first.k_complex - q) * a + x.conjugate()) <= 10.0
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the census fell back to grid seeding")
+
+
+@pytest.mark.parametrize("a", [3242.0, 5000.0, 5453.0, 15422.0])
+def test_wide_box_census_from_limit_seeds(params, a, monkeypatch):
+    """Every zero of the wide box comes from a limit seed, and the census
+    equals a winding count on 1024 initial segments per edge."""
+    config = bs.TruncatedConfig(params=params, a=a)
+    box = bs.ComplexRectangle(0.99, 1.01, -1e-3, -1e-5)
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_INITIAL_SEGMENTS", 1024)
+        want = bs.winding_count(bs.root_function(config), box)
+    monkeypatch.setattr(bs.ComplexRectangle, "grid", _no_grid)
+    assert len(bs.find_resonances(config, search_box=box)) == want
+
+
+def test_aliased_wide_box_is_refused(params):
+    """At a = 9170 the 64-segment winding count of the wide box aliases to 2
+    (the true count is 56); the limit seeds find all 56, so the census is
+    refused rather than certified."""
+    config = bs.TruncatedConfig(params=params, a=9170.0)
+    with pytest.raises(bs.RootCountMismatch, match="winding number 2 but 56"):
+        bs.find_resonances(config, search_box=bs.ComplexRectangle(0.99, 1.01, -1e-3, -1e-5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.3, 3.0), q=st.floats(0.3, 3.0), log_a=st.floats(2.0, 6.0))
+def test_default_census_needs_no_grid(alpha, q, log_a):
+    """Over the envelope the two limit seeds alone certify the doublet."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=10.0**log_a)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bs.ComplexRectangle, "grid", _no_grid)
+        assert len(bs.find_resonances(config)) == 2
+
+
 def test_newton_near_the_removable_zero_leaves_the_box(params):
     config = bs.TruncatedConfig(params=params, a=1e6)
     try:
@@ -305,6 +372,21 @@ def test_gamow_metadata(gamow):
 
 def test_gamow_vanishes_at_origin(gamow):
     assert abs(complex(gamow(0.0))) < 1e-12
+
+
+@pytest.mark.parametrize("a", [300.0, 5000.0, 2e4])
+def test_regular_solution_is_zero_at_origin(params, a):
+    """Phi(0) = 0 exactly at both doublet members and a few ulps off them:
+    the closed form cancels there only to rounding, which 1/h amplifies."""
+    config = bs.TruncatedConfig(params=params, a=a)
+    for res in bs.find_resonances(config):
+        kn = res.k_complex
+        for steps in (-3, 0, 3):
+            re = kn.real + steps * math.ulp(kn.real)
+            im = kn.imag - steps * math.ulp(kn.imag)
+            ph, _ = bs.regular_solution(config, complex(re, im), np.array([0.0, 0.5]))
+            assert ph[0] == 0.0 and ph[1] != 0.0
+            assert bs.regular_solution(config, complex(re, im), 0.0)[0] == 0.0
 
 
 def test_gamow_outgoing_at_the_cut(config, doublet_pair):
