@@ -36,7 +36,6 @@ from .errors import (
     SingularFitSystem,
     SingularPotential,
     StrictModeViolation,
-    TrackingLost,
     UnwrapAmbiguity,
     ValidationError,
     ZeroDerivative,

@@ -59,10 +59,6 @@ class ZeroDerivative(NumericalError):
     """Derivative vanished where a simple zero was expected."""
 
 
-class TrackingLost(NumericalError):
-    """Continuation step jumped farther than the trusted tracking radius."""
-
-
 class BoundaryZero(NumericalError):
     """A zero (numerically) sits on the winding contour."""
 

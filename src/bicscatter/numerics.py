@@ -73,16 +73,11 @@ class ComplexRectangle:
             complex(self.re_min, self.im_max),
         )
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
+    def contains(self, z: complex) -> bool:
         return (
-            self.re_min + margin <= z.real <= self.re_max - margin
-            and self.im_min + margin <= z.imag <= self.im_max - margin
+            self.re_min <= z.real <= self.re_max
+            and self.im_min <= z.imag <= self.im_max
         )
-
-    def grid(self, n_re: int, n_im: int) -> np.ndarray:
-        re = np.linspace(self.re_min, self.re_max, n_re)
-        im = np.linspace(self.im_min, self.im_max, n_im)
-        return re[None, :] + 1j * im[:, None]
 
 
 def newton_complex(f, fprime, z0: complex, tol: Tolerance = Tolerance()):

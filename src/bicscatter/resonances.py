@@ -30,12 +30,11 @@ from .errors import (
     DegenerateNormalizer,
     NoConvergence,
     RootCountMismatch,
-    TrackingLost,
     ValidationError,
     ZeroDerivative,
 )
 from .darboux import PotentialParams
-from .numerics import ComplexRectangle, Tolerance, newton_complex, winding_count
+from .numerics import ComplexRectangle, newton_complex, winding_count
 from .scattering import (
     TruncatedConfig,
     _boundary,
@@ -59,18 +58,12 @@ __all__ = [
     "sweep_cutoff",
 ]
 
-# fallback seeding grid, for a census the scaling limit leaves short of the
-# winding number (local minima of |G| feed Newton)
-_GRID_RE = 41
-_GRID_IM = 21
-# grid-density doublings allowed when the census is still short (a box far
-# from q holds ~width/(pi/a) zeros and needs proportionally more seeds)
-_MAX_GRID_REFINEMENTS = 3
 # Newton steps allowed on the scaling-limit equation (3 to 7 are taken)
 _LIMIT_MAX_ITER = 30
 _EPS = np.finfo(float).eps
-# two polished roots closer than this are the same zero
-_DEDUPE_DISTANCE = 1e-8
+# two polished roots closer than this many pi/a are the same zero (the
+# string's members are about pi/a apart)
+_DEDUPE_SPACINGS = 1e-3
 # gamow_state refuses N^2 whose estimated relative rounding is above this
 _N_SQUARED_RTOL = 1e-6
 
@@ -243,19 +236,17 @@ def default_search_box(config: TruncatedConfig) -> ComplexRectangle:
 def find_resonances(
     config: TruncatedConfig,
     search_box: Optional[ComplexRectangle] = None,
-    seeds: Optional[Sequence[complex]] = None,
 ) -> List[Resonance]:
     """All zeros of F(-k) inside a box, certified by the argument principle.
 
-    The winding number of G around the box is the certificate: the census
-    is returned only if it holds exactly that many distinct roots. Each seed
-    is polished by damped Newton on the exact G'. Unless ``seeds`` are
-    given, they are the scaling-limit predictions k = q + x_n/a of every
-    string member in or near the box (``_limit_seeds``), one Newton run per
-    zero. Only if these leave the census short of the winding number (a box
-    the limit does not describe) are local minima of |G| on a 41x21 grid
-    over the box polished as well, with the grid doubled up to three times.
-    A seed carries no trust: a bad one costs the grid, never a wrong census.
+    The seeds are the scaling-limit predictions k = q + x_n/a of every
+    string member in or near the box (``_limit_seeds``), one damped Newton
+    run on the exact G' per member. Polished roots outside the box are
+    dropped, and roots within 1e-3 pi/a of each other count once. The
+    winding number of G around the box is the certificate: the census is
+    returned only if it holds exactly that many distinct roots. A box the
+    limit does not describe (q a below about 6.3, or Re k reaching 0) is
+    refused, not searched by other means.
 
     Raises
     ------
@@ -270,51 +261,19 @@ def find_resonances(
         raise ValidationError("search box must lie below the real axis")
     g = root_function(config)
     g_prime = root_derivative(config)
-
-    def grid_seeds(n_re: int, n_im: int) -> List[complex]:
-        grid = search_box.grid(n_re, n_im)
-        mag = np.abs(g(grid))
-        # local minima over 3x3 neighborhoods, edges included
-        padded = np.pad(mag, 1, constant_values=np.inf)
-        neigh = np.stack(
-            [
-                padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-                if (di, dj) != (0, 0)
-            ]
-        )
-        return [complex(z) for z in grid[mag <= neigh.min(axis=0)]]
-
-    def polish(candidates, roots: List[complex]) -> int:
-        failures = 0
-        for seed in candidates:
-            try:
-                z, _, _ = newton_complex(g, g_prime, seed,
-                                         Tolerance(abs_tol=1e-13, rel_tol=1e-13))
-            except (NoConvergence, ZeroDerivative):
-                failures += 1
-                continue
-            if not search_box.contains(z):
-                continue
-            if all(abs(z - r) > _DEDUPE_DISTANCE for r in roots):
-                roots.append(z)
-        return failures
+    dedupe = _DEDUPE_SPACINGS * math.pi / config.a
 
     count = winding_count(g, search_box)
     roots: List[complex] = []
-    if seeds is not None:
-        failures = polish(seeds, roots)
-    else:
-        failures = polish(_limit_seeds(config, search_box), roots)
-        # adjacent zeros merge into one grid minimum when the node spacing
-        # exceeds their separation, hence the doublings
-        n_re, n_im = _GRID_RE, _GRID_IM
-        for _ in range(_MAX_GRID_REFINEMENTS + 1):
-            if len(roots) >= count:
-                break
-            failures += polish(grid_seeds(n_re, n_im), roots)
-            n_re, n_im = 2 * n_re - 1, 2 * n_im - 1
+    failures = 0
+    for seed in _limit_seeds(config, search_box):
+        try:
+            z, _, _ = newton_complex(g, g_prime, seed)
+        except (NoConvergence, ZeroDerivative):
+            failures += 1
+            continue
+        if search_box.contains(z) and all(abs(z - r) > dedupe for r in roots):
+            roots.append(z)
 
     if count != len(roots):
         if failures and count > len(roots):
@@ -449,42 +408,23 @@ class SweepResult:
 
 
 def sweep_cutoff(params: PotentialParams, a_values: Sequence[float]) -> SweepResult:
-    """Track the doublet as the cutoff grows.
+    """The doublet at each cutoff, and whether both widths shrink.
 
-    Continuation is nearest-neighbor: each new doublet member must lie
-    within the current doublet spacing |k2 - k1| of its predecessor, else
-    the identification is not trustworthy (the whole zero string moves as
-    ~1/a, so a large enough jump in a walks the doublet past its former
-    neighbors).
-
-    Raises
-    ------
-    TrackingLost
-        If a continuation step exceeds the current doublet spacing.
+    Each row is an independent census in ``default_search_box``, which is
+    fixed in x = (k - q) a and holds exactly the doublet, so every row is
+    certified on its own and equals ``find_resonances`` at that cutoff.
+    No continuation links the rows: any increasing list of cutoffs works,
+    however far apart.
     """
     if len(a_values) < 1:
         raise ValidationError("a_values must be non-empty")
     if any(a2 <= a1 for a1, a2 in zip(a_values, a_values[1:])):
         raise ValidationError("a_values must be strictly increasing")
     rows: List[SweepRow] = []
-    prev: Optional[Tuple[Resonance, Resonance]] = None
     for a in a_values:
         config = TruncatedConfig(params=params, a=float(a))
-        pair = doublet_of(find_resonances(config), params.q)
-        if prev is not None:
-            spacing = abs(pair[1].k_complex - pair[0].k_complex)
-            drift = max(
-                abs(pair[0].k_complex - prev[0].k_complex),
-                abs(pair[1].k_complex - prev[1].k_complex),
-            )
-            if drift > spacing:
-                raise TrackingLost(
-                    f"doublet moved {drift:.3e} between a = {rows[-1].a:g} and "
-                    f"a = {a:g}, exceeding its spacing {spacing:.3e}; "
-                    "insert intermediate cutoffs"
-                )
-        rows.append(SweepRow(a=float(a), first=pair[0], second=pair[1]))
-        prev = pair
+        first, second = doublet_of(find_resonances(config), params.q)
+        rows.append(SweepRow(a=float(a), first=first, second=second))
     monotone = all(
         r2.first.half_width < r1.first.half_width
         and r2.second.half_width < r1.second.half_width

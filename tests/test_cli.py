@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import bicscatter as bs
 from bicscatter import cli
 from bicscatter.cli import main
 
@@ -224,11 +225,17 @@ def test_sweep_requires_a_list(tmp_path, capsys):
     assert "a-list" in json.loads(capsys.readouterr().err)["message"]
 
 
-def test_sweep_tracking_lost_exit(tmp_path, capsys):
-    rc = main(["sweep-cutoff", "--bic", "--a-list", "2500,20000",
-               "--out", str(tmp_path / "s.jsonl")])
-    assert rc == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "TrackingLost"
+def test_sweep_far_apart_cutoffs(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    assert main(["sweep-cutoff", "--bic", "--a-list", "2500,20000",
+                 "--out", str(out), "--reproducible"]) == 0
+    rows = [json.loads(s) for s in out.read_text().splitlines()][1:3]
+    params = bs.PotentialParams.bic()
+    for row in rows:
+        config = bs.TruncatedConfig(params=params, a=row["a"])
+        r1, r2 = bs.doublet_of(bs.find_resonances(config), params.q)
+        assert (row["k1"], row["half_width1"]) == (r1.k_re, r1.half_width)
+        assert (row["k2"], row["half_width2"]) == (r2.k_re, r2.half_width)
 
 
 def test_validation_exits(tmp_path, capsys):

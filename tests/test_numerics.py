@@ -30,8 +30,6 @@ def test_rectangle_basics():
     assert bl == complex(-1.0, -0.5) and tr == complex(2.0, 0.5)
     assert rect.contains(0.0)
     assert not rect.contains(3.0)
-    assert not rect.contains(1.99, margin=0.1)
-    assert rect.grid(5, 3).shape == (3, 5)
     with pytest.raises(bs.ValidationError):
         bs.ComplexRectangle(1.0, 1.0, 0.0, 1.0)
 

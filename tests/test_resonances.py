@@ -65,11 +65,15 @@ def test_default_box_winds_twice(params, a):
 
 @pytest.mark.parametrize("a", [300.0, 5000.0, 1e5])
 def test_root_function_broadcasts(params, a):
-    # one call on the seeding grid equals point-by-point calls; the gap is
-    # scaled by max|G| because pointwise G cancels to ~1e-7 of its terms
+    # one call on a 41x21 grid over the default box equals point-by-point
+    # calls; the gap is scaled by max|G| because pointwise G cancels to
+    # ~1e-7 of its terms
     config = bs.TruncatedConfig(params=params, a=a)
     g = bs.root_function(config)
-    grid = bs.default_search_box(config).grid(41, 21)
+    box = bs.default_search_box(config)
+    re = np.linspace(box.re_min, box.re_max, 41)
+    im = np.linspace(box.im_min, box.im_max, 21)
+    grid = re[None, :] + 1j * im[:, None]
     batched = g(grid)
     pointwise = np.array([[complex(g(complex(z))) for z in row] for row in grid])
     assert batched.shape == grid.shape
@@ -224,9 +228,9 @@ def test_gamow_density_against_mpmath_oracle(alpha, q, a, rtol, uv_oracle):
 @pytest.mark.parametrize("alpha,q", [(1.0, 1.0), (0.3, 0.3), (3.0, 3.0)])
 def test_census_at_large_cutoffs(alpha, q, a):
     """Exactly the doublet, at its asymptotic place: (Re k - q) a / pi near
-    +-1.616 and Im k a near -0.865. Grid seeds on the top edge of the box
-    sit next to the fourth-order zero of d + ig at k = q; they must not
-    come back as roots."""
+    +-1.616 and Im k a near -0.865. The top edge of the box sits next to
+    the fourth-order zero of d + ig at k = q; it must not come back as a
+    root."""
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
     found = bs.find_resonances(config)
     assert len(found) == 2
@@ -264,20 +268,15 @@ def test_doublet_approaches_the_scaling_limit(alpha, q):
         assert a * abs((first.k_complex - q) * a + x.conjugate()) <= 10.0
 
 
-def _no_grid(*args, **kwargs):
-    raise AssertionError("the census fell back to grid seeding")
-
-
 @pytest.mark.parametrize("a", [3242.0, 5000.0, 5453.0, 15422.0])
 def test_wide_box_census_from_limit_seeds(params, a, monkeypatch):
-    """Every zero of the wide box comes from a limit seed, and the census
-    equals a winding count on 1024 initial segments per edge."""
+    """The limit seeds find every zero of the wide box: the census equals a
+    winding count on 1024 initial segments per edge."""
     config = bs.TruncatedConfig(params=params, a=a)
     box = bs.ComplexRectangle(0.99, 1.01, -1e-3, -1e-5)
     with monkeypatch.context() as m:
         m.setattr(numerics, "_INITIAL_SEGMENTS", 1024)
         want = bs.winding_count(bs.root_function(config), box)
-    monkeypatch.setattr(bs.ComplexRectangle, "grid", _no_grid)
     assert len(bs.find_resonances(config, search_box=box)) == want
 
 
@@ -293,11 +292,38 @@ def test_aliased_wide_box_is_refused(params):
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(0.3, 3.0), q=st.floats(0.3, 3.0), log_a=st.floats(2.0, 6.0))
 def test_default_census_needs_no_grid(alpha, q, log_a):
-    """Over the envelope the two limit seeds alone certify the doublet."""
+    """Over the envelope the two limit seeds certify the doublet."""
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=10.0**log_a)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(bs.ComplexRectangle, "grid", _no_grid)
-        assert len(bs.find_resonances(config)) == 2
+    assert len(bs.find_resonances(config)) == 2
+
+
+def test_census_below_the_scaling_limit_is_refused():
+    """At q a = 1.5 the default box winds 3 times and the limit's seeds
+    converge on 1 of its zeros; the census is refused, not filled in by
+    another search."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=1.0, q=0.3), a=5.0)
+    with pytest.raises(bs.RootCountMismatch):
+        bs.find_resonances(config)
+
+
+def test_box_reaching_re_k_zero_is_refused():
+    """A box reaching Re k <= 0 holds 35 zeros; the limit's seeds converge
+    on 30 of them and the census is refused."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=0.3, q=0.3), a=100.0)
+    box = bs.ComplexRectangle(-0.328, 0.928, -0.05, -0.0005)
+    with pytest.raises(bs.NoConvergence):
+        bs.find_resonances(config, search_box=box)
+
+
+def test_doublet_at_a_3e9_has_both_members():
+    """At a = 3e9 the doublet is 3.4e-9 apart; roots are merged only
+    within 1e-3 pi/a, so both members come back."""
+    a = 3e9
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(), a=a)
+    first, second = bs.find_resonances(config)
+    assert abs(second.k_complex - first.k_complex) < 1e-8
+    assert (first.k_re - 1.0) * a / math.pi == pytest.approx(-1.616, abs=1e-3)
+    assert (second.k_re - 1.0) * a / math.pi == pytest.approx(1.616, abs=1e-3)
 
 
 def test_newton_near_the_removable_zero_leaves_the_box(params):
@@ -316,17 +342,11 @@ def test_resonances_hold_builtin_numbers(doublet_pair):
         assert type(res.residual) is float
 
 
-def test_explicit_seeds_reproduce_the_doublet(config, doublet_pair):
-    found = bs.find_resonances(config, seeds=[0.999 - 2e-4j, 1.001 - 2e-4j])
-    assert len(found) == 2
-    for got, want in zip(found, doublet_pair):
-        assert abs(got.k_complex - want.k_complex) < 1e-12
-
-
-def test_empty_seed_list_fails_certification(config):
+def test_empty_seed_list_fails_certification(config, monkeypatch):
     # the winding certificate sees two zeros, zero converged roots
+    monkeypatch.setattr(resonances, "_limit_seeds", lambda config, box: [])
     with pytest.raises(bs.RootCountMismatch):
-        bs.find_resonances(config, seeds=[])
+        bs.find_resonances(config)
 
 
 def test_search_box_must_be_below_axis(config):
@@ -455,8 +475,11 @@ def test_sweep_requires_increasing_cutoffs(params):
         bs.sweep_cutoff(params, [5000.0, 2500.0])
 
 
-def test_sweep_tracking_lost_on_absurd_jump(params):
-    # quadrupling the cutoff in one step moves the doublet by more than
-    # its own spacing; continuation correctly refuses to identify them
-    with pytest.raises(bs.TrackingLost):
-        bs.sweep_cutoff(params, [2500.0, 20000.0])
+def test_sweep_rows_are_independent_censuses(params):
+    # an eightfold step in the cutoff moves the doublet by more than its
+    # own spacing; each row is still the census at its own cutoff
+    sw = bs.sweep_cutoff(params, [2500.0, 20000.0])
+    for row in sw.rows:
+        config = bs.TruncatedConfig(params=params, a=row.a)
+        assert (row.first, row.second) == bs.doublet_of(bs.find_resonances(config), params.q)
+    assert sw.gamma_monotone
