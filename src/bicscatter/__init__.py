@@ -85,4 +85,11 @@ from .scattering import (
     sigma_landmarks,
 )
 
+# The bare package loads no scipy submodule (15-20 ms once numpy is loaded),
+# and nothing in the package uses it. It is imported only because the
+# benchmark's perfbench/workloads.py::versions() reads sys.modules["scipy"];
+# it goes, with the runtime dependency, once that reads versions through
+# importlib.metadata.
+import scipy  # noqa: F401
+
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ command-line layer relies on for reproducible runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,59 @@ def newton_complex(f, fprime, z0: complex, tol: Tolerance = Tolerance()):
             return z, fz, it + 1
     raise NoConvergence(
         f"no convergence after {tol.max_iter} iterations, |f| = {abs(fz):.3e}"
+    )
+
+
+_EPS = sys.float_info.epsilon
+# _bracketed_newton's iteration budget: bisection alone brings any bracket
+# narrower than 2^60 * 2e-14 (about 2e4) down to the stopping width
+_BRACKET_MAX_ITER = 60
+
+
+def _bracketed_newton(f, lo: float, hi: float, f_lo: float, f_hi: float,
+                      max_iter: int = _BRACKET_MAX_ITER) -> float:
+    """Zero of a real scalar function on [lo, hi], where it changes sign.
+
+    ``f(x)`` returns the pair (f, f') as Python floats; ``f_lo`` and
+    ``f_hi`` are values of f at lo and hi with opposite sign bits. Newton
+    starts from the secant point of the ends (the midpoint if that is not
+    strictly inside), and every iterate replaces the bracket end on its
+    side of the sign change. A step that leaves the bracket, or a zero or
+    non-finite f', bisects instead. With
+    tol = 1e-14 + 4 eps |x|, the iteration stops when |f/f'| <= tol,
+    returning the Newton update, or when the bracket is at most 2 tol wide,
+    returning its midpoint. The step test comes first: a step landing
+    exactly on the root would otherwise fail the in-bracket test and fall
+    back to bisection of the wide side.
+
+    Raises
+    ------
+    NoConvergence
+        If ``max_iter`` evaluations meet neither stopping test.
+    """
+    neg_lo = math.copysign(1.0, f_lo) < 0.0
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if f_lo != f_hi else lo
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        fx, dfx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == neg_lo:
+            lo = x
+        else:
+            hi = x
+        tol = 1e-14 + 4.0 * _EPS * abs(x)
+        step = fx / dfx if dfx != 0.0 and math.isfinite(dfx) else math.inf
+        if abs(step) <= tol:
+            return x - step
+        if hi - lo <= 2.0 * tol:
+            return 0.5 * (lo + hi)
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    raise NoConvergence(
+        f"bracketed Newton still on [{lo!r}, {hi!r}] after {max_iter} iterations"
     )
 
 

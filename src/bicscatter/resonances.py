@@ -38,7 +38,7 @@ from .numerics import ComplexRectangle, newton_complex, winding_count
 from .scattering import (
     TruncatedConfig,
     _boundary,
-    _boundary_dk,
+    _g_parts,
     _jost_prefactor,
     dg,
     regular_solution,
@@ -114,31 +114,15 @@ def root_function(config: TruncatedConfig) -> Callable:
 
 
 def root_derivative(config: TruncatedConfig) -> Callable:
-    """G'(k), the exact k-derivative of ``root_function(config)``.
-
-    The product rule on G's grouping (see ``scattering._boundary``):
-
-        G' = [((u0 - i v0)(cv - i cu))'
-              + e^{-2ika} (((u0 + i v0)(cv + i cu))'
-                           - 2ia (u0 + i v0)(cv + i cu))] / 2,
-
-    with the derivatives of u, v and the r = a combinations from
-    ``scattering._boundary_dk``. Broadcasts over k.
+    """G'(k), the exact k-derivative of ``root_function(config)``, assembled
+    from the product-rule parts of ``scattering._g_parts``. Broadcasts over
+    k.
     """
     a = config.a
 
     def dg_of(k):
-        u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
-        du0, dv0, dua, dva, dbu, dbv, dkw = _boundary_dk(config, k)
-        cu = bu + 1j * kw * ua
-        cv = bv + 1j * kw * va
-        dcu = dbu + 1j * (dkw * ua + kw * dua)
-        dcv = dbv + 1j * (dkw * va + kw * dva)
-        m, p = u0 - 1j * v0, u0 + 1j * v0
-        x, y = cv - 1j * cu, cv + 1j * cu
-        dm, dp = du0 - 1j * dv0, du0 + 1j * dv0
-        dx, dy = dcv - 1j * dcu, dcv + 1j * dcu
-        return 0.5 * (dm * x + m * dx + np.exp(-2j * k * a) * (dp * y + p * dy - 2j * a * p * y))
+        _, _, front, back = _g_parts(config, k)
+        return 0.5 * (front + np.exp(-2j * k * a) * back)
 
     return dg_of
 

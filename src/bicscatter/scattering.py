@@ -20,13 +20,13 @@ there.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.optimize import brentq
 
 from .darboux import PotentialParams, W1Bundle, _is_real, _w1_bounds, w1_bundle
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .jost import UVBundle, _uv_at, _uv_coefficients, _uv_dk, uv_bundle
-from .numerics import unwrap_phase
+from .numerics import _bracketed_newton, unwrap_phase
 
 __all__ = [
     "TruncatedConfig",
@@ -68,9 +68,10 @@ Q_EXCLUSION = 1e-5
 # whole 10^6-point grid (8 MB each) would stream through memory on every pass
 _BLOCK = 16384
 
-# d and g are resolved where hypot(d, g) exceeds this multiple of its value at
-# k = q, which is pure rounding (they vanish there to fourth order)
+# d and g are resolved where hypot(d, g) exceeds this multiple of its values at
+# k = q and q +- _NOISE_OFFSET / a, which are pure rounding (see _noise_floor)
 _NOISE_FACTOR = 1e3
+_NOISE_OFFSET = 1e-4
 
 
 # W1 certificate grid: cells on the first pass, and doublings before giving up
@@ -243,16 +244,10 @@ def _boundary(config: TruncatedConfig, k):
     cu = bu + i kw ua and cv = bv + i kw va,
 
         G = e^{-ika} (d + ig)
-          = [(u0 - i v0)(cv - i cu) + e^{-2ika} (u0 + i v0)(cv + i cu)] / 2,
+          = [(u0 - i v0)(cv - i cu) + e^{-2ika} (u0 + i v0)(cv + i cu)] / 2;
 
-    and by the product rule, with ' = d/dk (``_boundary_dk``),
-
-        G' = [((u0 - i v0)(cv - i cu))'
-              + e^{-2ika} (((u0 + i v0)(cv + i cu))'
-                           - 2ia (u0 + i v0)(cv + i cu))] / 2.
-
-    Evaluated from the config's boundary data. Accepts complex k and
-    broadcasts over it.
+    ``_g_parts`` gives G and its k-derivative in parts. Evaluated from the
+    config's boundary data. Accepts complex k and broadcasts over it.
     """
     bd = config._boundary_data
     q = config.params.q
@@ -275,6 +270,34 @@ def _boundary_dk(config: TruncatedConfig, k):
     w1 = bd.w1_a.w1
     dbu, dbv = _uv_combinations(da, bd.w1_a, k)
     return d0.u, d0.v, da.u, da.v, dbu - ba.v * w1, dbv + ba.u * w1, -w1
+
+
+def _g_parts(config: TruncatedConfig, k):
+    """(m x, p y, A, B) with
+
+        G  = (m x + e^{-2ika} p y) / 2   (see ``_boundary``),
+        G' = (A + e^{-2ika} B) / 2,
+
+    where m, p = u0 -+ i v0 and x, y = cv -+ i cu. By the product rule,
+    with ' = d/dk (``_boundary_dk``),
+
+        A = (m x)',    B = (p y)' - 2ia p y.
+
+    ``resonances.root_derivative`` assembles G' from A and B, and
+    ``_num_den_dk`` rotates all four onto the real axis. Accepts complex k
+    and broadcasts over it.
+    """
+    u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
+    du0, dv0, dua, dva, dbu, dbv, dkw = _boundary_dk(config, k)
+    cu = bu + 1j * kw * ua
+    cv = bv + 1j * kw * va
+    dcu = dbu + 1j * (dkw * ua + kw * dua)
+    dcv = dbv + 1j * (dkw * va + kw * dva)
+    m, p = u0 - 1j * v0, u0 + 1j * v0
+    x, y = cv - 1j * cu, cv + 1j * cu
+    dm, dp = du0 - 1j * dv0, du0 + 1j * dv0
+    dx, dy = dcv - 1j * dcu, dcv + 1j * dcu
+    return m * x, p * y, dm * x + m * dx, dp * y + p * dy - 2j * config.a * p * y
 
 
 def _ka_rotation(x, y, ka):
@@ -311,8 +334,19 @@ def _blockwise(fn, k):
 
 def _noise_floor(config: TruncatedConfig) -> float:
     """hypot(d, g) at or below which d, g (and num, den, their rotation)
-    are rounding noise: ``_NOISE_FACTOR`` times hypot(d(q), g(q))."""
-    return _NOISE_FACTOR * math.hypot(*dg(config, config.params.q))
+    are rounding noise: ``_NOISE_FACTOR`` times the largest hypot(d, g) at
+    k = q and q +- 1e-4/a.
+
+    At leading order in 1/a, d + ig is e2 times the bracket of
+    ``resonances._limit_root``, which is -(2/3) x^4 + O(x^5) in
+    x = (k - q) a: it vanishes like x^5. At |x| <= 1e-4 its exact value is
+    about 1e-20 of its size at |x| ~ 1, so what is computed there is
+    rounding. At q alone the rounding can be exactly zero (when the e2^0
+    coefficients at r = 0 come out as exact zeros, as at alpha = 2.4033,
+    q = 1.0302), which would leave no floor at all.
+    """
+    q, offset = config.params.q, _NOISE_OFFSET / config.a
+    return _NOISE_FACTOR * max(math.hypot(*dg(config, k)) for k in (q - offset, q, q + offset))
 
 
 def _principal_phase(num, den):
@@ -416,6 +450,25 @@ def _num_den(config: TruncatedConfig, k):
     return _rotate(*_dg_sin_cos(config, k))
 
 
+def _num_den_dk(config: TruncatedConfig, k: float):
+    """((num, num'), (den, den')) at one real k, in Python complex arithmetic.
+
+    den + i num = e^{ika} (d + ig) = e^{2ika} G, so with the parts of
+    ``_g_parts``
+
+        den + i num   = (e^{2ika} m x + p y) / 2,
+        den' + i num' = e^{2ika} (G' + 2ia G)
+                      = (e^{2ika} A + B) / 2 + 2ia (den + i num).
+
+    The values agree with ``_num_den`` to rounding, not bit for bit.
+    """
+    mx, py, front, back = _g_parts(config, k)
+    e = cmath.rect(1.0, 2.0 * k * config.a)
+    z = 0.5 * (e * mx + py)
+    w = 0.5 * (e * front + back) + 2j * config.a * z
+    return (z.imag, w.imag), (z.real, w.real)
+
+
 def phase_shift(config: TruncatedConfig, k):
     """Principal-value phase shift delta_a(k) in (-pi/2, pi/2].
 
@@ -504,7 +557,13 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     d sin ka + g cos ka (there sigma vanishes identically); the peak is the
     zero of the denominator between the two innermost minima (there
     delta_a = pi/2 mod pi, so sigma touches 4 pi / k^2). Both are bracketed
-    on a dk grid and refined by bisection. The resonance structure scales
+    on a dk grid and refined by Newton on their exact k-derivatives
+    (``_num_den_dk``), kept inside the bracket
+    (``numerics._bracketed_newton``): each stops within about
+    1e-14 + 4 eps k of the zero of the computed function, unless that
+    function is rounding noise over a wider band around it. Only
+    denominator brackets that reach into (minima[0], minima[-1]) are
+    refined. The resonance structure scales
     with pi/a (the minima sit at fixed (k - q) a / pi for every a), so dk
     defaults to pi/(64 a), 64 cells per pi/a. The grid is evaluated in
     blocks, like ``dg``.
@@ -519,6 +578,8 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     ------
     MinimaNotFound
         If fewer than two numerator zeros survive on the window.
+    NoConvergence
+        If a refinement exhausts its iteration budget.
     """
     if not (k_lo < k_hi):
         raise ValidationError("need k_lo < k_hi")
@@ -529,18 +590,22 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     num, den = _blockwise(lambda kk: _num_den(config, kk), grid)
     floor = _noise_floor(config)
 
-    def refine(fvec, scalar_f) -> List[float]:
+    def refine(part: int, keep_lo=-math.inf, keep_hi=math.inf) -> List[float]:
+        fvec = (num, den)[part]
         idx = np.nonzero(np.signbit(fvec[:-1]) != np.signbit(fvec[1:]))[0]
         roots = []
         for i in idx:
-            lo, hi = grid[i], grid[i + 1]
-            if (lo <= q <= hi or math.hypot(num[i], den[i]) <= floor
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            if (hi <= keep_lo or lo >= keep_hi or lo <= q <= hi
+                    or math.hypot(num[i], den[i]) <= floor
                     or math.hypot(num[i + 1], den[i + 1]) <= floor):
                 continue
-            roots.append(float(brentq(scalar_f, lo, hi, xtol=1e-14)))
+            roots.append(_bracketed_newton(
+                lambda kk: _num_den_dk(config, kk)[part],
+                lo, hi, float(fvec[i]), float(fvec[i + 1])))
         return roots
 
-    minima = refine(num, lambda kk: float(_num_den(config, kk)[0]))
+    minima = refine(0)
     if len(minima) < 2:
         raise MinimaNotFound(
             f"found {len(minima)} cross-section minima on [{k_lo}, {k_hi}]; "
@@ -548,9 +613,7 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
         )
     peak = None
     lo, hi = minima[0], minima[-1]
-    peaks = [
-        z for z in refine(den, lambda kk: float(_num_den(config, kk)[1])) if lo < z < hi
-    ]
+    peaks = [z for z in refine(1, lo, hi) if lo < z < hi]
     if peaks:
         sig = [float(cross_section(config, z)) * z**2 / (4.0 * math.pi) for z in peaks]
         peak = peaks[int(np.argmax(sig))]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -253,6 +256,20 @@ def test_validation_exits(tmp_path, capsys):
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    # a fresh interpreter: importing scipy.optimize or scipy.linalg costs
+    # more than half a second of every CLI start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, bicscatter.cli; print(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "bicscatter.cli" in loaded
+    assert "scipy.optimize" not in loaded and "scipy.linalg" not in loaded
 
 
 def test_config_file_with_flag_override(tmp_path):

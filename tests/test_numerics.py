@@ -77,6 +77,51 @@ def test_newton_no_convergence():
         bs.newton_complex(cmath.exp, cmath.exp, 0.0, tol=bs.Tolerance(max_iter=25))
 
 
+# -------------------------------------------------------- bracketed newton
+
+
+def test_bracketed_newton_simple_root():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x - 2.0, 2.0 * x
+
+    root = numerics._bracketed_newton(f, 1.0, 2.0, -1.0, 2.0)
+    assert abs(root - math.sqrt(2.0)) <= 4e-16 * math.sqrt(2.0)
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("derivative", [0.0, math.inf, math.nan])
+def test_bracketed_newton_bisects_without_a_usable_derivative(derivative):
+    # a zero derivative must not divide, an infinite one must not pass the
+    # step test with a zero step: both bisect down to the stopping width
+    # (the end values put the secant start at 0.5, off the root)
+    root = numerics._bracketed_newton(lambda x: (x - 0.3, derivative), 0.0, 1.0, -1.0, 1.0)
+    assert abs(root - 0.3) <= 2e-14
+
+
+def test_bracketed_newton_stops_on_a_step_below_half_an_ulp():
+    # the secant start 0.25 is the closest float to the root, so the Newton
+    # step from it rounds back onto 0.25, which is now a bracket end: the
+    # step test must stop there before the in-bracket test sends the
+    # iteration into bisecting the wide side
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.25 + 1e-20, 1.0
+
+    assert numerics._bracketed_newton(f, 0.0, 1.0, -0.25, 0.75) == 0.25
+    assert calls == [0.25]
+
+
+def test_bracketed_newton_budget_raises():
+    with pytest.raises(bs.NoConvergence):
+        numerics._bracketed_newton(lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, -1.0, 2.0,
+                                   max_iter=1)
+
+
 # ----------------------------------------------------------------- winding
 
 

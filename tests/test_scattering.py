@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
-from hypothesis import given, settings
+from scipy.optimize import brentq
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bicscatter as bs
@@ -307,6 +309,77 @@ def test_sigma_minima_sit_at_fixed_scaled_positions(params, a):
     marks = bs.sigma_landmarks(config, 1 - 3 * math.pi / a, 1 + 3 * math.pi / a)
     x = [(m - 1.0) * a / math.pi for m in marks.minima]
     assert x == pytest.approx([-0.444, 0.837], abs=1e-3)
+
+
+@pytest.mark.parametrize("a", [5000.0, 2e5])
+@pytest.mark.parametrize("x", [-2.3, -0.444, 0.5, 0.837, 2.9])
+def test_num_den_derivative_matches_central_difference(params, a, x):
+    # x = (k - q) a / pi; the values match the d, g route to rounding and
+    # the derivatives a central difference over a step of 1e-4 pi/a
+    config = bs.TruncatedConfig(params=params, a=a)
+    k = 1.0 + x * math.pi / a
+    (num, dnum), (den, dden) = scattering._num_den_dk(config, k)
+    reference = [float(v) for v in scattering._num_den(config, k)]
+    scale = math.hypot(*reference)
+    assert [num, den] == pytest.approx(reference, abs=1e-12 * scale)
+    h = 1e-4 * math.pi / a
+    hi, lo = scattering._num_den(config, k + h), scattering._num_den(config, k - h)
+    central = [(float(p) - float(m)) / (2.0 * h) for p, m in zip(hi, lo)]
+    assert [dnum, dden] == pytest.approx(central, abs=1e-6 * 2.0 * a * scale)
+
+
+def test_landmarks_refine_only_the_brackets_that_can_win(config, landmarks, monkeypatch):
+    # at the defaults the window holds 2 numerator and 3 denominator
+    # brackets; only the denominator bracket between the minima is refined
+    refined = []
+    newton = scattering._bracketed_newton
+
+    def counting(f, lo, hi, *args, **kwargs):
+        refined.append((lo, hi))
+        return newton(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_bracketed_newton", counting)
+    assert bs.sigma_landmarks(config, 0.995, 1.005) == landmarks
+    assert len(refined) == 3
+
+
+def _brentq_refinement(f, lo, hi, f_lo, f_hi):
+    return brentq(lambda kk: f(kk)[0], lo, hi, xtol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0))
+@example(alpha=2.62, q=2.94, log_a=math.log10(7.8e4))
+@example(alpha=2.403293061183309, q=1.0302044633075347, log_a=math.log10(329.77842326039297))
+def test_landmarks_agree_with_brentq_over_the_envelope(alpha, q, log_a):
+    """On the same brackets, bracketed Newton and brentq(xtol=1e-14) find
+    the same minima and peak to 1e-10 relative (the largest gaps are
+    peaks where the denominator is rounding noise over a few 1e-11)."""
+    a = 10.0**log_a
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    window = (q - 3.0 * math.pi / a, q + 3.0 * math.pi / a)
+    marks = bs.sigma_landmarks(config, *window)
+    with mock.patch.object(scattering, "_bracketed_newton", _brentq_refinement):
+        reference = bs.sigma_landmarks(config, *window)
+    assert len(marks.minima) == len(reference.minima)
+    assert marks.minima == pytest.approx(reference.minima, rel=1e-10)
+    assert (marks.peak is None) == (reference.peak is None)
+    if marks.peak is not None:
+        assert marks.peak == pytest.approx(reference.peak, rel=1e-10)
+
+
+@pytest.mark.parametrize("dk", [None, 1e-6, 1e-7])
+def test_no_minimum_in_the_noise_where_d_g_vanish_exactly_at_q(dk):
+    # the e2^0 coefficients at r = 0 come out as exact zeros here, so
+    # d(q) = g(q) = 0 exactly; the noise floor must come from the rounding
+    # beside q, or sign changes within 1e-3 pi/a of q pass as minima
+    params = bs.PotentialParams.bic(alpha=2.403293061183309, q=1.0302044633075347)
+    config = bs.TruncatedConfig(params=params, a=329.77842326039297)
+    q, a = params.q, config.a
+    assert bs.dg(config, q) == (0.0, 0.0)
+    marks = bs.sigma_landmarks(config, q - 3 * math.pi / a, q + 3 * math.pi / a, dk=dk)
+    x = [(m - q) * a / math.pi for m in marks.minima]
+    assert x == pytest.approx([-0.5529, 0.7214], abs=1e-4)
 
 
 def test_minima_not_found_in_barren_window(config):
