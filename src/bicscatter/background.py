@@ -29,9 +29,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SingularFitSystem, ValidationError
+from .numerics import _BLOCK
 from .resonances import Resonance
-from .scattering import (TruncatedConfig, _blockwise, _ka_rotation, _noise_floor,
-                         _principal_phase, _sigma, cross_section, dg, sigma_landmarks)
+from .scattering import (TruncatedConfig, _blockwise, _dg_sin_cos, _ka_rotation,
+                         _noise_floor, _principal_phase, _rotate, _sigma, _sin_cos,
+                         sigma_landmarks)
 
 __all__ = [
     "Doublet",
@@ -96,10 +98,17 @@ def yz(doublet: Doublet, k):
 
 
 def _model_num_den(doublet: Doublet, a: float, lam0: float, lam1: float, k):
+    """Numerator/denominator of tan(-delta_model), sin ka and cos ka from
+    ``scattering._sin_cos``."""
     k = np.asarray(k, dtype=float)
+    return _model_rotate(doublet, lam0, lam1, k, *_sin_cos(k * a))
+
+
+def _model_rotate(doublet: Doublet, lam0: float, lam1: float, k, s, c):
+    """``_model_num_den`` given s = sin ka and c = cos ka."""
     y, z = yz(doublet, k)
     lam = lam0 + lam1 * k
-    return _ka_rotation(y - lam * z, lam * y + z, k * a)
+    return _rotate(y - lam * z, lam * y + z, s, c)
 
 
 def model_phase_and_sigma(fit: BackgroundFit, k):
@@ -194,22 +203,61 @@ def fit_lambda(
 
 def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
                       k_grid: Optional[np.ndarray] = None) -> float:
-    """Max |sigma_model - sigma_exact| / (4 pi / k^2) over a k grid.
+    """Max |sin^2 delta_model - sin^2 delta_exact| over a k grid, which is
+    |sigma_model - sigma_exact| / (4 pi / k^2).
 
     Default grid: the inter-minima span widened by a quarter on each side
     (where the factorization is meant to hold), step pi/(640 a), without
     the points near the removable point k = q where d and g are rounding
     noise (the rule of ``scattering.sigma_landmarks``).
+
+    One pass over ``_BLOCK``-point blocks: each block's d, g, sin ka and
+    cos ka serve the exact and the model phase alike, and only the block
+    maxima are kept, so no grid-sized array is allocated.
+
+    Raises
+    ------
+    ValidationError
+        If the fit was made at another cutoff, or the grid is empty (as
+        given, or the default grid after the noise filter).
     """
+    if fit.a != config.a:
+        raise ValidationError(f"fit is for cutoff {fit.a!r}, config has {config.a!r}")
     if k_grid is None:
         m1, m2 = fit.fit_report["minima"]
-        s = m2 - m1
-        k_grid = np.arange(m1 - 0.25 * s, m2 + 0.25 * s, math.pi / (640.0 * config.a))
-        k_grid = k_grid[np.hypot(*dg(config, k_grid)) > _noise_floor(config)]
-    k_grid = np.asarray(k_grid, dtype=float)
-    exact = cross_section(config, k_grid)
-    # sigma_model only, blocked like model_phase_and_sigma: the phase is not needed
-    model = _blockwise(lambda kk: (_sigma(kk, *_model_num_den(
-        fit.doublet, fit.a, fit.lambda0, fit.lambda1, kk)),), k_grid)[0]
-    scale = 4.0 * math.pi / k_grid**2
-    return float(np.max(np.abs(model - exact) / scale))
+        span = m2 - m1
+        k_grid = np.arange(m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * config.a))
+        floor = _noise_floor(config)
+    else:
+        k_grid = np.asarray(k_grid, dtype=float).ravel()
+        floor = None
+    deviation = np.max([_block_deviation(config, fit, k_grid[start:start + _BLOCK], floor)
+                        for start in range(0, k_grid.size, _BLOCK)], initial=-math.inf)
+    if deviation == -math.inf:
+        raise ValidationError("empty k grid (none given, or none clear of the "
+                              "rounding noise at k = q)")
+    return float(deviation)
+
+
+def _block_deviation(config: TruncatedConfig, fit: BackgroundFit, k, floor):
+    """``hadamard_residual`` on one block: the maximum deviation over the
+    points whose hypot(d, g) exceeds ``floor`` (all of them for None), or
+    -inf if there are none."""
+    d, g, s, c = _dg_sin_cos(config, k)
+    if floor is not None:
+        keep = np.hypot(d, g) > floor
+        k, d, g, s, c = (x[keep] for x in (k, d, g, s, c))
+    exact = _sin2(*_rotate(d, g, s, c))
+    del d, g
+    model = _sin2(*_model_rotate(fit.doublet, fit.lambda0, fit.lambda1, k, s, c))
+    model -= exact
+    return np.max(np.abs(model, out=model), initial=-math.inf)
+
+
+def _sin2(num, den):
+    """sin^2 delta = num^2 / (num^2 + den^2), overwriting num and den."""
+    num *= num
+    den *= den
+    den += num
+    num /= den
+    return num

@@ -159,15 +159,17 @@ def _uv_coefficients(params: PotentialParams, r):
     return u, v, u_r, v_r
 
 
-def _uv_at(coefficients, k, q) -> UVBundle:
-    """u, v, u_r, v_r from ``_uv_coefficients``, at wave number k."""
-    e2 = k * k - q * q
+def _e2_poly(c, e2):
+    """c[0] + c[1] e2 + c[2] e2^2, one coefficient row of ``_uv_coefficients``."""
+    return c[0] + e2 * (c[1] + e2 * c[2])
 
-    def poly(c):
-        return c[0] + e2 * (c[1] + e2 * c[2])
 
+def _uv_at(coefficients, k, e2) -> UVBundle:
+    """u, v, u_r, v_r from ``_uv_coefficients``, at wave number k with
+    e2 = k^2 - q^2 (computed once by callers that need it again)."""
     cu, cv, cu_r, cv_r = coefficients
-    return UVBundle(u=poly(cu), v=k * poly(cv), u_r=poly(cu_r), v_r=k * poly(cv_r))
+    return UVBundle(u=_e2_poly(cu, e2), v=k * _e2_poly(cv, e2),
+                    u_r=_e2_poly(cu_r, e2), v_r=k * _e2_poly(cv_r, e2))
 
 
 def _uv_dk(coefficients, k, q) -> UVBundle:
@@ -196,7 +198,8 @@ def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
     from ``_uv_coefficients``. Broadcasting over both k and r works; complex
     k is evaluated verbatim.
     """
-    return _uv_at(_uv_coefficients(params, r), np.asarray(k), params.q)
+    k = np.asarray(k)
+    return _uv_at(_uv_coefficients(params, r), k, k * k - params.q * params.q)
 
 
 def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostValue:

@@ -35,8 +35,8 @@ from .errors import (
     UnwrapAmbiguity,
     ValidationError,
 )
-from .jost import UVBundle, _uv_at, _uv_coefficients, _uv_dk, uv_bundle
-from .numerics import _bracketed_newton, unwrap_phase
+from .jost import UVBundle, _e2_poly, _uv_at, _uv_coefficients, _uv_dk, uv_bundle
+from .numerics import _BLOCK, _bracketed_newton, unwrap_phase
 
 __all__ = [
     "TruncatedConfig",
@@ -62,11 +62,6 @@ H_DEGENERACY_RTOL = 1e-12
 # k grids for phase and cross section skip this neighborhood of k = q, where
 # d and g vanish to fourth order and the sampled phase is rounding noise
 Q_EXCLUSION = 1e-5
-
-# Real-axis arrays are evaluated this many points at a time: the float64
-# temporaries of one block (128 KB each) are reused from cache, where those of a
-# whole 10^6-point grid (8 MB each) would stream through memory on every pass
-_BLOCK = 16384
 
 # d and g are resolved where hypot(d, g) exceeds this multiple of its values at
 # k = q and q +- _NOISE_OFFSET / a, which are pure rounding (see _noise_floor)
@@ -247,13 +242,16 @@ def _boundary(config: TruncatedConfig, k):
           = [(u0 - i v0)(cv - i cu) + e^{-2ika} (u0 + i v0)(cv + i cu)] / 2;
 
     ``_g_parts`` gives G and its k-derivative in parts. Evaluated from the
-    config's boundary data. Accepts complex k and broadcasts over it.
+    config's boundary data, with e2 = k^2 - q^2 formed once; at r = 0 only
+    u and v are needed. Accepts complex k and broadcasts over it.
     """
     bd = config._boundary_data
     q = config.params.q
-    b0 = _uv_at(bd.at_0, k, q)
-    ba = _uv_at(bd.at_a, k, q)
-    return (b0.u, b0.v, ba.u, ba.v, *_uv_combinations(ba, bd.w1_a, k), -k * bd.w1_a.w1)
+    e2 = k * k - q * q
+    cu0, cv0 = bd.at_0[:2]
+    ba = _uv_at(bd.at_a, k, e2)
+    return (_e2_poly(cu0, e2), k * _e2_poly(cv0, e2), ba.u, ba.v,
+            *_uv_combinations(ba, bd.w1_a, k), -k * bd.w1_a.w1)
 
 
 def _boundary_dk(config: TruncatedConfig, k):
@@ -265,7 +263,7 @@ def _boundary_dk(config: TruncatedConfig, k):
     bd = config._boundary_data
     q = config.params.q
     d0 = _uv_dk(bd.at_0, k, q)
-    ba = _uv_at(bd.at_a, k, q)
+    ba = _uv_at(bd.at_a, k, k * k - q * q)
     da = _uv_dk(bd.at_a, k, q)
     w1 = bd.w1_a.w1
     dbu, dbv = _uv_combinations(da, bd.w1_a, k)
@@ -308,6 +306,30 @@ def _ka_rotation(x, y, ka):
 def _rotate(x, y, s, c):
     """``_ka_rotation`` given s = sin ka and c = cos ka."""
     return x * s + y * c, x * c - y * s
+
+
+def _sin_cos(x):
+    """(sin x, cos x) of a real float array from one tangent of x/2:
+
+        t = tan(x/2),   sin x = 2t / (1 + t^2),   cos x = (1 - t^2) / (1 + t^2).
+
+    x/2 is exact, so the only argument reduction is the tangent's. Each
+    result differs from np.sin's and np.cos's by at most a few eps
+    (absolute), and numpy's SIMD tangent costs a fraction of a sine plus a
+    cosine. Near x/2 = pi/2 mod pi, t is large but finite (no float lies
+    that close to an odd multiple of pi/2) and the quotients stay accurate.
+    Computed in place: the only temporary is 1/(1 + t^2).
+    """
+    t = np.multiply(x, 0.5)
+    np.tan(t, out=t)
+    c = np.multiply(t, t)
+    inv = np.add(c, 1.0)
+    np.divide(1.0, inv, out=inv)
+    t *= 2.0
+    t *= inv
+    np.subtract(1.0, c, out=c)
+    c *= inv
+    return t, c
 
 
 def _blockwise(fn, k):
@@ -377,7 +399,7 @@ def regular_solution(config: TruncatedConfig, k, r):
     if np.any(r < 0) or np.any(r > config.a):
         raise ValidationError("regular solution is defined on 0 <= r <= a")
     p = config.params
-    b0 = _uv_at(config._boundary_data.at_0, k, p.q)
+    b0 = _uv_at(config._boundary_data.at_0, k, k * k - p.q * p.q)
     h = _check_h(config, k, b0)
     b = uv_bundle(p, k, r)
     w = w1_bundle(p, r)
@@ -404,11 +426,20 @@ def dg(config: TruncatedConfig, k):
 
 
 def _dg_sin_cos(config: TruncatedConfig, k):
-    """(d, g, sin ka, cos ka) at k, unblocked."""
-    ka = k * config.a
-    s, c = np.sin(ka), np.cos(ka)
+    """(d, g, sin ka, cos ka) at k, unblocked. sin ka and cos ka come from
+    ``_sin_cos`` for a real float array k, from np.sin and np.cos for a
+    scalar or a complex k."""
+    # ka, u0 and v0 are freed as soon as they are used up, so that fewer
+    # block-sized temporaries are alive at once
     u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
-    rot_a, rot_b = _rotate(u0, -v0, s, c)
+    ka = k * config.a
+    if isinstance(ka, np.ndarray) and ka.dtype.kind == "f":
+        s, c = _sin_cos(ka)
+    else:
+        s, c = np.sin(ka), np.cos(ka)
+    del ka
+    rot_a, rot_b = u0 * s - v0 * c, u0 * c + v0 * s
+    del u0, v0
     return bu * rot_a + bv * rot_b, kw * (ua * rot_a + va * rot_b), s, c
 
 
@@ -434,7 +465,8 @@ def _jost_prefactor(config: TruncatedConfig, k):
 
 
 def _jost_from_dg(config: TruncatedConfig, k, d, g):
-    _check_h(config, k, _uv_at(config._boundary_data.at_0, k, config.params.q))
+    q = config.params.q
+    _check_h(config, k, _uv_at(config._boundary_data.at_0, k, k * k - q * q))
     pref = _jost_prefactor(config, k)
     f_minus = pref * np.exp(1j * k * config.a) * (d + 1j * g)
     f_plus = pref * np.exp(-1j * k * config.a) * (d - 1j * g)
@@ -499,18 +531,29 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
 def _unwrap_principal(raw: np.ndarray, k_grid: np.ndarray,
                       max_step_fraction: float = 0.45) -> np.ndarray:
     """``phase_shift_unwrapped`` from the principal values ``raw`` already
-    computed on ``k_grid``: grid check, unwrap mod pi, step test."""
-    if k_grid.ndim != 1 or k_grid.size < 2 or np.any(np.diff(k_grid) <= 0):
+    computed on ``k_grid``: grid check, unwrap mod pi, step test. The checks
+    run ``_BLOCK`` steps at a time; a failing step test reports the largest
+    step of the first block that has one too large."""
+    if (k_grid.ndim != 1 or k_grid.size < 2
+            or any(np.any(dk <= 0) for _, dk in _block_steps(k_grid))):
         raise ValidationError("k_grid must be strictly increasing, length >= 2")
     out = unwrap_phase(raw, period=math.pi)
-    steps = np.abs(np.diff(out))
-    if np.any(steps > max_step_fraction * math.pi):
-        i = int(np.argmax(steps))
-        raise UnwrapAmbiguity(
-            f"unwrapped phase step {steps[i]:.3f} rad between k = {k_grid[i]:.9g} "
-            f"and {k_grid[i + 1]:.9g}; refine the grid"
-        )
+    for start, steps in _block_steps(out):
+        np.abs(steps, out=steps)
+        if np.any(steps > max_step_fraction * math.pi):
+            i = int(np.argmax(steps))
+            raise UnwrapAmbiguity(
+                f"unwrapped phase step {steps[i]:.3f} rad between k = "
+                f"{k_grid[start + i]:.9g} and {k_grid[start + i + 1]:.9g}; refine the grid"
+            )
     return out
+
+
+def _block_steps(x: np.ndarray):
+    """(start, np.diff(x[start:start + _BLOCK + 1])): the steps of a 1-d
+    array, ``_BLOCK`` at a time."""
+    for start in range(0, x.size - 1, _BLOCK):
+        yield start, np.diff(x[start:start + _BLOCK + 1])
 
 
 def cross_section(config: TruncatedConfig, k):

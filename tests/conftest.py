@@ -110,6 +110,30 @@ def _uv_oracle(params, k, r):
             mpmath.diff(lambda rr: uv(rr, 0), r), mpmath.diff(lambda rr: uv(rr, 1), r))
 
 
+def _dg_oracle(config, k):
+    """(d, g) at k in mpmath at the working precision: u, v at r = 0 and
+    u, v, u_r, v_r at r = a from the display form (``_uv_oracle``); W1(a)
+    and W1'(a) are the library's floats."""
+    p, a = config.params, mpmath.mpf(config.a)
+    wb = bs.w1_bundle(p, config.a)
+    wa, wa_r = float(wb.w1), float(wb.w1_r)
+    k = mpmath.mpc(k)
+    u0, v0 = _uv_reference(k, mpmath.mpf(0), mpmath.mpf(p.q), _phase_data_mp(p),
+                           mpmath.sin, mpmath.cos)
+    ua, va, ua_r, va_r = _uv_oracle(p, k, a)
+    s, c = mpmath.sin(k * a), mpmath.cos(k * a)
+    rot_a, rot_b = u0 * s - v0 * c, u0 * c + v0 * s
+    d = (ua_r * wa - ua * wa_r - k * va * wa) * rot_a + (
+        va_r * wa - va * wa_r + k * ua * wa) * rot_b
+    g = -k * wa * (ua * rot_a + va * rot_b)
+    return d, g
+
+
+@pytest.fixture(scope="session")
+def dg_oracle():
+    return _dg_oracle
+
+
 @pytest.fixture(scope="session")
 def uv_reference():
     return _uv_reference

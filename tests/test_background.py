@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,3 +176,30 @@ def test_shape_deviation_far_field_reported(config, fit):
     # deviation there is just recorded as finite
     dev = bs.hadamard_residual(config, fit, np.array([1.5, 1.50001]))
     assert np.isfinite(dev) and dev >= 0
+
+
+def test_shape_deviation_refuses_an_empty_grid(config, fit):
+    with pytest.raises(bs.ValidationError):
+        bs.hadamard_residual(config, fit, np.array([]))
+    # the default grid, emptied by the noise filter around k = q
+    with mock.patch("bicscatter.background._noise_floor", return_value=math.inf):
+        with pytest.raises(bs.ValidationError):
+            bs.hadamard_residual(config, fit)
+
+
+def test_shape_deviation_refuses_a_fit_at_another_cutoff(params, fit):
+    with pytest.raises(bs.ValidationError):
+        bs.hadamard_residual(bs.TruncatedConfig(params=params, a=4000.0), fit)
+
+
+def test_shape_deviation_peak_memory_is_bounded(config, fit):
+    # one pass over blocks keeps only block maxima: the peak is a few
+    # blocks' temporaries, a fraction of the grid
+    k = np.linspace(0.995, 1.005, 10**6)
+    tracemalloc.start()
+    try:
+        bs.hadamard_residual(config, fit, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * k.nbytes

@@ -264,6 +264,40 @@ def test_unwrap_steep_ramp():
     assert slope == pytest.approx(-5000.0, abs=1e-3)
 
 
+def _random_walk_with_jumps(seed, n):
+    """Principal values (mod pi) of a random walk with steps below 0.45 pi,
+    shifted by jumps of -3 to 3 whole periods at 5% of the samples."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.uniform(-0.45, 0.45, n) * math.pi)
+    folded = walk - math.pi * np.round(walk / math.pi)
+    jumps = np.where(rng.random(n) < 0.05, rng.integers(-3, 4, n), 0)
+    return walk, folded + math.pi * np.cumsum(jumps)
+
+
+@pytest.mark.parametrize("seed,n", [(0, 2000), (1, 2 * numerics._BLOCK + 1000),
+                                    (2, 5000), (3, numerics._BLOCK + 1)])
+def test_unwrap_matches_numpy_unwrap(seed, n):
+    # np.unwrap adds up float corrections, which carry a rounding per
+    # corrected step; the integer counts carry none. So the two agree to
+    # (1 + m) ulp of the largest magnitude involved, m the number of
+    # periods removed so far; no step here is a tie
+    walk, values = _random_walk_with_jumps(seed, n)
+    got = bs.unwrap_phase(values)
+    want = np.unwrap(values, period=math.pi)
+    m = np.concatenate([[0.0], np.cumsum(np.abs(np.rint(np.diff(values) / math.pi)))])
+    ulp = np.spacing(np.maximum(np.maximum(np.abs(values), np.abs(want)), math.pi))
+    assert np.all(np.abs(got - want) <= (1.0 + m) * ulp)
+    assert np.allclose(got - got[0], walk - walk[0], rtol=0.0, atol=1e-11)
+
+
+def test_unwrap_is_the_whole_array_count():
+    # blocks carry the count exactly, so the result equals the count taken
+    # over the whole array at once
+    _, values = _random_walk_with_jumps(4, 3 * numerics._BLOCK + 7)
+    count = np.concatenate([[0.0], np.cumsum(np.rint(np.diff(values) / math.pi))])
+    assert np.array_equal(bs.unwrap_phase(values), values - math.pi * count)
+
+
 def test_unwrap_validation():
     with pytest.raises(bs.ValidationError):
         bs.unwrap_phase(np.array([1.0]))

@@ -115,33 +115,25 @@ def test_gamow_norm_matches_cauchy_derivative(alpha, q, a):
         assert abs(got - want) <= 1e-5 * abs(want)
 
 
-def _gamow_norm_oracle(config, kn, uv_oracle):
-    """N^2 = F(k_n) dF(-k)/dk / (4 i k_n^2) at 50 digits: d, g, h and G
-    from the display-form u, v (``uv_oracle``), dG/dk by mpmath
-    differentiation; W1(0), W1(a) and W1'(a) are the library's floats."""
+def _gamow_norm_oracle(config, kn, uv_oracle, dg_oracle):
+    """N^2 = F(k_n) dF(-k)/dk / (4 i k_n^2) at 50 digits: d, g
+    (``dg_oracle``) and h from the display-form u, v (``uv_oracle``),
+    dG/dk by mpmath differentiation; W1(0), W1(a) and W1'(a) are the
+    library's floats."""
     p, a = config.params, config.a
     w0 = float(bs.w1_bundle(p, 0.0).w1)
-    wb = bs.w1_bundle(p, a)
-    wa, wa_r = float(wb.w1), float(wb.w1_r)
+    wa = float(bs.w1_bundle(p, a).w1)
     with mpmath.workdps(50):
         a = mpmath.mpf(a)
 
-        def parts(k):
-            u0, v0, u0_r, v0_r = uv_oracle(p, k, 0.0)
-            ua, va, ua_r, va_r = uv_oracle(p, k, a)
-            s, c = mpmath.sin(k * a), mpmath.cos(k * a)
-            rot_a, rot_b = u0 * s - v0 * c, u0 * c + v0 * s
-            d = (ua_r * wa - ua * wa_r - k * va * wa) * rot_a + (
-                va_r * wa - va * wa_r + k * ua * wa) * rot_b
-            g = -k * wa * (ua * rot_a + va * rot_b)
-            return d, g, u0 * v0_r - v0 * u0_r + k * (u0**2 + v0**2)
-
         def big_g(k):
-            d, g, _ = parts(k)
+            d, g = dg_oracle(config, k)
             return mpmath.exp(-1j * k * a) * (d + 1j * g)
 
         k = mpmath.mpc(kn)
-        d, g, h = parts(k)
+        d, g = dg_oracle(config, k)
+        u0, v0, u0_r, v0_r = uv_oracle(p, k, 0.0)
+        h = u0 * v0_r - v0 * u0_r + k * (u0**2 + v0**2)
         pref = w0 / (h * wa**2)
         f_plus = pref * mpmath.exp(-1j * k * a) * (d - 1j * g)
         d_f_minus = pref * mpmath.exp(2j * k * a) * mpmath.diff(big_g, k)
@@ -149,13 +141,13 @@ def _gamow_norm_oracle(config, kn, uv_oracle):
 
 
 @pytest.mark.parametrize("alpha,q,a", [(1.0, 1.0, 5000.0), (0.5, 2.0, 3000.0)])
-def test_gamow_norm_against_mpmath_oracle(alpha, q, a, uv_oracle):
+def test_gamow_norm_against_mpmath_oracle(alpha, q, a, uv_oracle, dg_oracle):
     """The whole N^2, G' and h included, against 50-digit arithmetic
     (measured <= 5e-13; the difference quotient and the cancelling h were
     off by 1e-4 to 7e-4 here)."""
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
     for res in bs.doublet_of(bs.find_resonances(config), q):
-        want = _gamow_norm_oracle(config, res.k_complex, uv_oracle)
+        want = _gamow_norm_oracle(config, res.k_complex, uv_oracle, dg_oracle)
         assert abs(bs.gamow_state(config, res).N_squared - want) <= 1e-9 * abs(want)
 
 
@@ -163,7 +155,7 @@ def test_gamow_norm_against_mpmath_oracle(alpha, q, a, uv_oracle):
                                             (1.5627, 2.861, 73949.5881, 1e-9),
                                             (0.7904, 2.279, 202505.0041, 1e-9),
                                             (3.0, 3.0, 1e6, 1e-8)])
-def test_gamow_norm_at_large_cutoffs(alpha, q, a, rtol, uv_oracle):
+def test_gamow_norm_at_large_cutoffs(alpha, q, a, rtol, uv_oracle, dg_oracle):
     """h(k_n) is tiny here (below 1e-12 of |u|^2 + |v|^2 at r = 0 at the
     last three points), yet N^2 is computed and right: measured <= 8e-11
     at the first three points and 2.6e-9 at the corner of the envelope,
@@ -172,7 +164,7 @@ def test_gamow_norm_at_large_cutoffs(alpha, q, a, rtol, uv_oracle):
     last three."""
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
     for res in bs.doublet_of(bs.find_resonances(config), q):
-        want = _gamow_norm_oracle(config, res.k_complex, uv_oracle)
+        want = _gamow_norm_oracle(config, res.k_complex, uv_oracle, dg_oracle)
         assert abs(bs.gamow_state(config, res).N_squared - want) <= rtol * abs(want)
 
 

@@ -173,27 +173,122 @@ def test_dg_scalar_skips_numpy_arrays(config, k):
 
 
 @pytest.mark.parametrize("name", ["dg", "phase_shift", "cross_section",
-                                  "model_phase_and_sigma"])
+                                  "model_phase_and_sigma", "hadamard_residual"])
 def test_blocked_grid_matches_sub_block_slices(config, fit, name):
-    fn = {"model_phase_and_sigma": lambda k: bs.model_phase_and_sigma(fit, k)}.get(
+    fn = {"model_phase_and_sigma": lambda k: bs.model_phase_and_sigma(fit, k),
+          "hadamard_residual": lambda k: bs.hadamard_residual(config, fit, k)}.get(
         name, lambda k: getattr(bs, name)(config, k))
     k = np.linspace(0.995, 1.005, 5 * scattering._BLOCK // 2)
     whole = np.array(fn(k))
-    sliced = np.concatenate([np.array(fn(k[i:i + 1000])) for i in range(0, k.size, 1000)],
-                            axis=-1)
+    parts = [np.array(fn(k[i:i + 1000])) for i in range(0, k.size, 1000)]
+    sliced = np.max(parts) if name == "hadamard_residual" else np.concatenate(parts, axis=-1)
     assert whole.shape == sliced.shape
     assert np.array_equal(whole, sliced)
 
 
-def test_cross_section_peak_memory_is_bounded(config):
-    k = np.linspace(0.995, 1.005, 10**6)
+def test_blocked_unwrap_matches_sub_block_slices(config):
+    # the grid is shifted so that the principal phase jumps by about pi
+    # between samples _BLOCK - 1 and _BLOCK, where the count's carry passes
+    # from one block to the next; the blocked unwrap equals the whole-array
+    # count applied to principal values computed on sub-block slices
+    block = scattering._BLOCK
+    k = np.linspace(0.995, 1.005, 5 * block // 2)
+    k = k[np.abs(k - 1.0) > scattering.Q_EXCLUSION]
+    jumps = np.nonzero(np.abs(np.diff(bs.phase_shift(config, k))) > math.pi / 2)[0]
+    k = k[jumps[jumps >= block][0] + 1 - block:]
+    raw = np.concatenate([bs.phase_shift(config, k[i:i + 1000])
+                          for i in range(0, k.size, 1000)])
+    assert abs(raw[block] - raw[block - 1]) > math.pi / 2
+    count = np.concatenate([[0.0], np.cumsum(np.rint(np.diff(raw) / math.pi))])
+    whole = bs.phase_shift_unwrapped(config, k)
+    assert np.array_equal(whole, raw - math.pi * count)
+    assert abs(whole[block] - whole[block - 1]) < 0.01
+
+
+def _peak_bytes(fn):
     tracemalloc.start()
     try:
-        sigma = bs.cross_section(config, k)
-        _, peak = tracemalloc.get_traced_memory()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_cross_section_peak_memory_is_bounded(config):
+    k = np.linspace(0.995, 1.005, 10**6)
+    sigma, peak = _peak_bytes(lambda: bs.cross_section(config, k))
     assert peak < 3 * sigma.nbytes
+
+
+def test_unwrapped_phase_peak_memory_is_bounded(config):
+    # the principal values and the output, plus one block's temporaries
+    k = np.linspace(0.995, 1.005, 10**6)
+    k = k[np.abs(k - 1.0) > scattering.Q_EXCLUSION]
+    delta, peak = _peak_bytes(lambda: bs.phase_shift_unwrapped(config, k))
+    assert peak < 3 * delta.nbytes
+
+
+def test_sin_cos_matches_numpy():
+    # one tangent of x/2 against np.sin and np.cos, absolute error within
+    # 4 eps, over |x| <= 3e6 and within 1e-12 of multiples of pi/2 (where
+    # t = tan(x/2) is 0, +-1 or huge)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    n = rng.integers(-1_900_000, 1_900_000, 20_000)
+    x = np.concatenate([rng.uniform(-3e6, 3e6, 100_000), rng.uniform(-10.0, 10.0, 20_000),
+                        n * (math.pi / 2) + rng.uniform(-1e-12, 1e-12, n.size),
+                        n * (math.pi / 2), [0.0, -0.0, math.pi, -math.pi, 3e6, -3e6]])
+    s, c = scattering._sin_cos(x)
+    assert np.max(np.abs(s - np.sin(x))) <= 4 * eps
+    assert np.max(np.abs(c - np.cos(x))) <= 4 * eps
+    assert np.max(np.abs(s * s + c * c - 1.0)) <= 4 * eps
+
+
+def test_sin2_delta_against_oracle(config, dg_oracle):
+    # sin^2 delta through the tangent kernel (``_num_den`` on an array)
+    # against 40 digits, on points from 1e-7 to 1e-2 off q, binned by
+    # decades of hypot(d, g) over the noise floor; in every bin the worst
+    # error is at most twice that of the same pipeline on np.sin and np.cos
+    # (the reference kernel, written out here). Both share the rounding of
+    # d, g and k a, which sets the error in every bin.
+    q, a = config.params.q, config.a
+    rng = np.random.default_rng(5)
+    k = np.sort(q + np.geomspace(1e-7, 1e-2, 120) * rng.choice([-1.0, 1.0], 120))
+    num, den = scattering._num_den(config, k)
+    got = num**2 / (num**2 + den**2)
+    u0, v0, ua, va, bu, bv, kw = scattering._boundary(config, k)
+    s, c = np.sin(k * a), np.cos(k * a)
+    rot_a, rot_b = u0 * s - v0 * c, u0 * c + v0 * s
+    d, g = bu * rot_a + bv * rot_b, kw * (ua * rot_a + va * rot_b)
+    num, den = d * s + g * c, d * c - g * s
+    reference = num**2 / (num**2 + den**2)
+    want = []
+    with mpmath.workdps(40):
+        for kk in k:
+            dd, gg = (z.real for z in dg_oracle(config, float(kk)))
+            ka = mpmath.mpf(float(kk)) * mpmath.mpf(a)
+            nn = dd * mpmath.sin(ka) + gg * mpmath.cos(ka)
+            mm = dd * mpmath.cos(ka) - gg * mpmath.sin(ka)
+            want.append(float(nn**2 / (nn**2 + mm**2)))
+    err_tan, err_ref = np.abs(got - want), np.abs(reference - want)
+    decade = np.floor(np.log10(np.hypot(d, g) / scattering._noise_floor(config)))
+    assert decade.min() < 0 and decade.max() > 12
+    for b in np.unique(decade):
+        in_bin = decade == b
+        assert err_tan[in_bin].max() <= 2.0 * err_ref[in_bin].max(), b
+
+
+def test_boundary_evaluates_u_v_at_zero_only(config):
+    # u and v at r = 0 from the e2-coefficients, with one e2 for both radii,
+    # equal bit for bit to the full bundle's
+    q = config.params.q
+    for k in (1.0004, 1.003 - 1e-4j, np.linspace(0.99, 1.01, 7)):
+        e2 = k * k - q * q
+        b0 = scattering._uv_at(config._boundary_data.at_0, k, e2)
+        ba = scattering._uv_at(config._boundary_data.at_a, k, e2)
+        u0, v0, ua, va = scattering._boundary(config, k)[:4]
+        assert np.array_equal(u0, b0.u) and np.array_equal(v0, b0.v)
+        assert np.array_equal(ua, ba.u) and np.array_equal(va, ba.v)
 
 
 def test_jost_function_conjugation(config):
