@@ -32,8 +32,8 @@ from .errors import SingularFitSystem, ValidationError
 from .numerics import _BLOCK
 from .resonances import Resonance
 from .scattering import (TruncatedConfig, _blockwise, _dg_sin_cos, _ka_rotation,
-                         _noise_floor, _principal_phase, _rotate, _sigma, _sin_cos,
-                         sigma_landmarks)
+                         _ka_sin_cos, _noise_floor, _principal_phase, _rotate, _sigma,
+                         _sin2, sigma_landmarks)
 
 __all__ = [
     "Doublet",
@@ -99,9 +99,9 @@ def yz(doublet: Doublet, k):
 
 def _model_num_den(doublet: Doublet, a: float, lam0: float, lam1: float, k):
     """Numerator/denominator of tan(-delta_model), sin ka and cos ka from
-    ``scattering._sin_cos``."""
+    ``scattering._ka_sin_cos``."""
     k = np.asarray(k, dtype=float)
-    return _model_rotate(doublet, lam0, lam1, k, *_sin_cos(k * a))
+    return _model_rotate(doublet, lam0, lam1, k, *_ka_sin_cos(k * a))
 
 
 def _model_rotate(doublet: Doublet, lam0: float, lam1: float, k, s, c):
@@ -117,7 +117,8 @@ def model_phase_and_sigma(fit: BackgroundFit, k):
     Evaluated in blocks, like ``scattering.cross_section``."""
     def block(kk):
         num, den = _model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, kk)
-        return _principal_phase(num, den), _sigma(kk, num, den)
+        phase = _principal_phase(num, den)  # before _sigma overwrites num, den
+        return phase, _sigma(kk, num, den)
 
     return _blockwise(block, k)
 
@@ -252,12 +253,3 @@ def _block_deviation(config: TruncatedConfig, fit: BackgroundFit, k, floor):
     model = _sin2(*_model_rotate(fit.doublet, fit.lambda0, fit.lambda1, k, s, c))
     model -= exact
     return np.max(np.abs(model, out=model), initial=-math.inf)
-
-
-def _sin2(num, den):
-    """sin^2 delta = num^2 / (num^2 + den^2), overwriting num and den."""
-    num *= num
-    den *= den
-    den += num
-    num /= den
-    return num

@@ -332,6 +332,15 @@ def _sin_cos(x):
     return t, c
 
 
+def _ka_sin_cos(ka):
+    """(sin ka, cos ka): from ``_sin_cos`` for a real float array, from
+    np.sin and np.cos for a scalar (``_sin_cos`` works in place) or a
+    complex ka."""
+    if isinstance(ka, np.ndarray) and ka.dtype.kind == "f":
+        return _sin_cos(ka)
+    return np.sin(ka), np.cos(ka)
+
+
 def _blockwise(fn, k):
     """fn(k) for an elementwise fn returning a tuple of arrays shaped like k,
     evaluated ``_BLOCK`` points at a time into preallocated outputs.
@@ -377,9 +386,19 @@ def _principal_phase(num, den):
     return -(raw - math.pi * np.round(raw / math.pi))
 
 
+def _sin2(num, den):
+    """sin^2 delta = num^2 / (num^2 + den^2) with no arctan, overwriting
+    num and den when they are arrays."""
+    num *= num
+    den *= den
+    den += num
+    num /= den
+    return num
+
+
 def _sigma(k, num, den):
-    """(4 pi / k^2) num^2 / (num^2 + den^2): sin^2 delta with no arctan."""
-    return (4.0 * math.pi / np.asarray(k) ** 2) * num**2 / (num**2 + den**2)
+    """(4 pi / k^2) sin^2 delta; overwrites num and den (see ``_sin2``)."""
+    return (4.0 * math.pi / np.asarray(k) ** 2) * _sin2(num, den)
 
 
 def regular_solution(config: TruncatedConfig, k, r):
@@ -426,18 +445,12 @@ def dg(config: TruncatedConfig, k):
 
 
 def _dg_sin_cos(config: TruncatedConfig, k):
-    """(d, g, sin ka, cos ka) at k, unblocked. sin ka and cos ka come from
-    ``_sin_cos`` for a real float array k, from np.sin and np.cos for a
-    scalar or a complex k."""
-    # ka, u0 and v0 are freed as soon as they are used up, so that fewer
+    """(d, g, sin ka, cos ka) at k, unblocked; sin ka and cos ka from
+    ``_ka_sin_cos``."""
+    # u0 and v0 are freed as soon as they are used up, so that fewer
     # block-sized temporaries are alive at once
     u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
-    ka = k * config.a
-    if isinstance(ka, np.ndarray) and ka.dtype.kind == "f":
-        s, c = _sin_cos(ka)
-    else:
-        s, c = np.sin(ka), np.cos(ka)
-    del ka
+    s, c = _ka_sin_cos(k * config.a)
     rot_a, rot_b = u0 * s - v0 * c, u0 * c + v0 * s
     del u0, v0
     return bu * rot_a + bv * rot_b, kw * (ua * rot_a + va * rot_b), s, c

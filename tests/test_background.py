@@ -140,6 +140,18 @@ def test_model_phase_sigma_identity(fit):
     assert np.all(sm <= bound * (1 + 1e-12))
 
 
+@pytest.mark.parametrize("k", [1.0004, np.float64(0.9993), np.array(1.0021)])
+def test_model_phase_and_sigma_scalar(fit, k):
+    # a scalar or 0-d k gives scalars on np.sin and np.cos; the one-element
+    # array takes the tangent kernel, a few eps away
+    dm, sm = bs.model_phase_and_sigma(fit, k)
+    assert np.ndim(dm) == 0 and np.ndim(sm) == 0
+    dm1, sm1 = bs.model_phase_and_sigma(fit, np.array([k], dtype=float))
+    assert dm1.shape == sm1.shape == (1,)
+    assert dm == pytest.approx(dm1[0], rel=1e-12, abs=1e-15)
+    assert sm == pytest.approx(sm1[0], rel=1e-12, abs=1e-15)
+
+
 def test_model_phase_value_before_first_minimum(fit):
     # the model phase passes near -pi/2 just below the first transmission
     # zero (branch fixed by the atan2 of the model numerator/denominator)
