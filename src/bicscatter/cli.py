@@ -111,16 +111,21 @@ def _build_params(s: _Settings) -> PotentialParams:
     alpha = s.get("alpha", 1.0)
     q = s.get("q", 1.0)
     beta = s.get("beta", None)
-    bic = s.get("bic", False, conv=bool)
     if beta is None:
         return PotentialParams.bic(alpha=alpha, q=q)
-    if bic and beta != 3.0 * alpha * q:
+    return _params_at_beta(s, alpha, q, beta)
+
+
+def _params_at_beta(s: _Settings, alpha: float, q: float, beta: float,
+                    diagnostic: bool = False) -> PotentialParams:
+    """PotentialParams at an explicit beta, in bic mode where
+    beta = 3*alpha*q; --bic with any other beta is refused."""
+    if s.get("bic", False, conv=bool) and beta != 3.0 * alpha * q:
         raise ValidationError(
             f"--bic contradicts --beta {beta} (3*alpha*q = {3.0 * alpha * q})"
         )
-    return PotentialParams(
-        alpha=alpha, beta=beta, q=q, bic_mode=(beta == 3.0 * alpha * q)
-    )
+    return PotentialParams(alpha=alpha, beta=beta, q=q,
+                           bic_mode=(beta == 3.0 * alpha * q), diagnostic=diagnostic)
 
 
 def _metadata(s: _Settings, command: str, params: PotentialParams,
@@ -210,20 +215,10 @@ def cmd_w1(s: _Settings) -> None:
         if beta_list
         else [s.get("beta", 3.0 * alpha * q)]
     )
-    if s.get("bic", False, conv=bool):
-        for beta in betas:
-            if beta != 3.0 * alpha * q:
-                raise ValidationError(
-                    f"--bic contradicts beta {beta} (3*alpha*q = {3.0 * alpha * q})"
-                )
+    all_params = [_params_at_beta(s, alpha, q, beta, diagnostic=beta < 0) for beta in betas]
     out = s.get("out", "w1.csv", conv=str)
     r = _r_grid(s)
-    for beta in betas:
-        params = PotentialParams(
-            alpha=alpha, beta=beta, q=q,
-            bic_mode=(beta == 3.0 * alpha * q),
-            diagnostic=beta < 0,
-        )
+    for params in all_params:
         w1 = w1_bundle(params, r).w1
         crossings = scan_w1_sign(params, float(r[-1]))
         meta = _metadata(
@@ -234,7 +229,7 @@ def cmd_w1(s: _Settings) -> None:
         if len(betas) > 1:
             stem, dot, ext = out.rpartition(".")
             base = stem if dot else out
-            path = f"{base}_beta{_fmt(beta)}.{ext if dot else 'csv'}"
+            path = f"{base}_beta{_fmt(params.beta)}.{ext if dot else 'csv'}"
         _write_csv(path, meta, ["r", "w1"], [r, w1])
 
 

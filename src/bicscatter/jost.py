@@ -159,35 +159,23 @@ def _uv_coefficients(params: PotentialParams, r):
     return u, v, u_r, v_r
 
 
-def _e2_poly(c, e2):
-    """c[0] + c[1] e2 + c[2] e2^2, one coefficient row of ``_uv_coefficients``."""
-    return c[0] + e2 * (c[1] + e2 * c[2])
+def _horner(c, x):
+    """c[0] + c[1] x + ... + c[-1] x^n by Horner's rule, in place on the
+    one temporary c[-1] x when that is an array."""
+    acc = c[-1] * x
+    for ci in c[-2:0:-1]:
+        acc += ci
+        acc *= x
+    acc += c[0]
+    return acc
 
 
 def _uv_at(coefficients, k, e2) -> UVBundle:
     """u, v, u_r, v_r from ``_uv_coefficients``, at wave number k with
     e2 = k^2 - q^2 (computed once by callers that need it again)."""
     cu, cv, cu_r, cv_r = coefficients
-    return UVBundle(u=_e2_poly(cu, e2), v=k * _e2_poly(cv, e2),
-                    u_r=_e2_poly(cu_r, e2), v_r=k * _e2_poly(cv_r, e2))
-
-
-def _uv_dk(coefficients, k, q) -> UVBundle:
-    """Exact k-derivatives of u, v, u_r, v_r from ``_uv_coefficients``.
-
-    With e2 = k^2 - q^2: d(U0 + U1 e2 + U2 e2^2)/dk = 2k (U1 + 2 U2 e2) and
-    d(k (V0 + V1 e2))/dk = V0 + V1 e2 + 2k^2 V1.
-    """
-    e2 = k * k - q * q
-
-    def du(c):
-        return 2.0 * k * (c[1] + 2.0 * e2 * c[2])
-
-    def dv(c):
-        return c[0] + e2 * c[1] + 2.0 * k * k * c[1]
-
-    cu, cv, cu_r, cv_r = coefficients
-    return UVBundle(u=du(cu), v=dv(cv), u_r=du(cu_r), v_r=dv(cv_r))
+    return UVBundle(u=_horner(cu, e2), v=k * _horner(cv, e2),
+                    u_r=_horner(cu_r, e2), v_r=k * _horner(cv_r, e2))
 
 
 def uv_bundle(params: PotentialParams, k, r) -> UVBundle:

@@ -37,9 +37,10 @@ from .darboux import PotentialParams
 from .numerics import ComplexRectangle, newton_complex, winding_count
 from .scattering import (
     TruncatedConfig,
-    _boundary,
-    _g_parts,
+    _g,
+    _g_prime,
     _jost_prefactor,
+    _rounding_near_q,
     dg,
     regular_solution,
 )
@@ -96,35 +97,20 @@ class Resonance:
 def root_function(config: TruncatedConfig) -> Callable:
     """G(k) = e^{-ika} (d + ig) in the overflow-safe grouping above.
 
+    G = P + e^{-2ika} Q with P and Q from four real polynomials in
+    e2 = k^2 - q^2 built with the config (``scattering._g_polynomials``).
     Agrees with e^{-ika} (d + ig) computed naively wherever the latter is
     finite. Broadcasts over k.
     """
-    a = config.a
-
-    def g_of(k):
-        u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
-        cu = bu + 1j * kw * ua
-        cv = bv + 1j * kw * va
-        return 0.5 * (
-            (u0 - 1j * v0) * (cv - 1j * cu)
-            + np.exp(-2j * k * a) * (u0 + 1j * v0) * (cv + 1j * cu)
-        )
-
-    return g_of
+    return lambda k: _g(config, k)
 
 
 def root_derivative(config: TruncatedConfig) -> Callable:
-    """G'(k), the exact k-derivative of ``root_function(config)``, assembled
-    from the product-rule parts of ``scattering._g_parts``. Broadcasts over
-    k.
+    """G'(k) = P' + e^{-2ika} (Q' - 2ia Q), the exact k-derivative of
+    ``root_function(config)``, from polynomials derived once from those of
+    G (``scattering._g_polynomials``). Broadcasts over k.
     """
-    a = config.a
-
-    def dg_of(k):
-        _, _, front, back = _g_parts(config, k)
-        return 0.5 * (front + np.exp(-2j * k * a) * back)
-
-    return dg_of
+    return lambda k: _g_prime(config, k)
 
 
 def _limit_root(n: int) -> complex:
@@ -144,13 +130,14 @@ def _limit_root(n: int) -> complex:
         u +- iv = 32 q^6 a^2 [2x^2 +- 4ix - 3 +- i (2x +- 3i) e^{-+2i theta}],
 
     and d/dr falls on theta alone at this order:
-    (u +- iv)_r = 64 q^7 a^2 (2x +- 3i) e^{-+2i theta}. In G (see
-    ``scattering._boundary``), cv - i cu = -i (W1 (u + iv)_r - W1' (u + iv))
-    and cv + i cu = i (W1 (u - iv)_r - W1' (u - iv)) + 2k W1 (u - iv). As
+    (u +- iv)_r = 64 q^7 a^2 (2x +- 3i) e^{-+2i theta}. In
+    G = [(u0 - i v0)(kX - iY) + e^{-2ika} (u0 + i v0)(kX+ + iY+)] / 2 (see
+    ``scattering._g_polynomials``), kX - iY = -i (W1 (u + iv)_r - W1' (u + iv))
+    and kX+ + iY+ = i (W1 (u - iv)_r - W1' (u - iv)) + 2k W1 (u - iv). As
     W1'/W1 = O(1/a), to leading order
 
-        cv - i cu = -64i q^7 a^2 W1 (2x + 3i) e^{-2i theta},
-        cv + i cu = 64 q^7 a^2 W1 (2x^2 - 4ix - 3),
+        kX - iY   = -64i q^7 a^2 W1 (2x + 3i) e^{-2i theta},
+        kX+ + iY+ = 64 q^7 a^2 W1 (2x^2 - 4ix - 3),
 
     the e^{2i theta} of i (u - iv)_r cancelling that of 2k (u - iv). At r = 0
     the e2^0 coefficients of u and v vanish on beta = 3 alpha q, and the
@@ -310,21 +297,20 @@ def _n_squared_rounding(config: TruncatedConfig, k, d_minus_ig, g_prime) -> floa
     """Estimated relative rounding error of N^2 built from d - ig and G' at k.
 
     d + ig and d - ig vanish at k = q to fourth order and G' to third, so
-    their values computed at q are pure rounding: the noise floor of this
-    config's d, g and G', which stays at that level near q. Divided by
-    |d - ig| and |G'| at k they give the share lost to cancellation. The
-    rounding of the phases k a and theta(a) = q a + delta adds about
-    2 eps (|k| + 2q) a. Against N^2 in 50-digit arithmetic the estimate
+    their values computed at and beside q are pure rounding: the noise
+    floor of this config's d, g and G' (``scattering._rounding_near_q``,
+    which the sigma landmarks read too), which stays at that level near q.
+    Divided by |d - ig| and |G'| at k they give the share lost to
+    cancellation. The rounding of the phases k a and theta(a) = q a + delta
+    adds about 2 eps (|k| + 2q) a. Against N^2 in 50-digit arithmetic the estimate
     was 0.7 to 2 times the error where cancellation dominates (k within
     1e-3 of q at a = 300 and 5000, error up to 0.3), above 1 wherever N^2
     was pure noise, and 1.5 to 400 times the error at doublets with a up
     to 1e8, where the phases dominate.
     """
-    q = config.params.q
-    d_q, g_q = dg(config, q)
-    phases = 2.0 * np.finfo(float).eps * (abs(k) + 2.0 * q) * config.a
-    return float(math.hypot(d_q, g_q) / abs(d_minus_ig)
-                 + abs(root_derivative(config)(q)) / abs(g_prime) + phases)
+    dg_noise, g_prime_noise = _rounding_near_q(config)
+    phases = 2.0 * np.finfo(float).eps * (abs(k) + 2.0 * config.params.q) * config.a
+    return float(dg_noise / abs(d_minus_ig) + g_prime_noise / abs(g_prime) + phases)
 
 
 def gamow_state(config: TruncatedConfig, resonance: Resonance,

@@ -35,7 +35,7 @@ from .errors import (
     UnwrapAmbiguity,
     ValidationError,
 )
-from .jost import UVBundle, _e2_poly, _uv_at, _uv_coefficients, _uv_dk, uv_bundle
+from .jost import UVBundle, _horner, _uv_at, _uv_coefficients, uv_bundle
 from .numerics import _BLOCK, _bracketed_newton, unwrap_phase
 
 __all__ = [
@@ -111,9 +111,9 @@ def _w1_violation(params: PotentialParams, a: float) -> Optional[float]:
 
 @dataclass(frozen=True)
 class _BoundaryData:
-    """What d, g, G and their k-derivatives need of the closed forms: the
-    e2-coefficients of u, v, u_r, v_r at r = 0 and r = a (see
-    ``jost._uv_coefficients``), W1(0), and W1, W1' at r = a.
+    """What d, g, G and G' need of the closed forms: the e2-coefficients of
+    u, v, u_r and v_r at r = 0 (see ``jost._uv_coefficients``), W1(0),
+    W1(a), and the polynomials of ``_g_polynomials``.
 
     Every number is a builtin float, so a scalar k runs on Python float and
     complex arithmetic, at a fraction of numpy's per-scalar cost, while an
@@ -121,9 +121,73 @@ class _BoundaryData:
     complex quotient may differ from numpy's in the last bits."""
 
     at_0: list
-    at_a: list
     w1_0: float
-    w1_a: W1Bundle
+    w1_a: float
+    g: tuple
+    g_prime: tuple
+    dg: tuple
+
+
+def _g_polynomials(at_0, at_a, w1_a: W1Bundle, q: float, a: float):
+    """(g, g_prime, dg): three groups of four real polynomials in
+    e2 = k^2 - q^2 of degree at most 4, as lists of builtin floats.
+
+    Write u = U, v = kV at r = 0 and v = k V_a at r = a, all polynomials in
+    e2 (``jost._uv_coefficients``), and with W = W1(a) and W' = W1'(a) let
+
+        X = (v_r W - v W') / k,   Y = u_r W - u W'     at r = a,
+        X+ = X + 2Wu,             Y+ = Y - 2k^2 W V_a.
+
+    Then d = (Y - kWv) A + k (X + Wu) B and g = -kW (u A + v B), with
+    (A, B) = (U sin ka - kV cos ka, U cos ka + kV sin ka). Writing sin ka
+    and cos ka as exponentials, G = e^{-ika} (d + ig) = P + e^{-2ika} Q,
+
+        P = (U - ikV)(kX - iY) / 2 = i aP + k bP,
+        Q = (U + ikV)(kX+ + iY+) / 2 = i aQ + k bQ,
+
+        aP = -(U Y + k^2 V X) / 2,    bP = (U X - V Y) / 2,
+        aQ = (U Y+ + k^2 V X+) / 2,   bQ = (U X+ - V Y+) / 2,
+
+    with k^2 = e2 + q^2; g is (aP, bP, aQ, bQ). On the real axis
+
+        d = k (bP + bQ) cos ka - (aP - aQ) sin ka,
+        g = k (bP - bQ) sin ka + (aP + aQ) cos ka,
+
+    and dg is (bP + bQ, aP - aQ, bP - bQ, aP + aQ). With ' = d/dk and _e
+    the derivative in e2, (i a + k b)' = (b + 2k^2 b_e) + ik (2 a_e), so
+
+        G' = P' + e^{-2ika} (Q' - 2ia Q),
+        P'         = x + iky,   x = bP + 2k^2 bP_e,            y = 2 aP_e,
+        Q' - 2ia Q = x + iky,   x = bQ + 2k^2 bQ_e + 2a aQ,   y = 2 aQ_e - 2a bQ.
+
+    As x + iky = i (i (-x) + k y), -i G' has the shape of G: g_prime is
+    (-x, y) of P' followed by (-x, y) of Q' - 2ia Q.
+    """
+    def padded(c):
+        return np.concatenate([c, np.zeros(5 - len(c))])
+
+    def mul(c1, c2):
+        # the degrees add up to at most 4, so what is cut off is zero
+        return np.convolve(c1, c2)[:5]
+
+    def e2_derivative(c):
+        return np.append(c[1:] * np.arange(1.0, 5.0), 0.0)
+
+    u0, v0 = (padded(c) for c in at_0[:2])
+    ua, va, ua_r, va_r = (padded(c) for c in at_a)
+    w, w_r = float(w1_a.w1), float(w1_a.w1_r)
+    k2 = padded([q * q, 1.0])
+    x, y = va_r * w - va * w_r, ua_r * w - ua * w_r
+    x_plus, y_plus = x + 2.0 * w * ua, y - 2.0 * w * mul(k2, va)
+    a_p = -0.5 * (mul(u0, y) + mul(k2, mul(v0, x)))
+    b_p = 0.5 * (mul(u0, x) - mul(v0, y))
+    a_q = 0.5 * (mul(u0, y_plus) + mul(k2, mul(v0, x_plus)))
+    b_q = 0.5 * (mul(u0, x_plus) - mul(v0, y_plus))
+    g_prime = (-(b_p + 2.0 * mul(k2, e2_derivative(b_p))), 2.0 * e2_derivative(a_p),
+               -(b_q + 2.0 * mul(k2, e2_derivative(b_q))) - 2.0 * a * a_q,
+               2.0 * e2_derivative(a_q) - 2.0 * a * b_q)
+    return tuple(tuple(c.tolist() for c in polys) for polys in (
+        (a_p, b_p, a_q, b_q), g_prime, (b_p + b_q, a_p - a_q, b_p - b_q, a_p + a_q)))
 
 
 @dataclass(frozen=True)
@@ -138,11 +202,12 @@ class TruncatedConfig:
     scalar except a bool and is stored as a builtin float.
 
     Construction also evaluates the boundary data once: u, v, u_r and v_r
-    depend on k only through e2 = k^2 - q^2 (and a factor k in v), so their
-    e2-coefficients at r = 0 and r = a, with W1(0), W1(a) and W1'(a), turn
-    every later d, g, G and G' into a short polynomial evaluation. The data
-    is derived from (params, a) and takes no part in equality, hashing or
-    repr; ``dataclasses.replace`` recomputes it for the new cutoff.
+    depend on k only through e2 = k^2 - q^2 (and a factor k in v), so G is
+    P + e^{-2ika} Q with P and Q built from four real polynomials in e2
+    (``_g_polynomials``), and every later d, g, G and G' is a short
+    polynomial evaluation. The data is derived from (params, a) and takes
+    no part in equality, hashing or repr; ``dataclasses.replace``
+    recomputes it for the new cutoff.
     """
 
     params: PotentialParams
@@ -165,12 +230,12 @@ class TruncatedConfig:
             raise ValidationError(
                 f"W1 is not positive on [0, {self.a}] (first violation near r = {bad:.6g})"
             )
+        at_0 = _uv_coefficients(self.params, 0.0)
         w1_a = w1_bundle(self.params, self.a)
         object.__setattr__(self, "_boundary_data", _BoundaryData(
-            at_0=np.array(_uv_coefficients(self.params, 0.0)).tolist(),
-            at_a=np.array(_uv_coefficients(self.params, self.a)).tolist(),
-            w1_0=float(w1_bundle(self.params, 0.0).w1),
-            w1_a=W1Bundle(float(w1_a.w1), float(w1_a.w1_r), float(w1_a.w1_rr)),
+            np.array(at_0).tolist(), float(w1_bundle(self.params, 0.0).w1), float(w1_a.w1),
+            *_g_polynomials(at_0, _uv_coefficients(self.params, self.a), w1_a,
+                            self.params.q, self.a),
         ))
 
 
@@ -224,78 +289,27 @@ def _check_h(config: TruncatedConfig, k, b0: UVBundle):
     return h
 
 
-def _uv_combinations(b, w, k):
-    """(u_r W1 - u W1' - k v W1, v_r W1 - v W1' + k u W1) at one radius."""
-    return (b.u_r * w.w1 - b.u * w.w1_r - k * b.v * w.w1,
-            b.v_r * w.w1 - b.v * w.w1_r + k * b.u * w.w1)
-
-
-def _boundary(config: TruncatedConfig, k):
-    """(u0, v0, ua, va, bu, bv, kw): u, v at r = 0 and r = a, the
-    combinations (bu, bv) at r = a, and kw = -k W1(a).
-
-    With (A, B) the ka rotation of (u0, -v0), d = bu A + bv B and
-    g = kw (ua A + va B). Writing sin ka and cos ka as exponentials, with
-    cu = bu + i kw ua and cv = bv + i kw va,
-
-        G = e^{-ika} (d + ig)
-          = [(u0 - i v0)(cv - i cu) + e^{-2ika} (u0 + i v0)(cv + i cu)] / 2;
-
-    ``_g_parts`` gives G and its k-derivative in parts. Evaluated from the
-    config's boundary data, with e2 = k^2 - q^2 formed once; at r = 0 only
-    u and v are needed. Accepts complex k and broadcasts over it.
-    """
-    bd = config._boundary_data
+def _pq(config: TruncatedConfig, polys, k):
+    """(i aP + k bP, i aQ + k bQ) at k, from the four polynomials
+    (aP, bP, aQ, bQ) in e2 = k^2 - q^2 of G or of -i G' (``_g_polynomials``)."""
     q = config.params.q
     e2 = k * k - q * q
-    cu0, cv0 = bd.at_0[:2]
-    ba = _uv_at(bd.at_a, k, e2)
-    return (_e2_poly(cu0, e2), k * _e2_poly(cv0, e2), ba.u, ba.v,
-            *_uv_combinations(ba, bd.w1_a, k), -k * bd.w1_a.w1)
+    a_p, b_p, a_q, b_q = polys
+    return (1j * _horner(a_p, e2) + k * _horner(b_p, e2),
+            1j * _horner(a_q, e2) + k * _horner(b_q, e2))
 
 
-def _boundary_dk(config: TruncatedConfig, k):
-    """Exact k-derivatives of the seven ``_boundary`` values.
-
-    W1 does not depend on k, so bu' = u_r' W1 - u' W1' - (v + k v') W1,
-    bv' = v_r' W1 - v' W1' + (u + k u') W1 and kw' = -W1(a).
-    """
-    bd = config._boundary_data
-    q = config.params.q
-    d0 = _uv_dk(bd.at_0, k, q)
-    ba = _uv_at(bd.at_a, k, k * k - q * q)
-    da = _uv_dk(bd.at_a, k, q)
-    w1 = bd.w1_a.w1
-    dbu, dbv = _uv_combinations(da, bd.w1_a, k)
-    return d0.u, d0.v, da.u, da.v, dbu - ba.v * w1, dbv + ba.u * w1, -w1
+def _g(config: TruncatedConfig, k):
+    """G(k) = P + e^{-2ika} Q: only e^{-2ika} appears, which underflows
+    harmlessly in the lower half-plane. Broadcasts over complex k."""
+    p, q = _pq(config, config._boundary_data.g, k)
+    return p + np.exp(-2j * k * config.a) * q
 
 
-def _g_parts(config: TruncatedConfig, k):
-    """(m x, p y, A, B) with
-
-        G  = (m x + e^{-2ika} p y) / 2   (see ``_boundary``),
-        G' = (A + e^{-2ika} B) / 2,
-
-    where m, p = u0 -+ i v0 and x, y = cv -+ i cu. By the product rule,
-    with ' = d/dk (``_boundary_dk``),
-
-        A = (m x)',    B = (p y)' - 2ia p y.
-
-    ``resonances.root_derivative`` assembles G' from A and B, and
-    ``_num_den_dk`` rotates all four onto the real axis. Accepts complex k
-    and broadcasts over it.
-    """
-    u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
-    du0, dv0, dua, dva, dbu, dbv, dkw = _boundary_dk(config, k)
-    cu = bu + 1j * kw * ua
-    cv = bv + 1j * kw * va
-    dcu = dbu + 1j * (dkw * ua + kw * dua)
-    dcv = dbv + 1j * (dkw * va + kw * dva)
-    m, p = u0 - 1j * v0, u0 + 1j * v0
-    x, y = cv - 1j * cu, cv + 1j * cu
-    dm, dp = du0 - 1j * dv0, du0 + 1j * dv0
-    dx, dy = dcv - 1j * dcu, dcv + 1j * dcu
-    return m * x, p * y, dm * x + m * dx, dp * y + p * dy - 2j * config.a * p * y
+def _g_prime(config: TruncatedConfig, k):
+    """G'(k), the exact k-derivative of ``_g``."""
+    p, q = _pq(config, config._boundary_data.g_prime, k)
+    return 1j * (p + np.exp(-2j * k * config.a) * q)
 
 
 def _ka_rotation(x, y, ka):
@@ -363,10 +377,19 @@ def _blockwise(fn, k):
     return tuple(o.reshape(np.shape(k)) for o in out)
 
 
+def _rounding_near_q(config: TruncatedConfig) -> Tuple[float, float]:
+    """The largest hypot(d, g) and |G'| over k = q and q +- 1e-4/a, where
+    both are rounding (see ``_noise_floor``)."""
+    q, offset = config.params.q, _NOISE_OFFSET / config.a
+    ks = (q - offset, q, q + offset)
+    return (max(math.hypot(*dg(config, k)) for k in ks),
+            max(abs(_g_prime(config, k)) for k in ks))
+
+
 def _noise_floor(config: TruncatedConfig) -> float:
     """hypot(d, g) at or below which d, g (and num, den, their rotation)
     are rounding noise: ``_NOISE_FACTOR`` times the largest hypot(d, g) at
-    k = q and q +- 1e-4/a.
+    k = q and q +- 1e-4/a (``_rounding_near_q``).
 
     At leading order in 1/a, d + ig is e2 times the bracket of
     ``resonances._limit_root``, which is -(2/3) x^4 + O(x^5) in
@@ -376,8 +399,7 @@ def _noise_floor(config: TruncatedConfig) -> float:
     coefficients at r = 0 come out as exact zeros, as at alpha = 2.4033,
     q = 1.0302), which would leave no floor at all.
     """
-    q, offset = config.params.q, _NOISE_OFFSET / config.a
-    return _NOISE_FACTOR * max(math.hypot(*dg(config, k)) for k in (q - offset, q, q + offset))
+    return _NOISE_FACTOR * _rounding_near_q(config)[0]
 
 
 def _principal_phase(num, den):
@@ -424,7 +446,8 @@ def regular_solution(config: TruncatedConfig, k, r):
     w = w1_bundle(p, r)
     w10 = config._boundary_data.w1_0
     a1, a2 = _ka_rotation(b0.u, -b0.v, k * r)
-    cu, cv = _uv_combinations(b, w, k)
+    cu = b.u_r * w.w1 - b.u * w.w1_r - k * b.v * w.w1
+    cv = b.v_r * w.w1 - b.v * w.w1_r + k * b.u * w.w1
     ph = np.where(r == 0.0, 0.0, (w10 / (h * w.w1)) * (b.u * a1 + b.v * a2))[()]
     ph_r = (w10 / (h * w.w1**2)) * (cu * a1 + cv * a2)
     return ph, ph_r
@@ -447,13 +470,14 @@ def dg(config: TruncatedConfig, k):
 def _dg_sin_cos(config: TruncatedConfig, k):
     """(d, g, sin ka, cos ka) at k, unblocked; sin ka and cos ka from
     ``_ka_sin_cos``."""
-    # u0 and v0 are freed as soon as they are used up, so that fewer
-    # block-sized temporaries are alive at once
-    u0, v0, ua, va, bu, bv, kw = _boundary(config, k)
+    # d = k (bP + bQ) c - (aP - aQ) s, g = k (bP - bQ) s + (aP + aQ) c
+    q = config.params.q
+    b_sum, a_diff, b_diff, a_sum = config._boundary_data.dg
+    e2 = k * k - q * q
     s, c = _ka_sin_cos(k * config.a)
-    rot_a, rot_b = u0 * s - v0 * c, u0 * c + v0 * s
-    del u0, v0
-    return bu * rot_a + bv * rot_b, kw * (ua * rot_a + va * rot_b), s, c
+    d = k * _horner(b_sum, e2) * c - _horner(a_diff, e2) * s
+    g = k * _horner(b_diff, e2) * s + _horner(a_sum, e2) * c
+    return d, g, s, c
 
 
 def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
@@ -474,7 +498,7 @@ def _jost_prefactor(config: TruncatedConfig, k):
     multiplies decides the accuracy.
     """
     bd = config._boundary_data
-    return bd.w1_0 / (_h_of(bd.at_0[0][2], k, config.params.q) * bd.w1_a.w1**2)
+    return bd.w1_0 / (_h_of(bd.at_0[0][2], k, config.params.q) * bd.w1_a**2)
 
 
 def _jost_from_dg(config: TruncatedConfig, k, d, g):
@@ -498,19 +522,21 @@ def _num_den(config: TruncatedConfig, k):
 def _num_den_dk(config: TruncatedConfig, k: float):
     """((num, num'), (den, den')) at one real k, in Python complex arithmetic.
 
-    den + i num = e^{ika} (d + ig) = e^{2ika} G, so with the parts of
-    ``_g_parts``
+    den + i num = e^{ika} (d + ig) = e^{2ika} G, so with P, Q and the parts
+    of G' of ``_g_polynomials``
 
-        den + i num   = (e^{2ika} m x + p y) / 2,
+        den + i num   = e^{2ika} P + Q,
         den' + i num' = e^{2ika} (G' + 2ia G)
-                      = (e^{2ika} A + B) / 2 + 2ia (den + i num).
+                      = e^{2ika} P' + (Q' - 2ia Q) + 2ia (den + i num).
 
     The values agree with ``_num_den`` to rounding, not bit for bit.
     """
-    mx, py, front, back = _g_parts(config, k)
-    e = cmath.rect(1.0, 2.0 * k * config.a)
-    z = 0.5 * (e * mx + py)
-    w = 0.5 * (e * front + back) + 2j * config.a * z
+    p, q = _pq(config, config._boundary_data.g, k)
+    dp, dq = _pq(config, config._boundary_data.g_prime, k)
+    a = config.a
+    e = cmath.rect(1.0, 2.0 * k * a)
+    z = e * p + q
+    w = 1j * (e * dp + dq) + 2j * a * z
     return (z.imag, w.imag), (z.real, w.real)
 
 
@@ -619,10 +645,13 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     1e-14 + 4 eps k of the zero of the computed function, unless that
     function is rounding noise over a wider band around it. Only
     denominator brackets that reach into (minima[0], minima[-1]) are
-    refined. The resonance structure scales
-    with pi/a (the minima sit at fixed (k - q) a / pi for every a), so dk
-    defaults to pi/(64 a), 64 cells per pi/a. The grid is evaluated in
-    blocks, like ``dg``.
+    refined. The resonance structure scales with pi/a, so dk defaults to
+    pi/(64 a), 64 cells per pi/a. In x = (k - q) a / pi the minima depend
+    on alpha and q and settle only as a grows: alpha = q = 1 puts them at
+    -0.453 and 0.831 at a = 100 and at -0.444 and 0.837 from a = 5000 on;
+    alpha = q = 0.3 at -0.104, 2.365 and 2.536 at a = 100, where the
+    closest pair is 11 cells apart. The grid is evaluated in blocks, like
+    ``dg``.
 
     d + ig also vanishes (removably, to fourth order) at the embedded-state
     wave number q, dragging both numerator and denominator through zero

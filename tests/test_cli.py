@@ -253,6 +253,18 @@ def test_validation_exits(tmp_path, capsys):
                  "--out", str(tmp_path / "z.csv")]) == 2
 
 
+@pytest.mark.parametrize("argv", [["w1", "--bic", "--beta-list=3,5"],
+                                  ["resonances", "--bic", "--beta", "5"]])
+def test_bic_contradicting_beta_exits_2(tmp_path, capsys, argv):
+    # one check for every command: beta = 5 is refused with the same
+    # message, before any file is written (w1 would write beta = 3 first)
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValidationError",
+                   "message": "--bic contradicts --beta 5.0 (3*alpha*q = 3.0)"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

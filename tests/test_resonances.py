@@ -168,6 +168,20 @@ def test_gamow_norm_at_large_cutoffs(alpha, q, a, rtol, uv_oracle, dg_oracle):
         assert abs(bs.gamow_state(config, res).N_squared - want) <= rtol * abs(want)
 
 
+def test_n_squared_rounding_reads_d_g_beside_q():
+    # d(q) = g(q) = 0 exactly here (the e2^0 coefficients at r = 0 come out
+    # as exact zeros), so read at q alone the d - ig term of the estimate
+    # was 0; beside q it is the rounding it estimates. With |G'| infinite
+    # only that term and the phases remain.
+    params = bs.PotentialParams.bic(alpha=2.403293061183309, q=1.0302044633075347)
+    config = bs.TruncatedConfig(params=params, a=329.77842326039297)
+    assert bs.dg(config, params.q) == (0.0, 0.0)
+    kn = bs.find_resonances(config)[0].k_complex
+    d, g = bs.dg(config, kn)
+    estimate = resonances._n_squared_rounding
+    assert estimate(config, kn, d - 1j * g, math.inf) > estimate(config, kn, math.inf, math.inf)
+
+
 @pytest.mark.parametrize("a,k", [(5000.0, 1.0 + 1e-5 + 0j), (5000.0, 1.0 + 3e-6 - 1e-6j),
                                  (5000.0, 1.0 - 1e-7j), (1e6, 1.0 - 1e-7j)])
 def test_gamow_state_refuses_rounding_noise(params, a, k):
@@ -300,10 +314,13 @@ def test_census_below_the_scaling_limit_is_refused():
 
 def test_box_reaching_re_k_zero_is_refused():
     """A box reaching Re k <= 0 holds 35 zeros; the limit's seeds converge
-    on 30 of them and the census is refused."""
+    on 30 of them and the census is refused. Every seed converges, the rest
+    outside the box (on the imaginary axis, or at the removable zero near
+    k = -q, which the seed -0.2886 - 0.0204i reaches), so the refusal is a
+    root-count mismatch."""
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=0.3, q=0.3), a=100.0)
     box = bs.ComplexRectangle(-0.328, 0.928, -0.05, -0.0005)
-    with pytest.raises(bs.NoConvergence):
+    with pytest.raises(bs.RootCountMismatch):
         bs.find_resonances(config, search_box=box)
 
 
