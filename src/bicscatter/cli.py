@@ -40,6 +40,7 @@ from .resonances import (
 from .scattering import (
     Q_EXCLUSION,
     TruncatedConfig,
+    _checked_grid,
     _unwrap_principal,
     cross_section,
     phase_shift,
@@ -55,7 +56,8 @@ def _fmt(x) -> str:
 
 
 def parse_run_file(path: str) -> Dict[str, str]:
-    """Flat `key = value` file; blank lines and # comments ignored."""
+    """Flat `key = value` file; blank lines and # comments ignored. Every
+    key must be an option of some command (``_run_file_keys``)."""
     out: Dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -68,7 +70,12 @@ def parse_run_file(path: str) -> Dict[str, str]:
                         f"{path}:{lineno}: expected 'key = value', got {line!r}"
                     )
                 key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in _run_file_keys():
+                    raise ValidationError(
+                        f"{path}:{lineno}: unknown key {key!r} (not an option of any command)"
+                    )
+                out[key] = value.strip()
     except OSError as exc:
         raise ValidationError(f"cannot read run file {path}: {exc}") from exc
     return out
@@ -181,8 +188,8 @@ def _write_json(path: str, obj) -> None:
 def _r_grid(s: _Settings) -> np.ndarray:
     r_max = s.get("r-max", 30.0)
     dr = s.get("dr", 0.01)
-    if r_max <= 0 or dr <= 0:
-        raise ValidationError("r-max and dr must be positive")
+    if not (0 < r_max < math.inf and 0 < dr < math.inf):
+        raise ValidationError("r-max and dr must be positive and finite")
     return np.arange(0.0, r_max + 0.5 * dr, dr)
 
 
@@ -190,8 +197,8 @@ def _k_grid(s: _Settings, q: float) -> np.ndarray:
     k_min = s.get("k-min", 0.995)
     k_max = s.get("k-max", 1.005)
     dk = s.get("dk", 1e-6)
-    if not (0 < k_min < k_max) or dk <= 0:
-        raise ValidationError("need 0 < k-min < k-max and dk > 0")
+    if not (0 < k_min < k_max < math.inf and 0 < dk < math.inf):
+        raise ValidationError("need 0 < k-min < k-max and dk > 0, all finite")
     grid = np.arange(k_min, k_max + 0.5 * dk, dk)
     return grid[np.abs(grid - q) > Q_EXCLUSION]
 
@@ -334,7 +341,7 @@ def cmd_phase_shift(s: _Settings) -> None:
     params = _build_params(s)
     a = s.get("cutoff", 5000.0)
     config = TruncatedConfig(params=params, a=a)
-    k = _k_grid(s, params.q)
+    k = _checked_grid(_k_grid(s, params.q))
     raw = phase_shift(config, k)
     unwrapped = _unwrap_principal(raw, k)
     ramp_removed = unwrapped + k * a
@@ -512,6 +519,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="doublet trajectory over a list of cutoffs")
     p.add_argument("--a-list", type=str, default=None)
     return parser
+
+
+@functools.cache
+def _run_file_keys() -> frozenset:
+    """The long options of every command, without their dashes: the keys a
+    run file may hold, so that one file can serve several commands."""
+    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    return frozenset(opt[2:] for p in commands.values() for action in p._actions
+                     for opt in action.option_strings if opt.startswith("--"))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

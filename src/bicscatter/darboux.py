@@ -144,47 +144,113 @@ def phase_data(params: PotentialParams) -> PhaseData:
     )
 
 
-def _w1_coefficients(params: PotentialParams):
-    """Constant coefficients of the expanded W1 closed form.
+def _horner(c, x):
+    """c[0] + c[1] x + ... + c[-1] x^n by Horner's rule, in place on the
+    one temporary c[-1] x when that is an array; c[0] itself when n = 0."""
+    if len(c) == 1:
+        return c[0]
+    acc = c[-1] * x
+    for ci in c[-2:0:-1]:
+        acc += ci
+        acc *= x
+    acc += c[0]
+    return acc
 
-    Grouped so that the radial dependence enters only through x = q*r (the
-    polynomial and double-frequency pieces) and theta = q*r + delta (the
-    oscillatory pieces). Keeping the grouping exactly as derived preserves the
-    relative accuracy of the large-r evaluation: the dominant 16 x^4 term is
-    carried by a single monomial, so cancellation never exceeds a few units
-    in the last place of the subdominant terms.
+
+def _derived(table, s_r, x_r):
+    """The ``_closed_form`` table of df/dr, term by term (see there)."""
+    out = []
+    for w, o, c, s in table:
+        if not w:
+            out.append((w, o, [n * s_r * c[n] for n in range(1, len(c))], s))
+            continue
+        wx = w * x_r
+        out.append((w, o,
+                    [n * s_r * c[n] + wx * s[n - 1] for n in range(1, len(c))] + [wx * s[-1]],
+                    [n * s_r * s[n] - wx * c[n - 1] for n in range(1, len(s))] + [-wx * c[-1]]))
+    return out
+
+
+def _closed_form(table, s, x, s_r, x_r, order: int):
+    """[f, df/dr, ..., d^order f/dr^order] of the closed form
+
+        f = sum_j C_j(s) cos(w_j x + o_j) + S_j(s) sin(w_j x + o_j)
+
+    with s and x affine in r (ds/dr = s_r, dx/dr = x_r). ``table`` lists the
+    terms (w_j, o_j, C_j, S_j): C_j and S_j are ascending coefficient lists
+    in s, of floats or of arrays that broadcast against s; S_j is empty
+    where w_j = 0 and as long as C_j elsewhere. By the product rule each
+    term differentiates into one of the same frequency,
+
+        C -> s_r C' + w x_r S,    S -> s_r S' - w x_r C,
+
+    so every derivative is the same evaluation of a derived table, and all
+    of them share one cosine and one sine per term.
+    """
+    waves = []
+    for w, o, _, _ in table:
+        phase = w * x + o if o else w * x
+        waves.append((np.cos(phase), np.sin(phase)) if w else None)
+    out = []
+    for m in range(order + 1):
+        if m:
+            table = _derived(table, s_r, x_r)
+        f = 0.0
+        for (_, _, c, sn), wave in zip(table, waves):
+            if wave is None:
+                f = f + _horner(c, s)
+            else:
+                f = f + _horner(c, s) * wave[0] + _horner(sn, s) * wave[1]
+        out.append(f)
+    return out
+
+
+def _w1_table(params: PotentialParams):
+    """W1 as a ``_closed_form`` table in s = x = q*r:
+
+        C0 + Cc cos(2x) + Cs sin(2x)
+          + 16(x^4 + p3 x^3 + p2 x^2 + p1 x) - 12(x^2 + d1 x)
+          + 24(x^2 + e1 x) cos(2 theta)
+          + [16(x^3 + f2 x^2 + f1 x) - 12 x] sin(2 theta)
+          + 3 [S2 sin^2(2x) + SC sin(2x) cos(2x)]
+
+    with theta = x + delta, 3 S2 sin^2(2x) = 1.5 S2 (1 - cos(4x)) and
+    3 SC sin(2x) cos(2x) = 1.5 SC sin(4x): four terms, of frequency 0, 2,
+    2 (offset 2 delta) and 4. Each coefficient is formed as derived, so the
+    dominant 16 x^4 is a single monomial and cancellation at large r never
+    exceeds a few units in the last place of the subdominant terms.
+    Builtin floats throughout, so a scalar r runs on Python arithmetic but
+    for the cosines and sines.
     """
     a, b, q = params.alpha, params.beta, params.q
     t = a * q - b
     d = 1.0 + t * t
     aq = a * q
-    return {
-        "c0": 12.0 * b * b / d**2 - 24.0 * b * aq / d**2,
-        "cc": 24.0 * b * aq / d**2,
-        "cs": 12.0 * aq * (aq * aq + b * b - 1.0) / d**2,
-        "p3": 4.0 * aq / d,
-        "p2": 6.0 * aq * aq / d**2,
-        "p1": 3.0 * aq**3 / d**2,
-        "d1": 2.0 * aq / d,
-        "e1": 2.0 * aq * (1.0 - b * t) / d**2,
-        "f2": 3.0 * aq / d,
-        "f1": 3.0 * aq * aq / d**2,
-        "s2": (1.0 - 6.0 * t * t + t**4) / d**2,
-        "sc": 4.0 * t * (1.0 - t * t) / d**2,
-    }
+    p3, p2, p1 = 4.0 * aq / d, 6.0 * aq * aq / d**2, 3.0 * aq**3 / d**2
+    d1, e1 = 2.0 * aq / d, 2.0 * aq * (1.0 - b * t) / d**2
+    f2, f1 = 3.0 * aq / d, 3.0 * aq * aq / d**2
+    s2 = 1.5 * ((1.0 - 6.0 * t * t + t**4) / d**2)
+    sc = 1.5 * (4.0 * t * (1.0 - t * t) / d**2)
+    c0 = 12.0 * b * b / d**2 - 24.0 * b * aq / d**2
+    return [
+        (0.0, 0.0, [c0 + s2, 16.0 * p1 - 12.0 * d1, 16.0 * p2 - 12.0, 16.0 * p3, 16.0], []),
+        (2.0, 0.0, [24.0 * b * aq / d**2], [12.0 * aq * (aq * aq + b * b - 1.0) / d**2]),
+        (2.0, 2.0 * math.atan(t), [0.0, 24.0 * e1, 24.0, 0.0],
+         [0.0, 16.0 * f1 - 12.0, 16.0 * f2, 16.0]),
+        (4.0, 0.0, [-s2], [sc]),
+    ]
 
 
 def _w1_bounds(params: PotentialParams):
     """(x_star, lower, m2): polynomial bounds on W1 in x = q*r >= 0, as
     ascending coefficient arrays for ``numpy.polynomial.polynomial.polyval``.
 
-    The closed form of ``w1_bundle`` is a sum of terms P_j(x) T_j(x), with
-    P_j a polynomial and T_j either 1 or a sine or cosine of frequency
-    w_j in x, so |T_j^(m)| <= w_j^m (3 S2 sin^2(2x) and 3 SC sin(2x)cos(2x)
-    are written as constants plus half-amplitude frequency-4 waves). Let
-    |P| be P with its coefficients replaced by their absolute values, so
-    |P(x)| <= |P|(x) and |P^(m)(x)| <= |P|^(m)(x) for x >= 0; terms of
-    one frequency share a row of |P| coefficients below.
+    ``_w1_table`` writes W1 as a sum of terms P_j(x) T_j(x), with P_j a
+    polynomial and T_j either 1 or a sine or cosine of frequency w_j in x,
+    so |T_j^(m)| <= w_j^m. Let |P| be P with its coefficients replaced by
+    their absolute values, so |P(x)| <= |P|(x) and |P^(m)(x)| <= |P|^(m)(x)
+    for x >= 0; the terms of one frequency share a row of |P| coefficients,
+    summed from the table itself.
 
     * lower(x) = 16 x^4 - A3 x^3 - A2 x^2 - A1 x - A0, with A_n the sum over
       all terms of |coefficient of x^n|, satisfies W1 >= lower; by the
@@ -194,38 +260,34 @@ def _w1_bounds(params: PotentialParams):
       |d^2 W1/dx^2| by the product rule; it increases with x, so on
       [0, X] it is at most m2(X). In r, |W1''| <= q^2 m2(q r).
     """
-    k = _w1_coefficients(params)
-    s2, sc = 1.5 * k["s2"], 1.5 * k["sc"]
-    # |P| of the frequency 0, 2 and 4 terms (rows), coefficients of x^0 .. x^4
-    c = np.array([
-        [abs(k["c0"] + s2), abs(16.0 * k["p1"] - 12.0 * k["d1"]),
-         abs(16.0 * k["p2"] - 12.0), abs(16.0 * k["p3"]), 16.0],
-        [abs(k["cc"]) + abs(k["cs"]), abs(24.0 * k["e1"]) + abs(16.0 * k["f1"] - 12.0),
-         24.0 + abs(16.0 * k["f2"]), 16.0, 0.0],
-        [abs(s2) + abs(sc), 0.0, 0.0, 0.0, 0.0],
-    ])
-    w = np.array([[0.0], [2.0], [4.0]])
+    rows = {}
+    for w, _, c, s in _w1_table(params):
+        row = rows.setdefault(w, [0.0] * 5)
+        for poly in (c, s):
+            for n, v in enumerate(poly):
+                row[n] += abs(v)
+    c = np.array([rows[w] for w in sorted(rows)])
+    w = np.array(sorted(rows))[:, None]
     dx = np.diag(np.arange(1.0, 5.0), -1)  # c @ dx: coefficients of dc/dx
     m2 = (c @ dx @ dx + 2.0 * w * (c @ dx) + w * w * c).sum(axis=0)
     a = c.sum(axis=0)[:4]
     return 1.0 + a.max() / 16.0, np.append(-a, 16.0), m2
 
 
+def _w1(params: PotentialParams, r, order: int):
+    """[W1, dW1/dr, ..., d^order W1/dr^order] at r, from ``_w1_table``."""
+    r = np.asarray(r, dtype=float)
+    x = params.q * (float(r) if r.ndim == 0 else r)
+    return _closed_form(_w1_table(params), x, x, params.q, params.q, order)
+
+
 def w1_bundle(params: PotentialParams, r) -> W1Bundle:
     """Expanded closed form of W1(q, r) with exact analytic r-derivatives.
 
-    W1 is assembled as
-
-        C0 + Cc cos(2qr) + Cs sin(2qr)
-          + 16(x^4 + p3 x^3 + p2 x^2 + p1 x) - 12(x^2 + d1 x)
-          + 24(x^2 + e1 x) cos(2 theta)
-          + [16(x^3 + f2 x^2 + f1 x) - 12 x] sin(2 theta)
-          + 3 [S2 sin^2(2qr) + SC sin(2qr) cos(2qr)]
-
-    with x = q*r, theta = q*r + delta. The derivatives are term-by-term,
-    using d/dr sin^2(2qr) = 2q sin(4qr) and
-    d/dr [sin(2qr) cos(2qr)] = 2q cos(4qr). Numerical differentiation is
-    never used here: the potential amplifies derivative noise quadratically.
+    W1 and its derivatives are evaluations of one table of four terms
+    (``_w1_table``), the derivatives by the product rule of
+    ``_closed_form``. Numerical differentiation is never used here: the
+    potential amplifies derivative noise quadratically.
 
     Parameters
     ----------
@@ -238,58 +300,7 @@ def w1_bundle(params: PotentialParams, r) -> W1Bundle:
     W1Bundle
         Fields broadcast to the shape of ``r``.
     """
-    r = np.asarray(r, dtype=float)
-    q = params.q
-    pd = phase_data(params)
-    k = _w1_coefficients(params)
-    x = q * r
-    th2 = 2.0 * (x + pd.delta)
-
-    poly = 16.0 * (x**4 + k["p3"] * x**3 + k["p2"] * x**2 + k["p1"] * x) - 12.0 * (
-        x**2 + k["d1"] * x
-    )
-    dpoly = 16.0 * (4.0 * x**3 + 3.0 * k["p3"] * x**2 + 2.0 * k["p2"] * x + k["p1"]) - 12.0 * (
-        2.0 * x + k["d1"]
-    )
-    ddpoly = 16.0 * (12.0 * x**2 + 6.0 * k["p3"] * x + 2.0 * k["p2"]) - 24.0
-
-    pc = 24.0 * (x**2 + k["e1"] * x)
-    dpc = 24.0 * (2.0 * x + k["e1"])
-    ddpc = 48.0
-    ps = 16.0 * (x**3 + k["f2"] * x**2 + k["f1"] * x) - 12.0 * x
-    dps = 16.0 * (3.0 * x**2 + 2.0 * k["f2"] * x + k["f1"]) - 12.0
-    ddps = 16.0 * (6.0 * x + 2.0 * k["f2"])
-
-    s2t, c2t = np.sin(th2), np.cos(th2)
-    sq, cq = np.sin(2.0 * x), np.cos(2.0 * x)
-    s4q, c4q = np.sin(4.0 * x), np.cos(4.0 * x)
-
-    w1 = (
-        k["c0"]
-        + k["cc"] * cq
-        + k["cs"] * sq
-        + poly
-        + pc * c2t
-        + ps * s2t
-        + 3.0 * (k["s2"] * sq**2 + k["sc"] * sq * cq)
-    )
-    w1_r = q * (
-        -2.0 * k["cc"] * sq
-        + 2.0 * k["cs"] * cq
-        + dpoly
-        + (dpc + 2.0 * ps) * c2t
-        + (dps - 2.0 * pc) * s2t
-        + 6.0 * (k["s2"] * s4q + k["sc"] * c4q)
-    )
-    w1_rr = q * q * (
-        -4.0 * k["cc"] * cq
-        - 4.0 * k["cs"] * sq
-        + ddpoly
-        + (ddpc + 4.0 * dps - 4.0 * pc) * c2t
-        + (ddps - 4.0 * dpc - 4.0 * ps) * s2t
-        + 24.0 * (k["s2"] * c4q - k["sc"] * s4q)
-    )
-    return W1Bundle(w1=w1, w1_r=w1_r, w1_rr=w1_rr)
+    return W1Bundle(*_w1(params, r, 2))
 
 
 def w1_generic(params: PotentialParams, r):
@@ -364,6 +375,6 @@ def scan_w1_sign(params: PotentialParams, r_max: float, step: float = 0.01):
     if step <= 0:
         raise ValidationError("step must be positive")
     r = np.arange(0.0, r_max + step, step)
-    w = w1_bundle(params, r).w1
+    w = _w1(params, r, 0)[0]
     flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
     return [(float(r[i]), float(r[i + 1])) for i in flips]

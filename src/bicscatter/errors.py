@@ -68,7 +68,9 @@ class AmbiguousWinding(NumericalError):
 
 
 class MaxDepthExceeded(NumericalError):
-    """Adaptive quadrature hit its recursion limit before reaching tolerance."""
+    """A subdividing procedure hit its depth limit before reaching its
+    tolerance: an adaptive-quadrature panel, or an edge segment of the
+    winding count that still fails its acceptance tests."""
 
 
 class MinimaNotFound(NumericalError):

@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .darboux import PhaseData, PotentialParams, phase_data, potential_v4, w1_bundle
+from .darboux import (PhaseData, PotentialParams, _closed_form, _horner, _w1, phase_data,
+                      potential_v4)
 from .errors import NearSpectralSingularity, NotBicMode, ValidationError
 
 __all__ = [
@@ -70,112 +71,88 @@ class JostValue:
     F_minus: Optional[complex]
 
 
-def _uv_coefficients(params: PotentialParams, r):
-    """u, v, u_r and v_r at r as polynomials in e2 = k^2 - q^2.
+def _uv_table(params: PotentialParams, pd: PhaseData, ndim: int):
+    """u and v/k as one ``darboux._closed_form`` table in s = gamma =
+    r + gamma0 with angle x = theta = q*r + delta.
 
-    Returns four arrays of shape (3,) + shape(r): the coefficients of e2^0,
-    e2^1 and e2^2 of u and u_r, and of v/k and v_r/k (whose e2^2 rows are
-    zero), so that u = U0 + U1 e2 + U2 e2^2 and v = k (V0 + V1 e2). The
-    radial dependence enters only through gamma = r + gamma0 (polynomial
-    part) and theta = q*r + delta (trigonometric part). With K = k^2 and
-    Q = q^2, the k-polynomials of the closed form are
+    Each coefficient is an array of shape (2, 3) + (1,) * ndim: row 0 holds
+    the coefficients of e2^0, e2^1 and e2^2 of u, row 1 those of v/k, so
+    that u = U0 + U1 e2 + U2 e2^2 and v = k (V0 + V1 e2) with
+    e2 = k^2 - q^2. With K = k^2 and Q = q^2, the k-polynomials of the
+    closed form are
 
         K^2 + 6QK + Q^2 = e2^2 + 8Q e2 + 8Q^2          (p)
         K^2 - 4QK - Q^2 = e2^2 - 2Q e2 - 4Q^2          (mm)
         K^2 - Q^2       = e2^2 + 2Q e2                  (n)
-        K + Q           = e2 + 2Q
+        K + Q           = e2 + 2Q                       (s2k)
 
-    and every term is linear in one of them, so the closed form below is
-    written once, with each polynomial a column of its coefficients:
+    and every coefficient of the closed form is a combination of them and
+    of 1, e2 and e2^2, the rows of ``basis`` below:
 
-        u = U0(gamma) + Uc(gamma) cos 2theta + Us(gamma) sin 2theta
+        u = Ua(gamma) + Uc(gamma) cos 2theta + Us(gamma) sin 2theta
             + 3 p sin^2 2theta
-        v = V0(gamma) + Vc(gamma) cos 2theta + Vs(gamma) sin 2theta
+        v = Va(gamma) + Vc(gamma) cos 2theta + Vs(gamma) sin 2theta
             + 6 q k (K + Q) sin 4theta
 
-    and each r-derivative is taken term by term.
+    with 3 p sin^2 2theta = 1.5 p (1 - cos 4theta): terms of frequency 0, 2
+    and 4 in theta.
     """
-    r = np.asarray(r, dtype=float)
     q = params.q
     qq = q * q
-    pd = phase_data(params)
     g1, g2 = pd.gamma1, pd.gamma2
-    th = q * r + pd.delta
-    ga = r + pd.gamma0
-
-    def col(c0, c1, c2):
-        return np.array([c0, c1, c2]).reshape((3,) + (1,) * r.ndim)
-
-    one = col(1.0, 0.0, 0.0)
-    e2 = col(0.0, 1.0, 0.0)
-    e4 = col(0.0, 0.0, 1.0)
-    p = col(8.0 * qq * qq, 8.0 * qq, 1.0)
-    mm = col(-4.0 * qq * qq, -2.0 * qq, 1.0)
-    n = col(0.0, 2.0 * qq, 1.0)
-    s2k = col(2.0 * qq, 1.0, 0.0)
-
-    c4u = 16.0 * q**4 * e4
-    c2u = -12.0 * q**2 * p
-    c1u = 8.0 * g2 * q**4 * e4
-    c0u = -12.0 * g1**2 * q**4 * e4
-    u0 = c4u * ga**4 + c2u * ga**2 + c1u * ga + c0u
-    du0 = 4.0 * c4u * ga**3 + 2.0 * c2u * ga + c1u
-    uc = 24.0 * q**2 * (mm * ga**2 + q * g1 * n * ga)
-    duc = 24.0 * q**2 * (2.0 * mm * ga + q * g1 * n)
-    us = (
-        16.0 * q**3 * n * ga**3
-        - 12.0 * q * mm * ga
-        - 4.0 * g2 * q**3 * n
-        - 12.0 * g1 * q**2 * mm
-    )
-    dus = 48.0 * q**3 * n * ga**2 - 12.0 * q * mm
-    su = 3.0 * p
-
-    # v / k
-    v0 = (
-        64.0 * q**4 * e2 * ga**3
-        - 24.0 * q**2 * s2k * ga
-        + 8.0 * g2 * q**4 * e2
-        - 48.0 * g1 * q**5 * one
-    )
-    dv0 = 192.0 * q**4 * e2 * ga**2 - 24.0 * q**2 * s2k
-    vc = (
-        32.0 * q**4 * e2 * ga**3
-        + 24.0 * q**2 * s2k * ga
-        - 8.0 * g2 * q**4 * e2
-        + 48.0 * g1 * q**5 * one
-    )
-    dvc = 96.0 * q**4 * e2 * ga**2 + 24.0 * q**2 * s2k
-    vs = 96.0 * q**5 * one * ga**2 - 48.0 * g1 * q**4 * e2 * ga - 12.0 * q * s2k
-    dvs = 192.0 * q**5 * one * ga - 48.0 * g1 * q**4 * e2
-    tv = 6.0 * q * s2k
-
-    s, c = np.sin(2.0 * th), np.cos(2.0 * th)
-    s4, c4 = np.sin(4.0 * th), np.cos(4.0 * th)
-    u = u0 + uc * c + us * s + su * s**2
-    u_r = du0 + (duc + 2.0 * q * us) * c + (dus - 2.0 * q * uc) * s + 2.0 * q * su * s4
-    v = v0 + vc * c + vs * s + tv * s4
-    v_r = dv0 + (dvc + 2.0 * q * vs) * c + (dvs - 2.0 * q * vc) * s + 4.0 * q * tv * c4
-    return u, v, u_r, v_r
+    # rows: the e2-coefficients of 1, e2, e2^2 and the k-polynomials above
+    one, e2, e4, p, mm, n, s2k = range(7)
+    basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                      [8.0 * qq * qq, 8.0 * qq, 1.0], [-4.0 * qq * qq, -2.0 * qq, 1.0],
+                      [0.0, 2.0 * qq, 1.0], [2.0 * qq, 1.0, 0.0]])
+    # (u, v/k) per coefficient, as multiples of the rows of basis
+    rows = [
+        # frequency 0, cos: Ua and Va/k, gamma^0 .. gamma^4
+        ({p: 1.5, e4: -12.0 * g1**2 * q**4}, {e2: 8.0 * g2 * q**4, one: -48.0 * g1 * q**5}),
+        ({e4: 8.0 * g2 * q**4}, {s2k: -24.0 * q**2}),
+        ({p: -12.0 * q**2}, {}),
+        ({}, {e2: 64.0 * q**4}),
+        ({e4: 16.0 * q**4}, {}),
+        # frequency 2, cos: Uc and Vc/k, gamma^0 .. gamma^3
+        ({}, {e2: -8.0 * g2 * q**4, one: 48.0 * g1 * q**5}),
+        ({n: 24.0 * q**3 * g1}, {s2k: 24.0 * q**2}),
+        ({mm: 24.0 * q**2}, {}),
+        ({}, {e2: 32.0 * q**4}),
+        # frequency 2, sin: Us and Vs/k, gamma^0 .. gamma^3
+        ({n: -4.0 * g2 * q**3, mm: -12.0 * g1 * q**2}, {s2k: -12.0 * q}),
+        ({mm: -12.0 * q}, {e2: -48.0 * g1 * q**4}),
+        ({}, {one: 96.0 * q**5}),
+        ({n: 16.0 * q**3}, {}),
+        # frequency 4, cos and sin
+        ({p: -1.5}, {}),
+        ({}, {s2k: 6.0 * q}),
+    ]
+    weights = np.zeros((len(rows), 2, len(basis)))
+    for i, pair in enumerate(rows):
+        for j, row in enumerate(pair):
+            for b, x in row.items():
+                weights[i, j, b] = x
+    c = (weights @ basis).reshape((-1, 2, 3) + (1,) * ndim)
+    return [(0.0, 0.0, list(c[:5]), []), (2.0, 0.0, list(c[5:9]), list(c[9:13])),
+            (4.0, 0.0, [c[13]], [c[14]])]
 
 
-def _horner(c, x):
-    """c[0] + c[1] x + ... + c[-1] x^n by Horner's rule, in place on the
-    one temporary c[-1] x when that is an array."""
-    acc = c[-1] * x
-    for ci in c[-2:0:-1]:
-        acc += ci
-        acc *= x
-    acc += c[0]
-    return acc
+def _uv_coefficients(params: PotentialParams, r, order: int):
+    """[c, dc/dr, ..., d^order c/dr^order]: u and v/k at r as polynomials in
+    e2 = k^2 - q^2, arrays of shape (2, 3) + shape(r) laid out as in
+    ``_uv_table``, from one evaluation of that table."""
+    r = np.asarray(r, dtype=float)
+    pd = phase_data(params)
+    table = _uv_table(params, pd, r.ndim)
+    if r.ndim == 0:
+        r = float(r)
+    return _closed_form(table, r + pd.gamma0, params.q * r + pd.delta, 1.0, params.q, order)
 
 
-def _uv_at(coefficients, k, e2) -> UVBundle:
-    """u, v, u_r, v_r from ``_uv_coefficients``, at wave number k with
-    e2 = k^2 - q^2 (computed once by callers that need it again)."""
-    cu, cv, cu_r, cv_r = coefficients
-    return UVBundle(u=_horner(cu, e2), v=k * _horner(cv, e2),
-                    u_r=_horner(cu_r, e2), v_r=k * _horner(cv_r, e2))
+def _uv_at(c, k, e2):
+    """(u, v) at wave number k from the rows c of ``_uv_coefficients``,
+    with e2 = k^2 - q^2 (computed once by callers that need it again)."""
+    return _horner(c[0], e2), k * _horner(c[1], e2)
 
 
 def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
@@ -187,7 +164,9 @@ def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
     k is evaluated verbatim.
     """
     k = np.asarray(k)
-    return _uv_at(_uv_coefficients(params, r), k, k * k - params.q * params.q)
+    e2 = k * k - params.q * params.q
+    c, c_r = _uv_coefficients(params, r, 1)
+    return UVBundle(*_uv_at(c, k, e2), *_uv_at(c_r, k, e2))
 
 
 def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostValue:
@@ -203,13 +182,13 @@ def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostVa
     if np.any(np.asarray(r) < 0):
         raise ValidationError("r must be nonnegative")
     b = uv_bundle(params, k, r)
-    w = w1_bundle(params, r)
+    w1, w1_r = _w1(params, r, 1)
     ep, em = np.exp(1j * k * np.asarray(r)), np.exp(-1j * k * np.asarray(r))
     up, um = b.u + 1j * b.v, b.u - 1j * b.v
-    f_plus = up * ep / w.w1
-    f_minus = um * em / w.w1
-    f_plus_r = ((b.u_r + 1j * b.v_r + 1j * k * up) * w.w1 - up * w.w1_r) * ep / w.w1**2
-    f_minus_r = ((b.u_r - 1j * b.v_r - 1j * k * um) * w.w1 - um * w.w1_r) * em / w.w1**2
+    f_plus = up * ep / w1
+    f_minus = um * em / w1
+    f_plus_r = ((b.u_r + 1j * b.v_r + 1j * k * up) * w1 - up * w1_r) * ep / w1**2
+    f_minus_r = ((b.u_r - 1j * b.v_r - 1j * k * um) * w1 - um * w1_r) * em / w1**2
     F_plus = F_minus = None
     if normalized:
         e2 = k * k - params.q**2
@@ -254,7 +233,7 @@ class BoundState:
             + (q * ga + q**2 * self.phase.gamma1) * np.sin(th)
             + np.sin(th) ** 2 * np.cos(th)
         )
-        return 24.0 * q**2 * x / w1_bundle(self.params, r).w1
+        return 24.0 * q**2 * x / _w1(self.params, r, 0)[0]
 
     def __call__(self, r):
         amp = self.raw(r)

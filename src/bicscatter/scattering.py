@@ -28,14 +28,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .darboux import PotentialParams, W1Bundle, _is_real, _w1_bounds, w1_bundle
+from .darboux import PotentialParams, _horner, _is_real, _w1, _w1_bounds, w1_bundle
 from .errors import (
     DegenerateNormalizer,
     MinimaNotFound,
     UnwrapAmbiguity,
     ValidationError,
 )
-from .jost import UVBundle, _horner, _uv_at, _uv_coefficients, uv_bundle
+from .jost import _uv_at, _uv_coefficients, uv_bundle
 from .numerics import _BLOCK, _bracketed_newton, unwrap_phase
 
 __all__ = [
@@ -112,8 +112,8 @@ def _w1_violation(params: PotentialParams, a: float) -> Optional[float]:
 @dataclass(frozen=True)
 class _BoundaryData:
     """What d, g, G and G' need of the closed forms: the e2-coefficients of
-    u, v, u_r and v_r at r = 0 (see ``jost._uv_coefficients``), W1(0),
-    W1(a), and the polynomials of ``_g_polynomials``.
+    u and v/k at r = 0 (see ``jost._uv_coefficients``), W1(0), W1(a), and
+    the polynomials of ``_g_polynomials``.
 
     Every number is a builtin float, so a scalar k runs on Python float and
     complex arithmetic, at a fraction of numpy's per-scalar cost, while an
@@ -128,12 +128,13 @@ class _BoundaryData:
     dg: tuple
 
 
-def _g_polynomials(at_0, at_a, w1_a: W1Bundle, q: float, a: float):
+def _g_polynomials(at_0, at_a, w1_a, q: float, a: float):
     """(g, g_prime, dg): three groups of four real polynomials in
     e2 = k^2 - q^2 of degree at most 4, as lists of builtin floats.
 
     Write u = U, v = kV at r = 0 and v = k V_a at r = a, all polynomials in
-    e2 (``jost._uv_coefficients``), and with W = W1(a) and W' = W1'(a) let
+    e2 (``jost._uv_coefficients``, at r = a with their r-derivatives), and
+    with (W, W') = w1_a = (W1(a), W1'(a)) let
 
         X = (v_r W - v W') / k,   Y = u_r W - u W'     at r = a,
         X+ = X + 2Wu,             Y+ = Y - 2k^2 W V_a.
@@ -173,9 +174,9 @@ def _g_polynomials(at_0, at_a, w1_a: W1Bundle, q: float, a: float):
     def e2_derivative(c):
         return np.append(c[1:] * np.arange(1.0, 5.0), 0.0)
 
-    u0, v0 = (padded(c) for c in at_0[:2])
-    ua, va, ua_r, va_r = (padded(c) for c in at_a)
-    w, w_r = float(w1_a.w1), float(w1_a.w1_r)
+    u0, v0 = (padded(c) for c in at_0)
+    (ua, va), (ua_r, va_r) = ((padded(c) for c in rows) for rows in at_a)
+    w, w_r = w1_a
     k2 = padded([q * q, 1.0])
     x, y = va_r * w - va * w_r, ua_r * w - ua * w_r
     x_plus, y_plus = x + 2.0 * w * ua, y - 2.0 * w * mul(k2, va)
@@ -201,12 +202,12 @@ class TruncatedConfig:
     ``_w1_violation`` and ``darboux._w1_bounds``). ``a`` may be any real
     scalar except a bool and is stored as a builtin float.
 
-    Construction also evaluates the boundary data once: u, v, u_r and v_r
-    depend on k only through e2 = k^2 - q^2 (and a factor k in v), so G is
-    P + e^{-2ika} Q with P and Q built from four real polynomials in e2
-    (``_g_polynomials``), and every later d, g, G and G' is a short
-    polynomial evaluation. The data is derived from (params, a) and takes
-    no part in equality, hashing or repr; ``dataclasses.replace``
+    Construction also evaluates the boundary data once: u and v and their
+    r-derivatives depend on k only through e2 = k^2 - q^2 (and a factor k
+    in v), so G is P + e^{-2ika} Q with P and Q built from four real
+    polynomials in e2 (``_g_polynomials``), and every later d, g, G and G'
+    is a short polynomial evaluation. The data is derived from (params, a)
+    and takes no part in equality, hashing or repr; ``dataclasses.replace``
     recomputes it for the new cutoff.
     """
 
@@ -230,11 +231,14 @@ class TruncatedConfig:
             raise ValidationError(
                 f"W1 is not positive on [0, {self.a}] (first violation near r = {bad:.6g})"
             )
-        at_0 = _uv_coefficients(self.params, 0.0)
-        w1_a = w1_bundle(self.params, self.a)
+        # u, v/k and W1 at r = 0 and r = a, with their r-derivatives at a
+        r = np.array([0.0, self.a])
+        uv, uv_r = _uv_coefficients(self.params, r, 1)
+        w1, w1_r = (w.tolist() for w in _w1(self.params, r, 1))
+        at_0 = uv[..., 0].tolist()
         object.__setattr__(self, "_boundary_data", _BoundaryData(
-            np.array(at_0).tolist(), float(w1_bundle(self.params, 0.0).w1), float(w1_a.w1),
-            *_g_polynomials(at_0, _uv_coefficients(self.params, self.a), w1_a,
+            at_0, w1[0], w1[1],
+            *_g_polynomials(at_0, (uv[..., 1], uv_r[..., 1]), (w1[1], w1_r[1]),
                             self.params.q, self.a),
         ))
 
@@ -268,7 +272,7 @@ def h_normalizer(params: PotentialParams, k):
     near k = q, where its rounding error is 1e-5 to 1e-4 of h at the
     a = 5000 doublet and grows like a^4.
     """
-    return _h_of(_uv_coefficients(params, 0.0)[0][2], k, params.q)
+    return _h_of(_uv_coefficients(params, 0.0, 0)[0][0][2], k, params.q)
 
 
 def _h_of(u2, k, q):
@@ -276,11 +280,11 @@ def _h_of(u2, k, q):
     return k * (u2 * e2 * e2) ** 2
 
 
-def _check_h(config: TruncatedConfig, k, b0: UVBundle):
-    """h(k), or DegenerateNormalizer if it is below the threshold; b0 is
-    u, v at r = 0, which set the scale."""
+def _check_h(config: TruncatedConfig, k, u0, v0):
+    """h(k), or DegenerateNormalizer if it is below the threshold; u0 and
+    v0 are u, v at r = 0, which set the scale."""
     h = _h_of(config._boundary_data.at_0[0][2], k, config.params.q)
-    scale = max(1.0, float(np.max(np.abs(b0.u) ** 2 + np.abs(b0.v) ** 2)))
+    scale = max(1.0, float(np.max(np.abs(u0) ** 2 + np.abs(v0) ** 2)))
     if np.min(np.abs(h)) < H_DEGENERACY_RTOL * scale:
         raise DegenerateNormalizer(
             f"|h(k)| = {float(np.min(np.abs(h))):.3e} at k = {k!r}: boundary-condition "
@@ -440,16 +444,16 @@ def regular_solution(config: TruncatedConfig, k, r):
     if np.any(r < 0) or np.any(r > config.a):
         raise ValidationError("regular solution is defined on 0 <= r <= a")
     p = config.params
-    b0 = _uv_at(config._boundary_data.at_0, k, k * k - p.q * p.q)
-    h = _check_h(config, k, b0)
+    u0, v0 = _uv_at(config._boundary_data.at_0, k, k * k - p.q * p.q)
+    h = _check_h(config, k, u0, v0)
     b = uv_bundle(p, k, r)
-    w = w1_bundle(p, r)
+    w1, w1_r = _w1(p, r, 1)
     w10 = config._boundary_data.w1_0
-    a1, a2 = _ka_rotation(b0.u, -b0.v, k * r)
-    cu = b.u_r * w.w1 - b.u * w.w1_r - k * b.v * w.w1
-    cv = b.v_r * w.w1 - b.v * w.w1_r + k * b.u * w.w1
-    ph = np.where(r == 0.0, 0.0, (w10 / (h * w.w1)) * (b.u * a1 + b.v * a2))[()]
-    ph_r = (w10 / (h * w.w1**2)) * (cu * a1 + cv * a2)
+    a1, a2 = _ka_rotation(u0, -v0, k * r)
+    cu = b.u_r * w1 - b.u * w1_r - k * b.v * w1
+    cv = b.v_r * w1 - b.v * w1_r + k * b.u * w1
+    ph = np.where(r == 0.0, 0.0, (w10 / (h * w1)) * (b.u * a1 + b.v * a2))[()]
+    ph_r = (w10 / (h * w1**2)) * (cu * a1 + cv * a2)
     return ph, ph_r
 
 
@@ -503,7 +507,7 @@ def _jost_prefactor(config: TruncatedConfig, k):
 
 def _jost_from_dg(config: TruncatedConfig, k, d, g):
     q = config.params.q
-    _check_h(config, k, _uv_at(config._boundary_data.at_0, k, k * k - q * q))
+    _check_h(config, k, *_uv_at(config._boundary_data.at_0, k, k * k - q * q))
     pref = _jost_prefactor(config, k)
     f_minus = pref * np.exp(1j * k * config.a) * (d + 1j * g)
     f_plus = pref * np.exp(-1j * k * config.a) * (d - 1j * g)
@@ -558,24 +562,35 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
 
     Raises
     ------
+    ValidationError
+        If the grid is not 1-d, has fewer than two points, or any step is
+        not finite and positive (a NaN or an infinity in it included).
     UnwrapAmbiguity
         If any adjusted step exceeds ``max_step_fraction * pi``: the grid
         is too coarse to track the phase through the resonances (their
         half-widths are ~1e-4 at a = 5000, so dk must be well below that).
     """
-    k_grid = np.asarray(k_grid, dtype=float)
+    k_grid = _checked_grid(k_grid)
     return _unwrap_principal(phase_shift(config, k_grid), k_grid, max_step_fraction)
+
+
+def _checked_grid(k_grid) -> np.ndarray:
+    """k_grid as a float array, if it is 1-d with at least two points and
+    every step finite and positive; ValidationError otherwise. Checked
+    ``_BLOCK`` steps at a time."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    if (k_grid.ndim != 1 or k_grid.size < 2
+            or not all(np.all((dk > 0) & (dk < math.inf)) for _, dk in _block_steps(k_grid))):
+        raise ValidationError("k_grid must be finite and strictly increasing, length >= 2")
+    return k_grid
 
 
 def _unwrap_principal(raw: np.ndarray, k_grid: np.ndarray,
                       max_step_fraction: float = 0.45) -> np.ndarray:
     """``phase_shift_unwrapped`` from the principal values ``raw`` already
-    computed on ``k_grid``: grid check, unwrap mod pi, step test. The checks
-    run ``_BLOCK`` steps at a time; a failing step test reports the largest
-    step of the first block that has one too large."""
-    if (k_grid.ndim != 1 or k_grid.size < 2
-            or any(np.any(dk <= 0) for _, dk in _block_steps(k_grid))):
-        raise ValidationError("k_grid must be strictly increasing, length >= 2")
+    computed on ``k_grid`` (a ``_checked_grid``): unwrap mod pi, step test.
+    The test runs ``_BLOCK`` steps at a time; a failing one reports the
+    largest step of the first block that has one too large."""
     out = unwrap_phase(raw, period=math.pi)
     for start, steps in _block_steps(out):
         np.abs(steps, out=steps)
@@ -623,6 +638,17 @@ def scattering_point(config: TruncatedConfig, k: float) -> ScatteringPoint:
     )
 
 
+def _window_grid(k_lo: float, k_hi: float, dk: float) -> np.ndarray:
+    """The grid k_lo, k_lo + dk, ... through k_hi, for finite k_lo < k_hi
+    and a finite dk > 0; ValidationError otherwise."""
+    if not (-math.inf < k_lo < k_hi < math.inf and 0 < dk < math.inf):
+        raise ValidationError(
+            f"need finite k_lo < k_hi and finite dk > 0, got k_lo = {k_lo!r}, "
+            f"k_hi = {k_hi!r}, dk = {dk!r}"
+        )
+    return np.arange(k_lo, k_hi + dk, dk)
+
+
 @dataclass(frozen=True)
 class SigmaLandmarks:
     """Transmission-zero minima of sigma and the unitary peak between them."""
@@ -661,17 +687,18 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
 
     Raises
     ------
+    ValidationError
+        If the window is not finite with k_lo < k_hi, or dk is not finite
+        and positive.
     MinimaNotFound
         If fewer than two numerator zeros survive on the window.
     NoConvergence
         If a refinement exhausts its iteration budget.
     """
-    if not (k_lo < k_hi):
-        raise ValidationError("need k_lo < k_hi")
     if dk is None:
         dk = math.pi / (64.0 * config.a)
     q = config.params.q
-    grid = np.arange(k_lo, k_hi + dk, dk)
+    grid = _window_grid(k_lo, k_hi, dk)
     num, den = _blockwise(lambda kk: _num_den(config, kk), grid)
     floor = _noise_floor(config)
 
@@ -712,9 +739,10 @@ def phase_jump(config: TruncatedConfig, k_lo: float, k_hi: float,
     Across a window containing the resonance doublet (with enough margin
     for the Breit-Wigner tails to complete) the magnitude approaches 2*pi:
     each resonance contributes a drop of pi. Grid points within Q_EXCLUSION
-    of the embedded-state wave number are excised.
+    of the embedded-state wave number are excised. The window and dk are
+    checked as in ``sigma_landmarks``.
     """
-    grid = np.arange(k_lo, k_hi + dk, dk)
+    grid = _window_grid(k_lo, k_hi, dk)
     grid = grid[np.abs(grid - config.params.q) > Q_EXCLUSION]
     un = phase_shift_unwrapped(config, grid)
     return float(un[-1] - un[0])

@@ -316,6 +316,35 @@ def test_config_file_rejects_garbage(tmp_path, capsys):
     assert rc == 2
 
 
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bic = true\ncutof = 100\n")
+    assert main(["resonances", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "'cutof'" in err["message"]
+    # a key of another command is accepted: one file serves several commands
+    cfg.write_text("bic = true\nr-max = 2\ndr = 0.5\na-list = 2500,5000\n")
+    assert main(["w1", "--config", str(cfg), "--out", str(tmp_path / "w1.csv")]) == 0
+
+
+@pytest.mark.parametrize("argv", [["potential", "--bic", "--r-max", "nan"],
+                                  ["potential", "--bic", "--r-max", "inf"],
+                                  ["phase-shift", "--bic", "--dk", "nan"],
+                                  ["phase-shift", "--bic", "--k-max", "inf"]])
+def test_non_finite_grid_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("line", ["dr = nan", "k-min = -inf"])
+def test_non_finite_grid_from_run_file_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"bic = true\n{line}\n")
+    command = "potential" if line.startswith("dr") else "cross-section"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
 def test_reproducible_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["w1", "--bic", "--r-max", "2", "--dr", "0.5", "--reproducible"]

@@ -173,8 +173,8 @@ def test_n_squared_rounding_reads_d_g_beside_q():
     # as exact zeros), so read at q alone the d - ig term of the estimate
     # was 0; beside q it is the rounding it estimates. With |G'| infinite
     # only that term and the phases remain.
-    params = bs.PotentialParams.bic(alpha=2.403293061183309, q=1.0302044633075347)
-    config = bs.TruncatedConfig(params=params, a=329.77842326039297)
+    params = bs.PotentialParams.bic(alpha=1.3515190914385014, q=2.075714076655437)
+    config = bs.TruncatedConfig(params=params, a=786.6321175533113)
     assert bs.dg(config, params.q) == (0.0, 0.0)
     kn = bs.find_resonances(config)[0].k_complex
     d, g = bs.dg(config, kn)
@@ -314,13 +314,14 @@ def test_census_below_the_scaling_limit_is_refused():
 
 def test_box_reaching_re_k_zero_is_refused():
     """A box reaching Re k <= 0 holds 35 zeros; the limit's seeds converge
-    on 30 of them and the census is refused. Every seed converges, the rest
-    outside the box (on the imaginary axis, or at the removable zero near
-    k = -q, which the seed -0.2886 - 0.0204i reaches), so the refusal is a
-    root-count mismatch."""
+    on 30 of them and the census is refused. The rest land outside the box
+    (on the imaginary axis, or at the removable zero near k = -q), except
+    the seed -0.3200 - 0.0206i, which stalls beside that zero where |G| is
+    rounding (2e-13), so the refusal is NoConvergence. Whether it stalls or
+    converges there rests on the last bits of G."""
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=0.3, q=0.3), a=100.0)
     box = bs.ComplexRectangle(-0.328, 0.928, -0.05, -0.0005)
-    with pytest.raises(bs.RootCountMismatch):
+    with pytest.raises(bs.NoConvergence):
         bs.find_resonances(config, search_box=box)
 
 

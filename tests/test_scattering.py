@@ -494,13 +494,13 @@ def test_no_minimum_in_the_noise_where_d_g_vanish_exactly_at_q(dk):
     # the e2^0 coefficients at r = 0 come out as exact zeros here, so
     # d(q) = g(q) = 0 exactly; the noise floor must come from the rounding
     # beside q, or sign changes within 1e-3 pi/a of q pass as minima
-    params = bs.PotentialParams.bic(alpha=2.403293061183309, q=1.0302044633075347)
-    config = bs.TruncatedConfig(params=params, a=329.77842326039297)
+    params = bs.PotentialParams.bic(alpha=1.3515190914385014, q=2.075714076655437)
+    config = bs.TruncatedConfig(params=params, a=786.6321175533113)
     q, a = params.q, config.a
     assert bs.dg(config, q) == (0.0, 0.0)
     marks = bs.sigma_landmarks(config, q - 3 * math.pi / a, q + 3 * math.pi / a, dk=dk)
     x = [(m - q) * a / math.pi for m in marks.minima]
-    assert x == pytest.approx([-0.5529, 0.7214], abs=1e-4)
+    assert x == pytest.approx([-0.5622, 0.7110], abs=1e-4)
 
 
 def test_minima_not_found_in_barren_window(config):
@@ -534,6 +534,25 @@ def test_unwrap_step_budget_parameter(config):
 def test_unwrapped_requires_increasing_grid(config):
     with pytest.raises(bs.ValidationError):
         bs.phase_shift_unwrapped(config, np.array([1.002, 1.001, 1.003]))
+
+
+@pytest.mark.parametrize("fn,args", [
+    ("sigma_landmarks", (0.99, 1.01, 0.0)),
+    ("sigma_landmarks", (0.99, 1.01, -1e-6)),
+    ("sigma_landmarks", (0.99, 1.01, math.nan)),
+    ("sigma_landmarks", (0.99, math.inf)),
+    ("sigma_landmarks", (math.nan, 1.01)),
+    ("phase_jump", (0.99, 1.01, 0.0)),
+    ("phase_jump", (0.99, 1.01, math.nan)),
+    ("phase_jump", (0.99, math.inf)),
+    ("phase_shift_unwrapped", (np.array([0.999, math.nan, 1.001]),)),
+    ("phase_shift_unwrapped", (np.array([0.999, 1.001, math.inf]),)),
+])
+def test_grid_inputs_raise_validation_error(config, fn, args):
+    # a zero, negative or NaN step, an infinite or NaN window end, and a
+    # grid holding NaN or an infinity are all refused before any numerics
+    with pytest.raises(bs.ValidationError):
+        getattr(bs, fn)(config, *args)
 
 
 def test_phase_jump_across_doublet(config):
