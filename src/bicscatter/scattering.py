@@ -575,12 +575,13 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
 
 
 def _checked_grid(k_grid) -> np.ndarray:
-    """k_grid as a float array, if it is 1-d with at least two points and
-    every step finite and positive; ValidationError otherwise. Checked
-    ``_BLOCK`` steps at a time."""
+    """k_grid as a float array, if it is 1-d with at least two points, finite
+    and strictly increasing; ValidationError otherwise. A NaN fails the
+    step test (run ``_BLOCK`` steps at a time), and an increasing grid can
+    hold an infinity only at an end."""
     k_grid = np.asarray(k_grid, dtype=float)
-    if (k_grid.ndim != 1 or k_grid.size < 2
-            or not all(np.all((dk > 0) & (dk < math.inf)) for _, dk in _block_steps(k_grid))):
+    if (k_grid.ndim != 1 or k_grid.size < 2 or not np.isfinite(k_grid[[0, -1]]).all()
+            or not all(np.all(dk > 0) for _, dk in _block_steps(k_grid))):
         raise ValidationError("k_grid must be finite and strictly increasing, length >= 2")
     return k_grid
 
