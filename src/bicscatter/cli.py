@@ -523,11 +523,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _run_file_keys() -> frozenset:
-    """The long options of every command, without their dashes: the keys a
-    run file may hold, so that one file can serve several commands."""
-    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
-    return frozenset(opt[2:] for p in commands.values() for action in p._actions
-                     for opt in action.option_strings if opt.startswith("--"))
+    """The options of every command, spelled as ``_Settings.get`` reads
+    them: the keys a run file may hold, so one file serves several commands."""
+    dests = set()
+    for command in _COMMANDS:
+        dests.update(vars(_build_parser().parse_args([command])))
+    dests.discard("command")
+    return frozenset(d.replace("_", "-") for d in dests)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
