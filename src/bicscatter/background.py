@@ -29,11 +29,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SingularFitSystem, ValidationError
-from .numerics import _BLOCK
+from .numerics import _BLOCK, _grid_count
 from .resonances import Resonance
-from .scattering import (TruncatedConfig, _blockwise, _dg_sin_cos, _ka_rotation,
-                         _ka_sin_cos, _noise_floor, _principal_phase, _rotate, _sigma,
-                         _sin2, sigma_landmarks)
+from .scattering import (TruncatedConfig, _blockwise, _ka_rotation, _noise_floor,
+                         _num_den, _principal_phase, _rotated, _sigma, _sin2,
+                         sigma_landmarks)
 
 __all__ = [
     "Doublet",
@@ -97,24 +97,37 @@ def yz(doublet: Doublet, k):
     return y, z
 
 
-def _model_num_den(doublet: Doublet, a: float, lam0: float, lam1: float, k):
-    """Numerator/denominator of tan(-delta_model), sin ka and cos ka from
-    ``scattering._ka_sin_cos``."""
-    k = np.asarray(k, dtype=float)
-    return _model_rotate(doublet, lam0, lam1, k, *_ka_sin_cos(k * a))
+def _model_num_den(doublet: Doublet, a: float, lam0: float, lam1: float, k: np.ndarray):
+    """Numerator and denominator of tan(-delta_model) on one block of real
+    k (a 1-d array).
 
+    den + i num = e^{ika} (A + iB) with A = Y - lam Z and B = lam Y + Z, two
+    cubics in kappa = k - c, c = (k1 + k2)/2. With h = (k2 - k1)/2 and
+    lam = l0 + l1 kappa, l0 = lam0 + lam1 c,
 
-def _model_rotate(doublet: Doublet, lam0: float, lam1: float, k, s, c):
-    """``_model_num_den`` given s = sin ka and c = cos ka."""
-    y, z = yz(doublet, k)
-    lam = lam0 + lam1 * k
-    return _rotate(y - lam * z, lam * y + z, s, c)
+        Y = kappa^2 - (h^2 + hw1 hw2),    Z = (hw1 + hw2) kappa + (hw2 - hw1) h,
+
+    (hw = half-width), and the block is the kernel of the exact phase,
+    ``scattering._rotated``, on [1, kappa, kappa^2, kappa^3] with
+    half-angle ka/2 and no second term.
+    """
+    c = 0.5 * (doublet.k1 + doublet.k2)
+    h = 0.5 * (doublet.k2 - doublet.k1)
+    y0 = -(h * h + doublet.half_width1 * doublet.half_width2)
+    z0 = (doublet.half_width2 - doublet.half_width1) * h
+    z1 = doublet.half_width1 + doublet.half_width2
+    l0 = lam0 + lam1 * c
+    y_lz = [y0 - l0 * z0, -(l0 * z1 + lam1 * z0), 1.0 - lam1 * z1, 0.0]
+    ly_z = [l0 * y0 + z0, lam1 * y0 + z1, l0, lam1]
+    coeffs = np.array([y_lz, ly_z, [-v for v in y_lz], [-v for v in ly_z]])
+    return _rotated(coeffs, np.subtract(k, c), np.multiply(k, 0.5 * a))
 
 
 def model_phase_and_sigma(fit: BackgroundFit, k):
     """(delta_model, sigma_model) at k; identical branch handling to the
     exact pipeline (principal arctan phase, branch-free sin^2 for sigma).
-    Evaluated in blocks, like ``scattering.cross_section``."""
+    Evaluated in blocks through ``_model_num_den``, like
+    ``scattering.cross_section``."""
     def block(kk):
         num, den = _model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, kk)
         phase = _principal_phase(num, den)  # before _sigma overwrites num, den
@@ -212,22 +225,25 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     the points near the removable point k = q where d and g are rounding
     noise (the rule of ``scattering.sigma_landmarks``).
 
-    One pass over ``_BLOCK``-point blocks: each block's d, g, sin ka and
-    cos ka serve the exact and the model phase alike, and only the block
-    maxima are kept, so no grid-sized array is allocated.
+    One pass over ``_BLOCK``-point blocks, each through the exact and the
+    model kernel (``scattering._num_den``, ``_model_num_den``), keeps only
+    the block maxima, so no grid-sized array is allocated.
 
     Raises
     ------
     ValidationError
-        If the fit was made at another cutoff, or the grid is empty (as
-        given, or the default grid after the noise filter).
+        If the fit was made at another cutoff, the grid is empty (as given,
+        or the default grid after the noise filter), or the default grid
+        would hold more than ``numerics._MAX_GRID_POINTS`` points.
     """
     if fit.a != config.a:
         raise ValidationError(f"fit is for cutoff {fit.a!r}, config has {config.a!r}")
     if k_grid is None:
         m1, m2 = fit.fit_report["minima"]
         span = m2 - m1
-        k_grid = np.arange(m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * config.a))
+        lo, hi, dk = m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * config.a)
+        _grid_count(lo, hi, dk)
+        k_grid = np.arange(lo, hi, dk)
         floor = _noise_floor(config)
     else:
         k_grid = np.asarray(k_grid, dtype=float).ravel()
@@ -242,14 +258,14 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
 
 def _block_deviation(config: TruncatedConfig, fit: BackgroundFit, k, floor):
     """``hadamard_residual`` on one block: the maximum deviation over the
-    points whose hypot(d, g) exceeds ``floor`` (all of them for None), or
-    -inf if there are none."""
-    d, g, s, c = _dg_sin_cos(config, k)
+    points where num^2 + den^2 = d^2 + g^2 exceeds ``floor``^2 (all of them
+    for None), or -inf if there are none."""
+    num, den = _num_den(config, k)
+    exact = _sin2(num, den)  # den becomes num^2 + den^2
     if floor is not None:
-        keep = np.hypot(d, g) > floor
-        k, d, g, s, c = (x[keep] for x in (k, d, g, s, c))
-    exact = _sin2(*_rotate(d, g, s, c))
-    del d, g
-    model = _sin2(*_model_rotate(fit.doublet, fit.lambda0, fit.lambda1, k, s, c))
+        keep = den > floor * floor
+        k, exact = k[keep], exact[keep]
+    del num, den
+    model = _sin2(*_model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, k))
     model -= exact
     return np.max(np.abs(model, out=model), initial=-math.inf)

@@ -29,7 +29,7 @@ from .background import Doublet, fit_lambda, hadamard_residual, model_phase_and_
 from .darboux import PotentialParams, potential_v4, scan_w1_sign, w1_bundle
 from .errors import NumericalError, ValidationError
 from .jost import bound_state
-from .numerics import ComplexRectangle
+from .numerics import ComplexRectangle, _grid_count
 from .resonances import (
     default_search_box,
     doublet_of,
@@ -190,6 +190,7 @@ def _r_grid(s: _Settings) -> np.ndarray:
     dr = s.get("dr", 0.01)
     if not (0 < r_max < math.inf and 0 < dr < math.inf):
         raise ValidationError("r-max and dr must be positive and finite")
+    _grid_count(0.0, r_max + 0.5 * dr, dr)
     return np.arange(0.0, r_max + 0.5 * dr, dr)
 
 
@@ -199,6 +200,7 @@ def _k_grid(s: _Settings, q: float) -> np.ndarray:
     dk = s.get("dk", 1e-6)
     if not (0 < k_min < k_max < math.inf and 0 < dk < math.inf):
         raise ValidationError("need 0 < k-min < k-max and dk > 0, all finite")
+    _grid_count(k_min, k_max + 0.5 * dk, dk)
     grid = np.arange(k_min, k_max + 0.5 * dk, dk)
     return grid[np.abs(grid - q) > Q_EXCLUSION]
 
@@ -343,7 +345,7 @@ def cmd_phase_shift(s: _Settings) -> None:
     config = TruncatedConfig(params=params, a=a)
     k = _checked_grid(_k_grid(s, params.q))
     raw = phase_shift(config, k)
-    unwrapped = _unwrap_principal(raw, k)
+    unwrapped = _unwrap_principal(lambda start, stop: raw[start:stop], k)
     ramp_removed = unwrapped + k * a
     meta = _metadata(
         s, "phase-shift", params, cutoff=a,

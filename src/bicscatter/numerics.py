@@ -326,7 +326,7 @@ def unwrap_phase(values: np.ndarray, period: float = math.pi) -> np.ndarray:
     Phases extracted through a tangent need period pi. After one pass every
     step lies within period/2, so a further pass with a longer period
     changes nothing. Coarse sampling is diagnosed by the caller, which
-    knows the grid.
+    knows the grid (see ``_unwrap_block``).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -337,14 +337,42 @@ def unwrap_phase(values: np.ndarray, period: float = math.pi) -> np.ndarray:
     out[0] = values[0]
     carry = 0.0
     for start in range(1, values.size, _BLOCK):
-        part = values[start - 1:start + _BLOCK]
-        # whole-number floats: exact sums up to 2^53 periods
-        count = np.diff(part)
-        count /= period
-        np.rint(count, out=count)
-        np.cumsum(count, out=count)
-        count += carry
-        carry = count[-1]
-        count *= period
-        np.subtract(part[1:], count, out=out[start:start + _BLOCK])
+        carry, _ = _unwrap_block(values[start - 1:start + _BLOCK], period, carry,
+                                 out[start:start + _BLOCK])
     return out
+
+
+def _unwrap_block(part: np.ndarray, period: float, carry: float, out: np.ndarray):
+    """One block of ``unwrap_phase``: part[1:] less period times the running
+    count into ``out``, where part[0] is the sample before the block and
+    ``carry`` the count up to it. Returns the new carry and excess, where
+    excess[i] = |step/period - n| for the step from part[i] to part[i + 1]:
+    the adjusted step in periods, read off the count n it rounds."""
+    excess = np.diff(part)
+    excess /= period
+    count = np.rint(excess)
+    excess -= count
+    # whole-number floats: exact sums up to 2^53 periods
+    np.cumsum(count, out=count)
+    count += carry
+    carry = count[-1]
+    count *= period
+    np.subtract(part[1:], count, out=out)
+    return carry, np.abs(excess, out=excess)
+
+
+# Grids are refused above this many points, before anything is allocated:
+# 80 MB per float array, ten times the largest benchmarked spectrum
+_MAX_GRID_POINTS = 10**7
+
+
+def _grid_count(start: float, stop: float, step: float) -> int:
+    """len(np.arange(start, stop, step)) for finite start, stop and step > 0,
+    or ValidationError if that exceeds ``_MAX_GRID_POINTS``."""
+    n = (stop - start) / step
+    if not n <= _MAX_GRID_POINTS:
+        raise ValidationError(
+            f"a grid from {start!r} to {stop!r} in steps of {step!r} would hold "
+            f"{n:.3g} points, more than {_MAX_GRID_POINTS}"
+        )
+    return max(0, math.ceil(n))

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .darboux import PotentialParams, _horner, _is_real, _w1, _w1_bounds, w1_bundle
+from .darboux import PotentialParams, _horner, _is_real, _w1, _w1_bounds
 from .errors import (
     DegenerateNormalizer,
     MinimaNotFound,
@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .jost import _uv_at, _uv_coefficients, uv_bundle
-from .numerics import _BLOCK, _bracketed_newton, unwrap_phase
+from .numerics import _BLOCK, _bracketed_newton, _grid_count, _unwrap_block
 
 __all__ = [
     "TruncatedConfig",
@@ -97,7 +97,7 @@ def _w1_violation(params: PotentialParams, a: float) -> Optional[float]:
     n = _W1_CELLS
     for _ in range(_W1_REFINEMENTS + 1):
         r = np.linspace(0.0, r_max, n + 1)
-        w = w1_bundle(params, r).w1
+        w = _w1(params, r, 0)[0]
         if np.any(w <= 0.0):
             return float(r[np.argmax(w <= 0.0)])
         h = r_max / n
@@ -118,7 +118,9 @@ class _BoundaryData:
     Every number is a builtin float, so a scalar k runs on Python float and
     complex arithmetic, at a fraction of numpy's per-scalar cost, while an
     array k still broadcasts. Sums and products round as numpy's do; a
-    complex quotient may differ from numpy's in the last bits."""
+    complex quotient may differ from numpy's in the last bits. ``rows`` is
+    the one array: the (4, 5) coefficients of bP, aP, bQ - bP and aQ - aP,
+    which ``_num_den`` multiplies onto the powers of e2."""
 
     at_0: list
     w1_0: float
@@ -126,11 +128,13 @@ class _BoundaryData:
     g: tuple
     g_prime: tuple
     dg: tuple
+    rows: np.ndarray
 
 
 def _g_polynomials(at_0, at_a, w1_a, q: float, a: float):
-    """(g, g_prime, dg): three groups of four real polynomials in
-    e2 = k^2 - q^2 of degree at most 4, as lists of builtin floats.
+    """(g, g_prime, dg, rows): four groups of four real polynomials in
+    e2 = k^2 - q^2 of degree at most 4, the first three as lists of builtin
+    floats.
 
     Write u = U, v = kV at r = 0 and v = k V_a at r = a, all polynomials in
     e2 (``jost._uv_coefficients``, at r = a with their r-derivatives), and
@@ -149,7 +153,8 @@ def _g_polynomials(at_0, at_a, w1_a, q: float, a: float):
         aP = -(U Y + k^2 V X) / 2,    bP = (U X - V Y) / 2,
         aQ = (U Y+ + k^2 V X+) / 2,   bQ = (U X+ - V Y+) / 2,
 
-    with k^2 = e2 + q^2; g is (aP, bP, aQ, bQ). On the real axis
+    with k^2 = e2 + q^2; g is (aP, bP, aQ, bQ), and rows is
+    (bP, aP, bQ - bP, aQ - aP) as an array. On the real axis
 
         d = k (bP + bQ) cos ka - (aP - aQ) sin ka,
         g = k (bP - bQ) sin ka + (aP + aQ) cos ka,
@@ -187,8 +192,9 @@ def _g_polynomials(at_0, at_a, w1_a, q: float, a: float):
     g_prime = (-(b_p + 2.0 * mul(k2, e2_derivative(b_p))), 2.0 * e2_derivative(a_p),
                -(b_q + 2.0 * mul(k2, e2_derivative(b_q))) - 2.0 * a * a_q,
                2.0 * e2_derivative(a_q) - 2.0 * a * b_q)
-    return tuple(tuple(c.tolist() for c in polys) for polys in (
-        (a_p, b_p, a_q, b_q), g_prime, (b_p + b_q, a_p - a_q, b_p - b_q, a_p + a_q)))
+    return (*(tuple(tuple(c.tolist() for c in polys) for polys in (
+        (a_p, b_p, a_q, b_q), g_prime, (b_p + b_q, a_p - a_q, b_p - b_q, a_p + a_q)))),
+        np.array([b_p, a_p, b_q - b_p, a_q - a_p]))
 
 
 @dataclass(frozen=True)
@@ -317,68 +323,77 @@ def _g_prime(config: TruncatedConfig, k):
 
 
 def _ka_rotation(x, y, ka):
-    """(x sin ka + y cos ka, x cos ka - y sin ka)."""
-    return _rotate(x, y, np.sin(ka), np.cos(ka))
-
-
-def _rotate(x, y, s, c):
-    """``_ka_rotation`` given s = sin ka and c = cos ka."""
+    """(x sin ka + y cos ka, x cos ka - y sin ka), for a scalar or complex
+    ka; real-axis grids go through ``_rotated`` instead."""
+    s, c = np.sin(ka), np.cos(ka)
     return x * s + y * c, x * c - y * s
 
 
-def _sin_cos(x):
-    """(sin x, cos x) of a real float array from one tangent of x/2:
+def _rotated(coeffs: np.ndarray, x: np.ndarray, half: np.ndarray, k=None):
+    """(num, den) with den + i num = e^{i phi} (p + i p') + (r + i r') on
+    one block of points, where phi = 2 half and
 
-        t = tan(x/2),   sin x = 2t / (1 + t^2),   cos x = (1 - t^2) / (1 + t^2).
+        (p, p', r - p, r' - p') = coeffs @ [1, x, x^2, ...],
 
-    x/2 is exact, so the only argument reduction is the tangent's. Each
-    result differs from np.sin's and np.cos's by at most a few eps
-    (absolute), and numpy's SIMD tangent costs a fraction of a sine plus a
-    cosine. Near x/2 = pi/2 mod pi, t is large but finite (no float lies
-    that close to an odd multiple of pi/2) and the quotients stay accurate.
-    Computed in place: the only temporary is 1/(1 + t^2).
+    p and r - p multiplied by k when k is given. This is the real-axis
+    kernel of the exact phase (``_num_den``) and of the model phase
+    (``background._model_num_den``). With t = tan(half) and
+    w = 2 / (1 + t^2), cos phi = w - 1 and sin phi = t w, so
+
+        den = w (p - t p') + (r - p),    num = w (t p + p') + (r' - p').
+
+    The polynomials are one matrix product over the powers of x, the phase
+    is one tangent, and ``half`` is overwritten. A lone point is padded to
+    two columns: numpy sends a one-column product to gemv, which sums in
+    another order than gemm does on the same column inside a longer block.
     """
-    t = np.multiply(x, 0.5)
-    np.tan(t, out=t)
-    c = np.multiply(t, t)
-    inv = np.add(c, 1.0)
-    np.divide(1.0, inv, out=inv)
-    t *= 2.0
-    t *= inv
-    np.subtract(1.0, c, out=c)
-    c *= inv
-    return t, c
-
-
-def _ka_sin_cos(ka):
-    """(sin ka, cos ka): from ``_sin_cos`` for a real float array, from
-    np.sin and np.cos for a scalar (``_sin_cos`` works in place) or a
-    complex ka."""
-    if isinstance(ka, np.ndarray) and ka.dtype.kind == "f":
-        return _sin_cos(ka)
-    return np.sin(ka), np.cos(ka)
+    m = x.size
+    basis = np.empty((coeffs.shape[1], max(m, 2)))
+    basis[0] = 1.0
+    np.copyto(basis[1, :m], x, casting="same_kind")  # a complex x raises TypeError
+    basis[1, m:] = 0.0
+    for j in range(2, len(basis)):
+        np.multiply(basis[j - 1], basis[1], out=basis[j])
+    p_re, p_im, dq_re, dq_im = (coeffs @ basis)[:, :m]
+    del basis
+    if k is not None:
+        p_re *= k
+        dq_re *= k
+    t = np.tan(half, out=half)
+    w = np.multiply(t, t)
+    w += 1.0
+    np.divide(2.0, w, out=w)
+    num = np.multiply(t, p_re)
+    num += p_im
+    num *= w
+    num += dq_im
+    p_im *= t
+    den = np.subtract(p_re, p_im)
+    den *= w
+    den += dq_re
+    return num, den
 
 
 def _blockwise(fn, k):
-    """fn(k) for an elementwise fn returning a tuple of arrays shaped like k,
-    evaluated ``_BLOCK`` points at a time into preallocated outputs.
+    """fn on k for an fn of one 1-d block that returns a tuple of arrays
+    shaped like it, ``_BLOCK`` points at a time into preallocated outputs
+    shaped like k (numpy scalars for a scalar k).
 
-    A scalar or 0-d k reaches fn unchanged (Python complex arithmetic rounds
-    differently from numpy's), and so does an array of at most one block.
-    Outputs are bit-identical to fn(k) on the whole array; what is alive at
+    Outputs are bit-identical to fn on the whole array; what is alive at
     once is the outputs plus one block's temporaries.
     """
-    if np.size(k) <= _BLOCK:
-        return fn(k)
     flat = np.asarray(k).reshape(-1)
-    out = None
-    for start in range(0, flat.size, _BLOCK):
-        part = fn(flat[start:start + _BLOCK])
-        if out is None:
-            out = tuple(np.empty(flat.size, dtype=p.dtype) for p in part)
-        for o, p in zip(out, part):
-            o[start:start + _BLOCK] = p
-    return tuple(o.reshape(np.shape(k)) for o in out)
+    if flat.size <= _BLOCK:
+        out = fn(flat)
+    else:
+        out = None
+        for start in range(0, flat.size, _BLOCK):
+            part = fn(flat[start:start + _BLOCK])
+            if out is None:
+                out = tuple(np.empty(flat.size, dtype=p.dtype) for p in part)
+            for o, p in zip(out, part):
+                o[start:start + _BLOCK] = p
+    return tuple(o.reshape(np.shape(k))[()] for o in out)
 
 
 def _rounding_near_q(config: TruncatedConfig) -> Tuple[float, float]:
@@ -464,24 +479,27 @@ def dg(config: TruncatedConfig, k):
     (the prefactor of F(-k) is zero-free), which is why the resonance
     search operates on it directly.
 
-    An array k is evaluated in blocks of ``_BLOCK`` points, so beyond the
-    two outputs the peak memory is one block's temporaries, whatever the
-    grid size; a scalar k gives scalars.
+    A scalar k gives scalars, in Python arithmetic where k is a builtin; an
+    array k is evaluated in blocks of ``_BLOCK`` points, so beyond the two
+    outputs the peak memory is one block's temporaries, whatever the grid
+    size. Phases and cross sections do not go through d and g (see
+    ``_num_den``).
     """
-    return _blockwise(lambda kk: _dg_sin_cos(config, kk)[:2], k)
+    if np.ndim(k) == 0:
+        return _dg(config, k)
+    return _blockwise(lambda kk: _dg(config, kk), k)
 
 
-def _dg_sin_cos(config: TruncatedConfig, k):
-    """(d, g, sin ka, cos ka) at k, unblocked; sin ka and cos ka from
-    ``_ka_sin_cos``."""
-    # d = k (bP + bQ) c - (aP - aQ) s, g = k (bP - bQ) s + (aP + aQ) c
+def _dg(config: TruncatedConfig, k):
+    """(d, g) at k, unblocked, from the polynomials ``_BoundaryData.dg``
+    (see ``_g_polynomials``) and np.sin, np.cos of ka."""
     q = config.params.q
     b_sum, a_diff, b_diff, a_sum = config._boundary_data.dg
     e2 = k * k - q * q
-    s, c = _ka_sin_cos(k * config.a)
-    d = k * _horner(b_sum, e2) * c - _horner(a_diff, e2) * s
-    g = k * _horner(b_diff, e2) * s + _horner(a_sum, e2) * c
-    return d, g, s, c
+    ka = k * config.a
+    s, c = np.sin(ka), np.cos(ka)
+    return (k * _horner(b_sum, e2) * c - _horner(a_diff, e2) * s,
+            k * _horner(b_diff, e2) * s + _horner(a_sum, e2) * c)
 
 
 def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
@@ -514,13 +532,19 @@ def _jost_from_dg(config: TruncatedConfig, k, d, g):
     return f_minus, f_plus
 
 
-def _num_den(config: TruncatedConfig, k):
-    """Numerator/denominator of tan(-delta_a): sin^2 delta = num^2/(num^2+den^2).
+def _num_den(config: TruncatedConfig, k: np.ndarray):
+    """Numerator and denominator of tan(-delta_a) on one block of real k (a
+    1-d array): sin^2 delta = num^2 / (num^2 + den^2).
 
-    One sin/cos of ka serves both the rotation inside d, g and the rotation
-    of (d, g). Unblocked: callers pass one block or a scalar.
+    den + i num = e^{ika} (d + ig) = e^{2ika} P + Q (``_g_polynomials``),
+    so the block takes one matrix product of ``_BoundaryData.rows`` over the
+    powers of e2 and one tangent of ka (``_rotated``), with no d, g or
+    second rotation on the way.
     """
-    return _rotate(*_dg_sin_cos(config, k))
+    q = config.params.q
+    e2 = np.multiply(k, k, dtype=float)
+    e2 -= q * q
+    return _rotated(config._boundary_data.rows, e2, np.multiply(k, config.a), k)
 
 
 def _num_den_dk(config: TruncatedConfig, k: float):
@@ -549,7 +573,7 @@ def phase_shift(config: TruncatedConfig, k):
 
     The underlying arctan is branch-ambiguous mod pi; use
     ``phase_shift_unwrapped`` for a continuous curve on a grid. Evaluated
-    in blocks, like ``dg``.
+    in blocks of ``_BLOCK`` points through ``_num_den``.
     """
     return _blockwise(lambda kk: (_principal_phase(*_num_den(config, kk)),), k)[0]
 
@@ -571,7 +595,9 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
         half-widths are ~1e-4 at a = 5000, so dk must be well below that).
     """
     k_grid = _checked_grid(k_grid)
-    return _unwrap_principal(phase_shift(config, k_grid), k_grid, max_step_fraction)
+    return _unwrap_principal(
+        lambda start, stop: _principal_phase(*_num_den(config, k_grid[start:stop])),
+        k_grid, max_step_fraction)
 
 
 def _checked_grid(k_grid) -> np.ndarray:
@@ -581,41 +607,42 @@ def _checked_grid(k_grid) -> np.ndarray:
     hold an infinity only at an end."""
     k_grid = np.asarray(k_grid, dtype=float)
     if (k_grid.ndim != 1 or k_grid.size < 2 or not np.isfinite(k_grid[[0, -1]]).all()
-            or not all(np.all(dk > 0) for _, dk in _block_steps(k_grid))):
+            or not all(np.all(np.diff(k_grid[start:start + _BLOCK + 1]) > 0)
+                       for start in range(0, k_grid.size - 1, _BLOCK))):
         raise ValidationError("k_grid must be finite and strictly increasing, length >= 2")
     return k_grid
 
 
-def _unwrap_principal(raw: np.ndarray, k_grid: np.ndarray,
+def _unwrap_principal(principal, k_grid: np.ndarray,
                       max_step_fraction: float = 0.45) -> np.ndarray:
-    """``phase_shift_unwrapped`` from the principal values ``raw`` already
-    computed on ``k_grid`` (a ``_checked_grid``): unwrap mod pi, step test.
-    The test runs ``_BLOCK`` steps at a time; a failing one reports the
-    largest step of the first block that has one too large."""
-    out = unwrap_phase(raw, period=math.pi)
-    for start, steps in _block_steps(out):
-        np.abs(steps, out=steps)
-        if np.any(steps > max_step_fraction * math.pi):
-            i = int(np.argmax(steps))
+    """``phase_shift_unwrapped`` on ``k_grid`` (a ``_checked_grid``), where
+    principal(start, stop) gives the principal values on k_grid[start:stop]:
+    unwrap mod pi and step test, ``_BLOCK`` steps at a time, so that beyond
+    the output only one block of principal values is alive. The test reads
+    each adjusted step, in units of pi, off the counts the unwrap rounds
+    (``numerics._unwrap_block``); a failing one reports the largest step of
+    the first block that has one too large."""
+    out = np.empty(k_grid.size)
+    carry = 0.0
+    for start in range(1, k_grid.size, _BLOCK):
+        part = principal(start - 1, start + _BLOCK)
+        if start == 1:
+            out[0] = part[0]
+        carry, excess = _unwrap_block(part, math.pi, carry, out[start:start + _BLOCK])
+        if excess.max() > max_step_fraction:
+            i = int(np.argmax(excess))
             raise UnwrapAmbiguity(
-                f"unwrapped phase step {steps[i]:.3f} rad between k = "
-                f"{k_grid[start + i]:.9g} and {k_grid[start + i + 1]:.9g}; refine the grid"
+                f"unwrapped phase step {math.pi * excess[i]:.3f} rad between k = "
+                f"{k_grid[start - 1 + i]:.9g} and {k_grid[start + i]:.9g}; refine the grid"
             )
     return out
-
-
-def _block_steps(x: np.ndarray):
-    """(start, np.diff(x[start:start + _BLOCK + 1])): the steps of a 1-d
-    array, ``_BLOCK`` at a time."""
-    for start in range(0, x.size - 1, _BLOCK):
-        yield start, np.diff(x[start:start + _BLOCK + 1])
 
 
 def cross_section(config: TruncatedConfig, k):
     """sigma(k) = (4 pi / k^2) sin^2 delta_a, computed branch-free.
 
-    Evaluated in blocks of ``_BLOCK`` points (see ``dg``): on 10^6 points
-    the peak allocation stays below three output-sized arrays.
+    Evaluated in blocks of ``_BLOCK`` points through ``_num_den``: on 10^6
+    points the peak allocation stays below three output-sized arrays.
     """
     return _blockwise(lambda kk: (_sigma(kk, *_num_den(config, kk)),), k)[0]
 
@@ -639,15 +666,29 @@ def scattering_point(config: TruncatedConfig, k: float) -> ScatteringPoint:
     )
 
 
-def _window_grid(k_lo: float, k_hi: float, dk: float) -> np.ndarray:
-    """The grid k_lo, k_lo + dk, ... through k_hi, for finite k_lo < k_hi
-    and a finite dk > 0; ValidationError otherwise."""
+def _window_size(k_lo: float, k_hi: float, dk: float) -> int:
+    """The number of points of the grid k_lo, k_lo + dk, ... through k_hi,
+    that is of np.arange(k_lo, k_hi + dk, dk), for finite k_lo < k_hi and
+    a finite dk > 0, and at most ``numerics._MAX_GRID_POINTS`` of them;
+    ValidationError otherwise."""
     if not (-math.inf < k_lo < k_hi < math.inf and 0 < dk < math.inf):
         raise ValidationError(
             f"need finite k_lo < k_hi and finite dk > 0, got k_lo = {k_lo!r}, "
             f"k_hi = {k_hi!r}, dk = {dk!r}"
         )
-    return np.arange(k_lo, k_hi + dk, dk)
+    return _grid_count(k_lo, k_hi + dk, dk)
+
+
+def _window_points(k_lo: float, dk: float, start: int, stop: int) -> np.ndarray:
+    """Points start, ..., stop - 1 of the ``_window_size`` grid, bit for bit
+    those of np.arange, which sets point 1 to k_lo + dk and point i > 1 to
+    k_lo + i ((k_lo + dk) - k_lo)."""
+    k = np.arange(start, stop, dtype=float)
+    k *= (k_lo + dk) - k_lo
+    k += k_lo
+    if start <= 1 < stop:
+        k[1 - start] = k_lo + dk
+    return k
 
 
 @dataclass(frozen=True)
@@ -677,8 +718,10 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     on alpha and q and settle only as a grows: alpha = q = 1 puts them at
     -0.453 and 0.831 at a = 100 and at -0.444 and 0.837 from a = 5000 on;
     alpha = q = 0.3 at -0.104, 2.365 and 2.536 at a = 100, where the
-    closest pair is 11 cells apart. The grid is evaluated in blocks, like
-    ``dg``.
+    closest pair is 11 cells apart. The grid is streamed: each block of
+    ``_BLOCK`` points (``_num_den``) is scanned for sign changes and then
+    dropped, so only the brackets and their end values are kept, whatever
+    the number of points.
 
     d + ig also vanishes (removably, to fourth order) at the embedded-state
     wave number q, dragging both numerator and denominator through zero
@@ -689,8 +732,9 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     Raises
     ------
     ValidationError
-        If the window is not finite with k_lo < k_hi, or dk is not finite
-        and positive.
+        If the window is not finite with k_lo < k_hi, dk is not finite and
+        positive, or the grid would hold more than
+        ``numerics._MAX_GRID_POINTS`` points.
     MinimaNotFound
         If fewer than two numerator zeros survive on the window.
     NoConvergence
@@ -698,25 +742,26 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     """
     if dk is None:
         dk = math.pi / (64.0 * config.a)
+    n = _window_size(k_lo, k_hi, dk)
     q = config.params.q
-    grid = _window_grid(k_lo, k_hi, dk)
-    num, den = _blockwise(lambda kk: _num_den(config, kk), grid)
     floor = _noise_floor(config)
+    # sign changes of num and of den that clear q and the noise floor, as
+    # (lo, hi, f(lo), f(hi)); consecutive blocks share their end point
+    brackets: Tuple[list, list] = ([], [])
+    for start in range(0, n - 1, _BLOCK):
+        k = _window_points(k_lo, dk, start, min(start + _BLOCK + 1, n))
+        num, den = _num_den(config, k)
+        for f, found in zip((num, den), brackets):
+            sign = np.signbit(f)
+            for i in np.flatnonzero(sign[:-1] != sign[1:]):
+                lo, hi = float(k[i]), float(k[i + 1])
+                if not (lo <= q <= hi or math.hypot(num[i], den[i]) <= floor
+                        or math.hypot(num[i + 1], den[i + 1]) <= floor):
+                    found.append((lo, hi, float(f[i]), float(f[i + 1])))
 
     def refine(part: int, keep_lo=-math.inf, keep_hi=math.inf) -> List[float]:
-        fvec = (num, den)[part]
-        idx = np.nonzero(np.signbit(fvec[:-1]) != np.signbit(fvec[1:]))[0]
-        roots = []
-        for i in idx:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            if (hi <= keep_lo or lo >= keep_hi or lo <= q <= hi
-                    or math.hypot(num[i], den[i]) <= floor
-                    or math.hypot(num[i + 1], den[i + 1]) <= floor):
-                continue
-            roots.append(_bracketed_newton(
-                lambda kk: _num_den_dk(config, kk)[part],
-                lo, hi, float(fvec[i]), float(fvec[i + 1])))
-        return roots
+        return [_bracketed_newton(lambda kk: _num_den_dk(config, kk)[part], *bracket)
+                for bracket in brackets[part] if bracket[1] > keep_lo and bracket[0] < keep_hi]
 
     minima = refine(0)
     if len(minima) < 2:
@@ -728,8 +773,10 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     lo, hi = minima[0], minima[-1]
     peaks = [z for z in refine(1, lo, hi) if lo < z < hi]
     if peaks:
-        sig = [float(cross_section(config, z)) * z**2 / (4.0 * math.pi) for z in peaks]
-        peak = peaks[int(np.argmax(sig))]
+        # the candidate of largest sin^2 delta = sigma k^2 / (4 pi)
+        sin2 = [n * n / (n * n + d * d)
+                for (n, _), (d, _) in (_num_den_dk(config, z) for z in peaks)]
+        peak = peaks[int(np.argmax(sin2))]
     return SigmaLandmarks(minima=tuple(minima), peak=peak)
 
 
@@ -743,7 +790,7 @@ def phase_jump(config: TruncatedConfig, k_lo: float, k_hi: float,
     of the embedded-state wave number are excised. The window and dk are
     checked as in ``sigma_landmarks``.
     """
-    grid = _window_grid(k_lo, k_hi, dk)
+    grid = _window_points(k_lo, dk, 0, _window_size(k_lo, k_hi, dk))
     grid = grid[np.abs(grid - config.params.q) > Q_EXCLUSION]
     un = phase_shift_unwrapped(config, grid)
     return float(un[-1] - un[0])

@@ -142,8 +142,8 @@ def test_model_phase_sigma_identity(fit):
 
 @pytest.mark.parametrize("k", [1.0004, np.float64(0.9993), np.array(1.0021)])
 def test_model_phase_and_sigma_scalar(fit, k):
-    # a scalar or 0-d k gives scalars on np.sin and np.cos; the one-element
-    # array takes the tangent kernel, a few eps away
+    # a scalar or 0-d k gives scalars, through the same block kernel as the
+    # one-element array
     dm, sm = bs.model_phase_and_sigma(fit, k)
     assert np.ndim(dm) == 0 and np.ndim(sm) == 0
     dm1, sm1 = bs.model_phase_and_sigma(fit, np.array([k], dtype=float))

@@ -336,6 +336,17 @@ def test_non_finite_grid_exits_2(tmp_path, capsys, argv):
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv", [["potential", "--bic", "--dr", "1e-300"],
+                                  ["w1", "--bic", "--dr", "1e-9"],
+                                  ["phase-shift", "--bic", "--dk", "1e-12"],
+                                  ["cross-section", "--bic", "--dk", "1e-300"]])
+def test_oversized_grid_exits_2(tmp_path, capsys, argv):
+    # refused by its point count before any array is allocated
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "more than" in err["message"]
+
+
 @pytest.mark.parametrize("line", ["dr = nan", "k-min = -inf"])
 def test_non_finite_grid_from_run_file_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"

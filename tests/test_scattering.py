@@ -96,13 +96,17 @@ def test_w1_certificate_refuses_what_its_grid_cannot_prove(monkeypatch):
 
 
 def test_w1_certificate_cost_is_independent_of_cutoff(params, monkeypatch):
+    # the certificate samples W1 alone (order 0); the boundary data takes
+    # W1 and W1' at r = 0 and r = a in one more call of order 1
     points = []
+    w1 = scattering._w1
 
-    def counting(p, r):
-        points.append(np.size(r))
-        return bs.w1_bundle(p, r)
+    def counting(p, r, order):
+        if order == 0:
+            points.append(np.size(r))
+        return w1(p, r, order)
 
-    monkeypatch.setattr(scattering, "w1_bundle", counting)
+    monkeypatch.setattr(scattering, "_w1", counting)
     counts = []
     for a in (1e3, 1e6):
         points.clear()
@@ -180,15 +184,74 @@ def test_dg_scalar_skips_numpy_arrays(config, k):
     assert g == k * b_diff * s + a_sum * c
 
 
+def _random_cuts(n, seed):
+    """Split indices of range(n) into pieces of random sizes: 1 to a few
+    thousand points, with one-point pieces at both ends and inside."""
+    rng = np.random.default_rng(seed)
+    cuts = rng.choice(np.arange(2, n - 2), 40, replace=False)
+    return np.unique(np.concatenate([[1, n - 1], cuts, cuts[:10] + 1]))
+
+
+def _full_grid_landmarks(config, k_lo, k_hi, dk, cuts=()):
+    """``sigma_landmarks`` as a scan of the whole grid at once: num and den
+    on all of np.arange(k_lo, k_hi + dk, dk), here evaluated on the pieces
+    split at ``cuts``, then the same bracket filters and refinement."""
+    grid = np.arange(k_lo, k_hi + dk, dk)
+    num, den = (np.concatenate(f) for f in zip(*(
+        scattering._num_den(config, piece) for piece in np.split(grid, cuts))))
+    q, floor = config.params.q, scattering._noise_floor(config)
+
+    def refine(f, part, keep_lo=-math.inf, keep_hi=math.inf):
+        roots = []
+        for i in np.nonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))[0]:
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            if (hi <= keep_lo or lo >= keep_hi or lo <= q <= hi
+                    or math.hypot(num[i], den[i]) <= floor
+                    or math.hypot(num[i + 1], den[i + 1]) <= floor):
+                continue
+            roots.append(scattering._bracketed_newton(
+                lambda kk: scattering._num_den_dk(config, kk)[part],
+                lo, hi, float(f[i]), float(f[i + 1])))
+        return roots
+
+    minima = refine(num, 0)
+    if len(minima) < 2:
+        return bs.MinimaNotFound
+    lo, hi = minima[0], minima[-1]
+    peaks = [z for z in refine(den, 1, lo, hi) if lo < z < hi]
+    sin2 = []
+    for z in peaks:
+        (n, _), (d, _) = scattering._num_den_dk(config, z)
+        sin2.append(n * n / (n * n + d * d))
+    return scattering.SigmaLandmarks(minima=tuple(minima),
+                                     peak=peaks[int(np.argmax(sin2))] if peaks else None)
+
+
 @pytest.mark.parametrize("name", ["dg", "phase_shift", "cross_section",
-                                  "model_phase_and_sigma", "hadamard_residual"])
+                                  "model_phase_and_sigma", "hadamard_residual",
+                                  "phase_shift_unwrapped", "sigma_landmarks"])
 def test_blocked_grid_matches_sub_block_slices(config, fit, name):
+    # a grid of 2.5 blocks gives the same bits whole as on pieces split at
+    # random, one-point pieces included: numpy sends a one-column matrix
+    # product to gemv, which sums in another order, unless it is padded
+    k = np.linspace(0.995, 1.005, 5 * scattering._BLOCK // 2)
+    cuts = _random_cuts(k.size, 11)
+    if name == "sigma_landmarks":
+        dk = 0.01 / k.size
+        assert bs.sigma_landmarks(config, 0.995, 1.005, dk) == _full_grid_landmarks(
+            config, 0.995, 1.005, dk, cuts)
+        return
+    if name == "phase_shift_unwrapped":
+        k = k[np.abs(k - 1.0) > scattering.Q_EXCLUSION]
+        raw = np.concatenate([bs.phase_shift(config, piece) for piece in np.split(k, cuts)])
+        assert np.array_equal(bs.phase_shift_unwrapped(config, k),
+                              bs.unwrap_phase(raw, math.pi))
+        return
     fn = {"model_phase_and_sigma": lambda k: bs.model_phase_and_sigma(fit, k),
           "hadamard_residual": lambda k: bs.hadamard_residual(config, fit, k)}.get(
         name, lambda k: getattr(bs, name)(config, k))
-    k = np.linspace(0.995, 1.005, 5 * scattering._BLOCK // 2)
     whole = np.array(fn(k))
-    parts = [np.array(fn(k[i:i + 1000])) for i in range(0, k.size, 1000)]
+    parts = [np.array(fn(piece)) for piece in np.split(k, cuts)]
     sliced = np.max(parts) if name == "hadamard_residual" else np.concatenate(parts, axis=-1)
     assert whole.shape == sliced.shape
     assert np.array_equal(whole, sliced)
@@ -236,24 +299,75 @@ def test_unwrapped_phase_peak_memory_is_bounded(config):
     assert peak < 3 * delta.nbytes
 
 
+def test_sigma_landmarks_peak_memory_is_bounded(config, landmarks):
+    # a 10^6-point window is streamed a block at a time: the peak is a few
+    # blocks' temporaries, a fraction of one grid-sized array (8 MB)
+    marks, peak = _peak_bytes(lambda: bs.sigma_landmarks(config, 0.995, 1.005, dk=1e-8))
+    assert marks.minima == pytest.approx(landmarks.minima, abs=1e-12)
+    assert peak < 0.4 * 8 * 10**6
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_bracket_across_a_block_end_is_kept(config, landmarks, which):
+    # the window puts one minimum between the last point of the first block
+    # and the first point of the second; the other lies inside the window
+    dk, block = 1e-7, scattering._BLOCK
+    k_lo = landmarks.minima[which] - (block - 0.5) * dk
+    window = (k_lo, k_lo + (block + 10_000) * dk, dk)
+    points = scattering._window_points(k_lo, dk, block - 1, block + 1)
+    assert points[0] < landmarks.minima[which] < points[1]
+    marks = bs.sigma_landmarks(config, *window)
+    assert marks == _full_grid_landmarks(config, *window)
+    assert marks.minima == pytest.approx(landmarks.minima, abs=1e-12)
+
+
+@pytest.mark.parametrize("k_lo,k_hi,dk", [(0.995, 1.005, 1e-8), (0.99, 1.01, 3e-7),
+                                          (-0.3, 2.7, 1e-4), (1e3, 1e3 + 1.0, 7e-5)])
+def test_window_points_are_those_of_arange(k_lo, k_hi, dk):
+    grid = np.arange(k_lo, k_hi + dk, dk)
+    n = scattering._window_size(k_lo, k_hi, dk)
+    assert n == grid.size
+    for start in (0, 1, 2, 5000, n - 3):
+        stop = min(start + scattering._BLOCK + 1, n)
+        points = scattering._window_points(k_lo, dk, start, stop)
+        assert np.array_equal(points, grid[start:stop])
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0),
+       cells=st.integers(min_value=64, max_value=10000))
+def test_streamed_landmarks_match_the_full_grid_scan(alpha, q, log_a, cells):
+    """The window streamed a block at a time gives the landmarks of one
+    scan over the whole grid, bit for bit, or both refuse; from 64 cells
+    per pi/a (the default) to 10^4, where the window spans four blocks."""
+    a = 10.0**log_a
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    window = (q - 3.0 * math.pi / a, q + 3.0 * math.pi / a, math.pi / (cells * a))
+    marks = _landmarks_or_refusal(config, window)
+    assert marks == _full_grid_landmarks(config, *window)
+
+
 def test_sin_cos_matches_numpy():
-    # one tangent of x/2 against np.sin and np.cos, absolute error within
-    # 4 eps, over |x| <= 3e6 and within 1e-12 of multiples of pi/2 (where
-    # t = tan(x/2) is 0, +-1 or huge)
+    # the real-axis kernel's e^{i phi} from one tangent of phi/2, against
+    # np.sin and np.cos: with P = 1 and Q = 0, den + i num = e^{i phi}.
+    # Absolute error within 4 eps, over |phi| <= 3e6 and within 1e-12 of
+    # multiples of pi/2 (where t = tan(phi/2) is 0, +-1 or huge)
     eps = np.finfo(float).eps
     rng = np.random.default_rng(3)
     n = rng.integers(-1_900_000, 1_900_000, 20_000)
     x = np.concatenate([rng.uniform(-3e6, 3e6, 100_000), rng.uniform(-10.0, 10.0, 20_000),
                         n * (math.pi / 2) + rng.uniform(-1e-12, 1e-12, n.size),
                         n * (math.pi / 2), [0.0, -0.0, math.pi, -math.pi, 3e6, -3e6]])
-    s, c = scattering._sin_cos(x)
+    unit = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+    s, c = scattering._rotated(unit, np.zeros_like(x), 0.5 * x)
     assert np.max(np.abs(s - np.sin(x))) <= 4 * eps
     assert np.max(np.abs(c - np.cos(x))) <= 4 * eps
     assert np.max(np.abs(s * s + c * c - 1.0)) <= 4 * eps
 
 
 def test_sin2_delta_against_oracle(config, dg_oracle):
-    # sin^2 delta through the tangent kernel (``_num_den`` on an array)
+    # sin^2 delta through the real-axis kernel (``_num_den``: one matrix
+    # product and one tangent of k a)
     # against 40 digits, on points from 1e-7 to 1e-2 off q, binned by
     # decades of hypot(d, g) over the noise floor; in every bin the worst
     # error is at most twice that of the same pipeline on np.sin and np.cos
@@ -422,17 +536,20 @@ def test_sigma_minima_sit_at_fixed_scaled_positions(params, a):
 @pytest.mark.parametrize("a", [5000.0, 2e5])
 @pytest.mark.parametrize("x", [-2.3, -0.444, 0.5, 0.837, 2.9])
 def test_num_den_derivative_matches_central_difference(params, a, x):
-    # x = (k - q) a / pi; the values match the d, g route to rounding and
-    # the derivatives a central difference over a step of 1e-4 pi/a
+    # x = (k - q) a / pi; the values match the real-axis kernel to rounding
+    # and the derivatives a central difference over a step of 1e-4 pi/a
     config = bs.TruncatedConfig(params=params, a=a)
     k = 1.0 + x * math.pi / a
     (num, dnum), (den, dden) = scattering._num_den_dk(config, k)
-    reference = [float(v) for v in scattering._num_den(config, k)]
+
+    def kernel(kk):
+        return [float(v[0]) for v in scattering._num_den(config, np.array([kk]))]
+
+    reference = kernel(k)
     scale = math.hypot(*reference)
     assert [num, den] == pytest.approx(reference, abs=1e-12 * scale)
     h = 1e-4 * math.pi / a
-    hi, lo = scattering._num_den(config, k + h), scattering._num_den(config, k - h)
-    central = [(float(p) - float(m)) / (2.0 * h) for p, m in zip(hi, lo)]
+    central = [(p - m) / (2.0 * h) for p, m in zip(kernel(k + h), kernel(k - h))]
     assert [dnum, dden] == pytest.approx(central, abs=1e-6 * 2.0 * a * scale)
 
 
@@ -553,6 +670,26 @@ def test_grid_inputs_raise_validation_error(config, fn, args):
     # grid holding NaN or an infinity are all refused before any numerics
     with pytest.raises(bs.ValidationError):
         getattr(bs, fn)(config, *args)
+
+
+@pytest.mark.parametrize("fn,args", [
+    ("sigma_landmarks", (0.99, 1.01, 1e-300)),
+    ("sigma_landmarks", (0.99, 1.01, 1e-12)),
+    ("phase_jump", (0.99, 1.01, 1e-300)),
+    ("phase_jump", (0.99, 1.01, 1e-12)),
+    ("hadamard_residual", ()),
+])
+def test_oversized_grids_raise_validation_error(config, fit, fn, args):
+    # more than numerics._MAX_GRID_POINTS points are refused before
+    # anything is allocated or looped over; the default Hadamard grid is
+    # oversized by minima far apart at a fine step pi/(640 a)
+    if fn == "hadamard_residual":
+        wide = dataclasses.replace(fit, fit_report={**fit.fit_report, "minima": [0.1, 10.0]})
+        call = lambda: bs.hadamard_residual(config, wide)
+    else:
+        call = lambda: getattr(bs, fn)(config, *args)
+    with pytest.raises(bs.ValidationError, match="more than"):
+        call()
 
 
 def test_phase_jump_across_doublet(config):
