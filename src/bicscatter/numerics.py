@@ -205,7 +205,10 @@ def winding_count(f, rect: ComplexRectangle) -> int:
     matters: near a high-order zero just outside an edge, symmetric sample
     placement can alias a full 2*pi of phase while each naive increment
     stays small. Requiring the modulus to be resolved as well rules that
-    out for zeros up to order ~4.
+    out for zeros up to order ~4. ``find_resonances`` divides the zero
+    that motivated it (order about 5 at k = q, beside the top edge of its
+    default box) out of its integrand; the test still guards other
+    integrands and boxes.
 
     ``f`` must broadcast over a 1-d complex array, returning one value per
     point. The work goes level by level: one call evaluates the 65 samples

@@ -40,7 +40,6 @@ from .scattering import (
     _g,
     _g_prime,
     _jost_prefactor,
-    _rounding_near_q,
     dg,
     regular_solution,
 )
@@ -67,6 +66,9 @@ _EPS = np.finfo(float).eps
 _DEDUPE_SPACINGS = 1e-3
 # gamow_state refuses N^2 whose estimated relative rounding is above this
 _N_SQUARED_RTOL = 1e-6
+# order of the zero at k = q that find_resonances divides out of G before
+# counting: G ~ e2 (x^4 + ...) in x = (k - q) a (see _limit_root)
+_DEFLATION_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,12 @@ def default_search_box(config: TruncatedConfig) -> ComplexRectangle:
     hold the doublet 0.48 pi inside and the next members 0.56 pi outside;
     its Im edges stay clear of the removable zero at k = q and of the
     doublet's O(1/a) offsets from the limit, which at qa = 30 put Im x at
-    -0.98 to -0.73 (Im x = -0.865 in the limit).
+    -0.98 to -0.73 (Im x = -0.865 in the limit). The top edge passes
+    0.1/a below that zero of order about 5, but costs no refinement:
+    ``find_resonances`` counts the winding of G / (k - q)^5, which has no
+    zero near the edge, so the count resolves on the 4 x 65 initial
+    samples of ``winding_count`` over the envelope. The box reaches
+    Re k <= 0, and is refused, where q a <= 2.1 pi.
     """
     q = config.params.q
     a = config.a
@@ -216,11 +223,22 @@ def find_resonances(
     dropped, and roots within 1e-3 pi/a of each other count once. The
     winding number of G around the box is the certificate: the census is
     returned only if it holds exactly that many distinct roots. A box the
-    limit does not describe (q a below about 6.3, or Re k reaching 0) is
-    refused, not searched by other means.
+    limit does not describe (q a below about 6.3) is refused, not searched
+    by other means; one reaching Re k <= 0 is refused before any search.
+
+    G has a removable zero of order about 5 at k = q, on the real axis.
+    When q is outside the closed box (every box with Im k < 0 on its top
+    edge), the winding is counted on H = G / (k - q)^5 instead: (k - q)^5
+    has no zero or pole on or inside such a box, so by the argument
+    principle H winds exactly as often as G, and the certificate is the
+    same theorem. H is free of the near-zero beside the top edge that
+    forced G's contour to be refined there. Seeds, roots and residuals
+    are those of G. A box whose closed top edge holds q counts G itself.
 
     Raises
     ------
+    ValidationError
+        The box reaches Im k > 0 or Re k <= 0.
     RootCountMismatch
         Winding number differs from the number of converged distinct roots.
     NoConvergence
@@ -230,11 +248,17 @@ def find_resonances(
         search_box = default_search_box(config)
     if search_box.im_max > 0:
         raise ValidationError("search box must lie below the real axis")
+    if search_box.re_min <= 0:
+        raise ValidationError("search box must lie in Re k > 0")
     g = root_function(config)
     g_prime = root_derivative(config)
+    q = config.params.q
     dedupe = _DEDUPE_SPACINGS * math.pi / config.a
 
-    count = winding_count(g, search_box)
+    if search_box.contains(q):
+        count = winding_count(g, search_box)
+    else:
+        count = winding_count(lambda k: g(k) / (k - q) ** _DEFLATION_ORDER, search_box)
     roots: List[complex] = []
     failures = 0
     for seed in _limit_seeds(config, search_box):
@@ -298,7 +322,7 @@ def _n_squared_rounding(config: TruncatedConfig, k, d_minus_ig, g_prime) -> floa
 
     d + ig and d - ig vanish at k = q to fourth order and G' to third, so
     their values computed at and beside q are pure rounding: the noise
-    floor of this config's d, g and G' (``scattering._rounding_near_q``,
+    floor of this config's d, g and G' (``TruncatedConfig._rounding_near_q``,
     which the sigma landmarks read too), which stays at that level near q.
     Divided by |d - ig| and |G'| at k they give the share lost to
     cancellation. The rounding of the phases k a and theta(a) = q a + delta
@@ -308,7 +332,7 @@ def _n_squared_rounding(config: TruncatedConfig, k, d_minus_ig, g_prime) -> floa
     was pure noise, and 1.5 to 400 times the error at doublets with a up
     to 1e8, where the phases dominate.
     """
-    dg_noise, g_prime_noise = _rounding_near_q(config)
+    dg_noise, g_prime_noise = config._rounding_near_q
     phases = 2.0 * np.finfo(float).eps * (abs(k) + 2.0 * config.params.q) * config.a
     return float(dg_noise / abs(d_minus_ig) + g_prime_noise / abs(g_prime) + phases)
 

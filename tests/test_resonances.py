@@ -287,11 +287,11 @@ def test_wide_box_census_from_limit_seeds(params, a, monkeypatch):
 
 
 def test_aliased_wide_box_is_refused(params):
-    """At a = 9170 the 64-segment winding count of the wide box aliases to 2
-    (the true count is 56); the limit seeds find all 56, so the census is
-    refused rather than certified."""
+    """At a = 9170 the 64-segment winding count of the wide box aliases to -2
+    (the true count is 56; G alone aliases to 2); the limit seeds find all
+    56, so the census is refused rather than certified."""
     config = bs.TruncatedConfig(params=params, a=9170.0)
-    with pytest.raises(bs.RootCountMismatch, match="winding number 2 but 56"):
+    with pytest.raises(bs.RootCountMismatch, match="winding number -2 but 56"):
         bs.find_resonances(config, search_box=bs.ComplexRectangle(0.99, 1.01, -1e-3, -1e-5))
 
 
@@ -303,26 +303,79 @@ def test_default_census_needs_no_grid(alpha, q, log_a):
     assert len(bs.find_resonances(config)) == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.3, 3.0), q=st.floats(0.3, 3.0), log_a=st.floats(2.0, 6.0))
+def test_deflated_census_resolves_on_its_first_samples(alpha, q, log_a):
+    """Over the envelope the default census counts the winding of
+    G / (k - q)^5 from one G call (the 4 x 65 initial samples), and the
+    count equals that of G itself on 1024 initial segments per edge."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=10.0**log_a)
+    g_sizes, winding_g_sizes, counts = [], [], []
+
+    def counted_root_function(config):
+        g = bs.root_function(config)
+        return lambda k: g_sizes.append(np.size(k)) or g(k)
+
+    def recorded_winding_count(f, box):
+        before = len(g_sizes)
+        counts.append(numerics.winding_count(f, box))
+        winding_g_sizes.extend(g_sizes[before:])
+        return counts[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(resonances, "root_function", counted_root_function)
+        m.setattr(resonances, "winding_count", recorded_winding_count)
+        assert len(bs.find_resonances(config)) == 2
+    assert winding_g_sizes == [4 * (numerics._INITIAL_SEGMENTS + 1)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numerics, "_INITIAL_SEGMENTS", 1024)
+        assert counts == [bs.winding_count(bs.root_function(config),
+                                           bs.default_search_box(config))]
+
+
+def test_box_with_q_on_its_top_edge_counts_g_itself(config, monkeypatch):
+    """A box whose top edge holds k = q (Im k = 0) contains the zero there,
+    so G is counted undivided. With that zero on the edge the count reads
+    4 against the doublet's 2 roots, and the census is refused."""
+    box = bs.default_search_box(config)
+    on_axis = bs.ComplexRectangle(box.re_min, box.re_max, box.im_min, 0.0)
+    integrands = []
+
+    def recorded_winding_count(f, box):
+        integrands.append(f)
+        return numerics.winding_count(f, box)
+
+    monkeypatch.setattr(resonances, "winding_count", recorded_winding_count)
+    with pytest.raises(bs.RootCountMismatch, match="winding number 4 but 2"):
+        bs.find_resonances(config, search_box=on_axis)
+    corners = np.array(on_axis.corners)
+    assert np.array_equal(integrands[0](corners), bs.root_function(config)(corners))
+
+
 def test_census_below_the_scaling_limit_is_refused():
-    """At q a = 1.5 the default box winds 3 times and the limit's seeds
-    converge on 1 of its zeros; the census is refused, not filled in by
-    another search."""
+    """At q a = 1.5 the default box reaches Re k < 0 (it does wherever
+    q a <= 2.1 pi) and is refused before searching. Cut off at Re k = 0.05
+    it winds twice and the limit's seeds converge on 1 of its zeros; the
+    census is refused, not filled in by another search."""
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=1.0, q=0.3), a=5.0)
-    with pytest.raises(bs.RootCountMismatch):
+    box = bs.default_search_box(config)
+    with pytest.raises(bs.ValidationError, match="Re k > 0"):
         bs.find_resonances(config)
+    clipped = bs.ComplexRectangle(0.05, box.re_max, box.im_min, box.im_max)
+    with pytest.raises(bs.RootCountMismatch, match="winding number 2 but 1"):
+        bs.find_resonances(config, search_box=clipped)
 
 
-def test_box_reaching_re_k_zero_is_refused():
-    """A box reaching Re k <= 0 holds 35 zeros; the limit's seeds converge
-    on 30 of them and the census is refused. The rest land outside the box
-    (on the imaginary axis, or at the removable zero near k = -q), except
-    the seed -0.3200 - 0.0206i, which stalls beside that zero where |G| is
-    rounding (2e-13), so the refusal is NoConvergence. Whether it stalls or
-    converges there rests on the last bits of G."""
+def test_box_reaching_re_k_zero_is_refused(monkeypatch):
+    """A box reaching Re k <= 0 is outside the scaling limit (it holds the
+    string's mirror near k = -q and zeros on the imaginary axis), so it is
+    refused before any G evaluation."""
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=0.3, q=0.3), a=100.0)
-    box = bs.ComplexRectangle(-0.328, 0.928, -0.05, -0.0005)
-    with pytest.raises(bs.NoConvergence):
-        bs.find_resonances(config, search_box=box)
+    monkeypatch.setattr(resonances, "winding_count", None)
+    for re_min in (-0.328, 0.0):
+        box = bs.ComplexRectangle(re_min, 0.928, -0.05, -0.0005)
+        with pytest.raises(bs.ValidationError, match="Re k > 0"):
+            bs.find_resonances(config, search_box=box)
 
 
 def test_doublet_at_a_3e9_has_both_members():
