@@ -40,6 +40,7 @@ from .scattering import (
     _g,
     _g_prime,
     _jost_prefactor,
+    _rounding_near_q,
     dg,
     regular_solution,
 )
@@ -224,21 +225,23 @@ def find_resonances(
     winding number of G around the box is the certificate: the census is
     returned only if it holds exactly that many distinct roots. A box the
     limit does not describe (q a below about 6.3) is refused, not searched
-    by other means; one reaching Re k <= 0 is refused before any search.
+    by other means; one reaching Re k <= 0 or holding k = q is refused
+    before any search.
 
     G has a removable zero of order about 5 at k = q, on the real axis.
-    When q is outside the closed box (every box with Im k < 0 on its top
-    edge), the winding is counted on H = G / (k - q)^5 instead: (k - q)^5
-    has no zero or pole on or inside such a box, so by the argument
-    principle H winds exactly as often as G, and the certificate is the
-    same theorem. H is free of the near-zero beside the top edge that
-    forced G's contour to be refined there. Seeds, roots and residuals
-    are those of G. A box whose closed top edge holds q counts G itself.
+    The winding is counted on H = G / (k - q)^5: a box that leaves q
+    outside its closed rectangle holds no zero or pole of (k - q)^5 on or
+    inside it, so by the argument principle H winds exactly as often as
+    G, and the certificate is the same theorem. H is free of the
+    near-zero beside the top edge that forced G's contour to be refined
+    there. A box holding q (on its top edge, at Im k = 0) would put a zero
+    of G on the contour, where no winding number certifies anything.
+    Seeds, roots and residuals are those of G.
 
     Raises
     ------
     ValidationError
-        The box reaches Im k > 0 or Re k <= 0.
+        The box reaches Im k > 0 or Re k <= 0, or holds k = q.
     RootCountMismatch
         Winding number differs from the number of converged distinct roots.
     NoConvergence
@@ -250,15 +253,14 @@ def find_resonances(
         raise ValidationError("search box must lie below the real axis")
     if search_box.re_min <= 0:
         raise ValidationError("search box must lie in Re k > 0")
+    q = config.params.q
+    if search_box.contains(q):
+        raise ValidationError("search box must not hold k = q")
     g = root_function(config)
     g_prime = root_derivative(config)
-    q = config.params.q
     dedupe = _DEDUPE_SPACINGS * math.pi / config.a
 
-    if search_box.contains(q):
-        count = winding_count(g, search_box)
-    else:
-        count = winding_count(lambda k: g(k) / (k - q) ** _DEFLATION_ORDER, search_box)
+    count = winding_count(lambda k: g(k) / (k - q) ** _DEFLATION_ORDER, search_box)
     roots: List[complex] = []
     failures = 0
     for seed in _limit_seeds(config, search_box):
@@ -322,7 +324,7 @@ def _n_squared_rounding(config: TruncatedConfig, k, d_minus_ig, g_prime) -> floa
 
     d + ig and d - ig vanish at k = q to fourth order and G' to third, so
     their values computed at and beside q are pure rounding: the noise
-    floor of this config's d, g and G' (``TruncatedConfig._rounding_near_q``,
+    floor of this config's d, g and G' (``scattering._rounding_near_q``,
     which the sigma landmarks read too), which stays at that level near q.
     Divided by |d - ig| and |G'| at k they give the share lost to
     cancellation. The rounding of the phases k a and theta(a) = q a + delta
@@ -332,7 +334,7 @@ def _n_squared_rounding(config: TruncatedConfig, k, d_minus_ig, g_prime) -> floa
     was pure noise, and 1.5 to 400 times the error at doublets with a up
     to 1e8, where the phases dominate.
     """
-    dg_noise, g_prime_noise = config._rounding_near_q
+    dg_noise, g_prime_noise = _rounding_near_q(config)
     phases = 2.0 * np.finfo(float).eps * (abs(k) + 2.0 * config.params.q) * config.a
     return float(dg_noise / abs(d_minus_ig) + g_prime_noise / abs(g_prime) + phases)
 

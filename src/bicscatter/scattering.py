@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -215,9 +214,7 @@ class TruncatedConfig:
     polynomials in e2 (``_g_polynomials``), and every later d, g, G and G'
     is a short polynomial evaluation. The data is derived from (params, a)
     and takes no part in equality, hashing or repr; ``dataclasses.replace``
-    recomputes it for the new cutoff. The rounding of d, g and G' beside
-    k = q (``_rounding_near_q``), which the noise floors read, is evaluated
-    on first use and kept the same way.
+    recomputes it for the new cutoff.
     """
 
     params: PotentialParams
@@ -250,17 +247,6 @@ class TruncatedConfig:
             *_g_polynomials(at_0, (uv[..., 1], uv_r[..., 1]), (w1[1], w1_r[1]),
                             self.params.q, self.a),
         ))
-
-    @cached_property
-    def _rounding_near_q(self) -> Tuple[float, float]:
-        """The largest hypot(d, g) and |G'| over k = q and q +- 1e-4/a, where
-        both are rounding (see ``_noise_floor``). Evaluated on first use and
-        kept on the instance, outside the fields: it takes no part in
-        equality, hashing or repr."""
-        q, offset = self.params.q, _NOISE_OFFSET / self.a
-        ks = (q - offset, q, q + offset)
-        return (max(math.hypot(*dg(self, k)) for k in ks),
-                max(abs(_g_prime(self, k)) for k in ks))
 
 
 @dataclass(frozen=True)
@@ -410,10 +396,19 @@ def _blockwise(fn, k):
     return tuple(o.reshape(np.shape(k))[()] for o in out)
 
 
+def _rounding_near_q(config: TruncatedConfig) -> Tuple[float, float]:
+    """The largest hypot(d, g) and |G'| over k = q and q +- 1e-4/a, where
+    both are rounding (see ``_noise_floor``)."""
+    q, offset = config.params.q, _NOISE_OFFSET / config.a
+    ks = (q - offset, q, q + offset)
+    return (max(math.hypot(*dg(config, k)) for k in ks),
+            max(abs(_g_prime(config, k)) for k in ks))
+
+
 def _noise_floor(config: TruncatedConfig) -> float:
     """hypot(d, g) at or below which d, g (and num, den, their rotation)
     are rounding noise: ``_NOISE_FACTOR`` times the largest hypot(d, g) at
-    k = q and q +- 1e-4/a (``TruncatedConfig._rounding_near_q``).
+    k = q and q +- 1e-4/a (``_rounding_near_q``).
 
     At leading order in 1/a, d + ig is e2 times the bracket of
     ``resonances._limit_root``, which is -(2/3) x^4 + O(x^5) in
@@ -423,7 +418,7 @@ def _noise_floor(config: TruncatedConfig) -> float:
     coefficients at r = 0 come out as exact zeros, as at alpha = 2.4033,
     q = 1.0302), which would leave no floor at all.
     """
-    return _NOISE_FACTOR * config._rounding_near_q[0]
+    return _NOISE_FACTOR * _rounding_near_q(config)[0]
 
 
 def _principal_phase(num, den):

@@ -333,23 +333,17 @@ def test_deflated_census_resolves_on_its_first_samples(alpha, q, log_a):
                                            bs.default_search_box(config))]
 
 
-def test_box_with_q_on_its_top_edge_counts_g_itself(config, monkeypatch):
-    """A box whose top edge holds k = q (Im k = 0) contains the zero there,
-    so G is counted undivided. With that zero on the edge the count reads
-    4 against the doublet's 2 roots, and the census is refused."""
+def test_box_holding_q_is_refused(config, monkeypatch):
+    """A box whose top edge (Im k = 0) holds k = q would put G's zero there
+    on the contour, where a winding number certifies nothing; it is refused
+    before any G evaluation, with q inside the edge or at its corner."""
     box = bs.default_search_box(config)
-    on_axis = bs.ComplexRectangle(box.re_min, box.re_max, box.im_min, 0.0)
-    integrands = []
-
-    def recorded_winding_count(f, box):
-        integrands.append(f)
-        return numerics.winding_count(f, box)
-
-    monkeypatch.setattr(resonances, "winding_count", recorded_winding_count)
-    with pytest.raises(bs.RootCountMismatch, match="winding number 4 but 2"):
-        bs.find_resonances(config, search_box=on_axis)
-    corners = np.array(on_axis.corners)
-    assert np.array_equal(integrands[0](corners), bs.root_function(config)(corners))
+    q = config.params.q
+    monkeypatch.setattr(resonances, "winding_count", None)
+    for re_min in (box.re_min, q):
+        on_axis = bs.ComplexRectangle(re_min, box.re_max, box.im_min, 0.0)
+        with pytest.raises(bs.ValidationError, match="must not hold k = q"):
+            bs.find_resonances(config, search_box=on_axis)
 
 
 def test_census_below_the_scaling_limit_is_refused():

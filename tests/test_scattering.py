@@ -53,26 +53,6 @@ def test_config_boundary_data_is_not_identity(params):
     assert not np.allclose(bs.root_function(c1)(k), fresh)
 
 
-def test_rounding_near_q_is_evaluated_once_per_config(params):
-    """The near-q rounding that the noise floors read is evaluated on first
-    use (three d, g points), kept, and seen by neither equality nor repr;
-    its value is that of d, g and G' at k = q and q +- 1e-4/a."""
-    c1 = bs.TruncatedConfig(params=params, a=5000.0)
-    c2 = bs.TruncatedConfig(params=params, a=5000.0)
-    with mock.patch.object(scattering, "dg", wraps=scattering.dg) as dg:
-        floor = scattering._noise_floor(c1)
-        assert dg.call_count == 3
-        for _ in range(2):
-            assert scattering._noise_floor(c1) == floor
-            assert c1._rounding_near_q is c1._rounding_near_q
-        assert dg.call_count == 3
-    assert c1 == c2 and hash(c1) == hash(c2) and repr(c1) == repr(c2)
-    ks = (1.0 - 1e-4 / 5000.0, 1.0, 1.0 + 1e-4 / 5000.0)
-    assert c1._rounding_near_q == (max(math.hypot(*bs.dg(c2, k)) for k in ks),
-                                   max(abs(scattering._g_prime(c2, k)) for k in ks))
-    assert floor == scattering._NOISE_FACTOR * c1._rounding_near_q[0]
-
-
 envelope = st.floats(min_value=0.3, max_value=3.0)
 
 
