@@ -241,39 +241,6 @@ def _w1_table(params: PotentialParams):
     ]
 
 
-def _w1_bounds(params: PotentialParams):
-    """(x_star, lower, m2): polynomial bounds on W1 in x = q*r >= 0, as
-    ascending coefficient arrays for ``numpy.polynomial.polynomial.polyval``.
-
-    ``_w1_table`` writes W1 as a sum of terms P_j(x) T_j(x), with P_j a
-    polynomial and T_j either 1 or a sine or cosine of frequency w_j in x,
-    so |T_j^(m)| <= w_j^m. Let |P| be P with its coefficients replaced by
-    their absolute values, so |P(x)| <= |P|(x) and |P^(m)(x)| <= |P|^(m)(x)
-    for x >= 0; the terms of one frequency share a row of |P| coefficients,
-    summed from the table itself.
-
-    * lower(x) = 16 x^4 - A3 x^3 - A2 x^2 - A1 x - A0, with A_n the sum over
-      all terms of |coefficient of x^n|, satisfies W1 >= lower; by the
-      Cauchy root bound lower > 0, hence W1 > 0, for x >= x_star =
-      1 + max(A_n)/16.
-    * m2(x) = sum_j |P_j|'' + 2 w_j |P_j|' + w_j^2 |P_j| bounds
-      |d^2 W1/dx^2| by the product rule; it increases with x, so on
-      [0, X] it is at most m2(X). In r, |W1''| <= q^2 m2(q r).
-    """
-    rows = {}
-    for w, _, c, s in _w1_table(params):
-        row = rows.setdefault(w, [0.0] * 5)
-        for poly in (c, s):
-            for n, v in enumerate(poly):
-                row[n] += abs(v)
-    c = np.array([rows[w] for w in sorted(rows)])
-    w = np.array(sorted(rows))[:, None]
-    dx = np.diag(np.arange(1.0, 5.0), -1)  # c @ dx: coefficients of dc/dx
-    m2 = (c @ dx @ dx + 2.0 * w * (c @ dx) + w * w * c).sum(axis=0)
-    a = c.sum(axis=0)[:4]
-    return 1.0 + a.max() / 16.0, np.append(-a, 16.0), m2
-
-
 def _w1(params: PotentialParams, r, order: int):
     """[W1, dW1/dr, ..., d^order W1/dr^order] at r, from ``_w1_table``."""
     r = np.asarray(r, dtype=float)

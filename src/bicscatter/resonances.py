@@ -325,7 +325,8 @@ def _n_squared_rounding(config: TruncatedConfig, k, d_minus_ig, g_prime) -> floa
     d + ig and d - ig vanish at k = q to fourth order and G' to third, so
     their values computed at and beside q are pure rounding: the noise
     floor of this config's d, g and G' (``scattering._rounding_near_q``,
-    which the sigma landmarks read too), which stays at that level near q.
+    whose d, g half the sigma landmarks read too), which stays at that
+    level near q.
     Divided by |d - ig| and |G'| at k they give the share lost to
     cancellation. The rounding of the phases k a and theta(a) = q a + delta
     adds about 2 eps (|k| + 2q) a. Against N^2 in 50-digit arithmetic the estimate

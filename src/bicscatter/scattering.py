@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
-from .darboux import PotentialParams, _horner, _is_real, _w1, _w1_bounds
+from .darboux import PotentialParams, _horner, _is_real, _w1
 from .errors import (
     DegenerateNormalizer,
     MinimaNotFound,
@@ -69,44 +68,13 @@ _NOISE_FACTOR = 1e3
 _NOISE_OFFSET = 1e-4
 
 
-# W1 certificate grid: cells on the first pass, and doublings before giving up
-_W1_CELLS = 64
-_W1_REFINEMENTS = 10
-
-
-def _w1_violation(params: PotentialParams, a: float) -> Optional[float]:
-    """None if W1 > 0 on all of [0, a] is proven, else the first radius
-    where the proof fails.
-
-    Beyond r = x_star/q the quartic lower bound of ``darboux._w1_bounds``
-    is positive, so only [0, R], R = min(a, x_star/q), is sampled, on a
-    uniform grid of step h. On a cell [r_i, r_i + h], W1 lies above its
-    linear interpolant minus M2 h^2/8 (the interpolation error bound), with
-    M2 = q^2 m2(q (r_i + h)) a majorant of |W1''| there, so the cell is
-    proven when min(W1_i, W1_i+1) > M2 h^2/8. Unproven cells halve h, up to
-    ``_W1_REFINEMENTS`` times. A sample W1 <= 0 is a violation outright and
-    is returned at once; otherwise the first unproven cell of the finest
-    grid is returned. R does not depend on a once a > x_star/q, and
-    x_star <= 3.7 for alpha, q in [0.3, 3], where one 65-point pass
-    suffices. The rounding error of the samples (~1e-16 of the term
-    magnitudes, below 1e-11 there) is far below every margin accepted.
-    """
-    x_star, _, m2 = _w1_bounds(params)
-    q = params.q
-    r_max = min(a, x_star / q)
-    n = _W1_CELLS
-    for _ in range(_W1_REFINEMENTS + 1):
-        r = np.linspace(0.0, r_max, n + 1)
-        w = _w1(params, r, 0)[0]
-        if np.any(w <= 0.0):
-            return float(r[np.argmax(w <= 0.0)])
-        h = r_max / n
-        m2_cells = q * q * polyval(q * r[1:], m2)
-        proven = np.minimum(w[:-1], w[1:]) > m2_cells * h * h / 8.0
-        if proven.all():
-            return None
-        n *= 2
-    return float(r[np.argmin(proven)])
+# alpha*q range on which W1 > 0 for every r >= 0 is proven (bic line,
+# beta = 3 alpha q): in x = q r, W1 depends on s = alpha*q alone, and
+# tests/test_scattering.py::test_w1_is_positive_over_the_proven_s_range proves
+# W1(x; s) > 0 for all x >= 0 and all s here (with beta a few ulps off 3s)
+# by interval arithmetic on W1's own table
+S_MIN = 1e-2
+S_MAX = 1e2
 
 
 @dataclass(frozen=True)
@@ -202,10 +170,10 @@ class TruncatedConfig:
     """Potential parameters plus the truncation radius a.
 
     The truncated problem is only defined while the transformation itself
-    is (W1 > 0 everywhere). Construction proves W1 > 0 on all of [0, a],
-    at a cost that does not grow with a: a quartic lower bound beyond a
-    parameter-dependent radius and a certified grid below it (derived in
-    ``_w1_violation`` and ``darboux._w1_bounds``). ``a`` may be any real
+    is (W1 > 0 everywhere). On the bic line that holds for every r, hence
+    every a, once alpha*q lies in [S_MIN, S_MAX], where it is proven once
+    and for all (see ``S_MIN``); construction checks that range and
+    evaluates W1 nowhere but at r = 0 and r = a. ``a`` may be any real
     scalar except a bool and is stored as a builtin float.
 
     Construction also evaluates the boundary data once: u and v and their
@@ -232,10 +200,11 @@ class TruncatedConfig:
                 "truncated scattering is defined on the bic-mode potential "
                 "(beta = 3*alpha*q); use PotentialParams.bic()"
             )
-        bad = _w1_violation(self.params, self.a)
-        if bad is not None:
+        s = self.params.alpha * self.params.q
+        if not S_MIN <= s <= S_MAX:
             raise ValidationError(
-                f"W1 is not positive on [0, {self.a}] (first violation near r = {bad:.6g})"
+                f"alpha*q = {s!r} is outside [{S_MIN}, {S_MAX}], the range on which "
+                "W1 > 0 is proven"
             )
         # u, v/k and W1 at r = 0 and r = a, with their r-derivatives at a
         r = np.array([0.0, self.a])
@@ -396,19 +365,26 @@ def _blockwise(fn, k):
     return tuple(o.reshape(np.shape(k))[()] for o in out)
 
 
-def _rounding_near_q(config: TruncatedConfig) -> Tuple[float, float]:
-    """The largest hypot(d, g) and |G'| over k = q and q +- 1e-4/a, where
-    both are rounding (see ``_noise_floor``)."""
+def _near_q(config: TruncatedConfig) -> Tuple[float, float, float]:
+    """k = q and q +- 1e-4/a, where d, g and G' are rounding (see ``_noise_floor``)."""
     q, offset = config.params.q, _NOISE_OFFSET / config.a
-    ks = (q - offset, q, q + offset)
-    return (max(math.hypot(*dg(config, k)) for k in ks),
-            max(abs(_g_prime(config, k)) for k in ks))
+    return q - offset, q, q + offset
+
+
+def _dg_rounding_near_q(config: TruncatedConfig) -> float:
+    """The largest hypot(d, g) over ``_near_q``."""
+    return max(math.hypot(*dg(config, k)) for k in _near_q(config))
+
+
+def _rounding_near_q(config: TruncatedConfig) -> Tuple[float, float]:
+    """The largest hypot(d, g) and |G'| over ``_near_q``."""
+    return _dg_rounding_near_q(config), max(abs(_g_prime(config, k)) for k in _near_q(config))
 
 
 def _noise_floor(config: TruncatedConfig) -> float:
     """hypot(d, g) at or below which d, g (and num, den, their rotation)
     are rounding noise: ``_NOISE_FACTOR`` times the largest hypot(d, g) at
-    k = q and q +- 1e-4/a (``_rounding_near_q``).
+    k = q and q +- 1e-4/a (``_dg_rounding_near_q``).
 
     At leading order in 1/a, d + ig is e2 times the bracket of
     ``resonances._limit_root``, which is -(2/3) x^4 + O(x^5) in
@@ -418,7 +394,7 @@ def _noise_floor(config: TruncatedConfig) -> float:
     coefficients at r = 0 come out as exact zeros, as at alpha = 2.4033,
     q = 1.0302), which would leave no floor at all.
     """
-    return _NOISE_FACTOR * _rounding_near_q(config)[0]
+    return _NOISE_FACTOR * _dg_rounding_near_q(config)
 
 
 def _principal_phase(num, den):

@@ -185,3 +185,18 @@ def landmarks(config):
 @pytest.fixture(scope="session")
 def fit(config, doublet):
     return bs.fit_lambda(config, doublet)
+
+
+@pytest.fixture(scope="session")
+def exact_zero_config():
+    """The first of a fixed, seeded list of envelope draws at which d(q) and
+    g(q) round to exact zeros (the e2^0 coefficients of u and v at r = 0 come
+    out as 0.0), about one draw in 40. a stays below 10^3.5, so that a
+    1e-7 grid over q +- 3 pi/a stays below 10^6 points."""
+    rng = np.random.default_rng(2026)
+    for _ in range(1000):
+        alpha, q, log_a = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0), rng.uniform(2.0, 3.5)
+        config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=10.0**log_a)
+        if bs.dg(config, config.params.q) == (0.0, 0.0):
+            return config
+    pytest.fail("no envelope draw with d(q) = g(q) = 0 exactly")

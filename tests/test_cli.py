@@ -253,6 +253,16 @@ def test_validation_exits(tmp_path, capsys):
                  "--out", str(tmp_path / "z.csv")]) == 2
 
 
+@pytest.mark.parametrize("alpha", [np.nextafter(bs.scattering.S_MIN, 0.0),
+                                   np.nextafter(bs.scattering.S_MAX, math.inf)])
+def test_resonances_refuses_alpha_q_outside_the_proven_range(tmp_path, capsys, alpha):
+    # one ulp past either end of the alpha*q range on which W1 > 0 is proven
+    assert main(["resonances", "--alpha", repr(float(alpha)), "--q", "1", "--bic",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "W1 > 0 is proven" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["w1", "--bic", "--beta-list=3,5"],
                                   ["resonances", "--bic", "--beta", "5"]])
 def test_bic_contradicting_beta_exits_2(tmp_path, capsys, argv):

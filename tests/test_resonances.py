@@ -168,14 +168,13 @@ def test_gamow_norm_at_large_cutoffs(alpha, q, a, rtol, uv_oracle, dg_oracle):
         assert abs(bs.gamow_state(config, res).N_squared - want) <= rtol * abs(want)
 
 
-def test_n_squared_rounding_reads_d_g_beside_q():
+def test_n_squared_rounding_reads_d_g_beside_q(exact_zero_config):
     # d(q) = g(q) = 0 exactly here (the e2^0 coefficients at r = 0 come out
     # as exact zeros), so read at q alone the d - ig term of the estimate
     # was 0; beside q it is the rounding it estimates. With |G'| infinite
     # only that term and the phases remain.
-    params = bs.PotentialParams.bic(alpha=1.3515190914385014, q=2.075714076655437)
-    config = bs.TruncatedConfig(params=params, a=786.6321175533113)
-    assert bs.dg(config, params.q) == (0.0, 0.0)
+    config = exact_zero_config
+    assert bs.dg(config, config.params.q) == (0.0, 0.0)
     kn = bs.find_resonances(config)[0].k_complex
     d, g = bs.dg(config, kn)
     estimate = resonances._n_squared_rounding

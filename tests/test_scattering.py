@@ -1,19 +1,22 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyval
+from mpmath import iv
+from numpy.polynomial.polynomial import polyadd, polyval
 from scipy.optimize import brentq
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bicscatter as bs
-from bicscatter import scattering
-from bicscatter.darboux import _w1_bounds
+from bicscatter import darboux, scattering
+from bicscatter.darboux import _w1, _w1_table
+from bicscatter.scattering import S_MAX, S_MIN
 
 
 def test_config_validation(params):
@@ -56,14 +59,363 @@ def test_config_boundary_data_is_not_identity(params):
 envelope = st.floats(min_value=0.3, max_value=3.0)
 
 
+# W1 > 0, proven once over the alpha*q range that TruncatedConfig accepts.
+#
+# In x = q r, W1 depends on s = alpha*q and beta alone (``_w1_table`` reads
+# only alpha*q, beta and alpha*q - beta), and the bic line is beta = 3s. So
+# W1(x; s) > 0 for every x >= 0 and every s in [S_MIN, S_MAX] is one
+# statement in one parameter, valid for every cutoff a. ``_prove`` proves it
+# on a subdivision of the s range into pairs [s_i, s_i+1]:
+#
+# * at the left node, a cell certificate on [0, X*]: the quartic Cauchy
+#   bound of ``_w1_bounds`` covers x >= X*, and the curvature majorant m2
+#   covers each cell below it;
+# * over the pair, a majorant K(x) of |dW1/ds|, from the table's own
+#   coefficient formulas evaluated on jets of mpmath intervals, so that the
+#   proof and the evaluator cannot disagree;
+# * the pair is accepted when every cell keeps a margin above the change
+#   (s_i+1 - s_i) K(x) that the step in s can bring, and retried with half
+#   the step otherwise.
+#
+# The node's samples are float evaluations of the table, so each margin also
+# pays an allowance for their rounding, and the step carries the few ulps by
+# which beta = fl(3 alpha q) sits off 3s.
+
+# cells on the first pass of a cell certificate, and doublings before giving up
+_CELLS = 64
+_REFINEMENTS = 10
+# log-spaced chunks of the s range, growth of the step in s after an
+# accepted pair, and halvings of it before giving up
+_CHUNKS = 16
+_GROWTH = 1.3
+_HALVINGS = 30
+# relative distance of beta = fl(fl(3 alpha) q) from 3 (alpha q), the exact
+# product of the floats: two roundings, with room (4.5e-16 would do)
+_BETA_RTOL = 1e-15
+# rounding of a float W1 sample, relative to the sum of the table's terms in
+# absolute value (``test_w1_sample_rounding_is_inside_its_allowance``)
+_SAMPLE_RTOL = 1e-12
+# float sums of nonnegative majorant terms, inflated by this much to stay
+# above their exact values
+_UP = 1.0 + 1e-12
+# every float alpha*q in [S_MIN, S_MAX] stands for an exact product within
+# one rounding of it
+_PROVEN = (S_MIN * (1.0 - 1e-12), S_MAX * (1.0 + 1e-12))
+
+
+def _w1_bounds(table):
+    """(x_star, lower, m2): polynomial bounds on W1 in x >= 0 from a
+    ``darboux._w1_table`` (or from a table of upper bounds on its
+    coefficients' magnitudes), as ascending coefficient arrays for
+    ``numpy.polynomial.polynomial.polyval``.
+
+    The table writes W1 as a sum of terms P_j(x) T_j(x), with P_j a
+    polynomial and T_j either 1 or a sine or cosine of frequency w_j in x,
+    so |T_j^(m)| <= w_j^m. Let |P| be P with its coefficients replaced by
+    their absolute values, so |P(x)| <= |P|(x) and |P^(m)(x)| <= |P|^(m)(x)
+    for x >= 0; the terms of one frequency share a row of |P| coefficients.
+
+    * lower(x) = 16 x^4 - A3 x^3 - A2 x^2 - A1 x - A0, with A_n the sum over
+      all terms of |coefficient of x^n|, satisfies W1 >= lower; by the
+      Cauchy root bound lower > 0, hence W1 > 0, for x >= x_star =
+      1 + max(A_n)/16.
+    * m2(x) = sum_j |P_j|'' + 2 w_j |P_j|' + w_j^2 |P_j| bounds
+      |d^2 W1/dx^2| by the product rule; it increases with x, so on
+      [0, X] it is at most m2(X).
+    """
+    rows = {}
+    for w, _, c, s in table:
+        row = rows.setdefault(w, [0.0] * 5)
+        for poly in (c, s):
+            for n, v in enumerate(poly):
+                row[n] += abs(v)
+    assert rows[0.0][4] == 16.0 and all(rows[w][4] == 0.0 for w in rows if w)
+    c = np.array([rows[w] for w in sorted(rows)])
+    w = np.array(sorted(rows))[:, None]
+    dx = np.diag(np.arange(1.0, 5.0), -1)  # c @ dx: coefficients of dc/dx
+    m2 = (c @ dx @ dx + 2.0 * w * (c @ dx) + w * w * c).sum(axis=0)
+    a = c.sum(axis=0)[:4]
+    return 1.0 + a.max() / 16.0, np.append(-a, 16.0), m2
+
+
+class _Jet:
+    """f, f' and f'' along one direction in (s, beta), each an mpmath
+    interval: ``_w1_table``'s formulas differentiated in forward mode and
+    enclosed over a box. Floats enter as exact constants."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f0, f1=iv.mpf(0), f2=iv.mpf(0)):
+        self.f = (f0, f1, f2)
+
+    @staticmethod
+    def lift(v):
+        """v as a _Jet; a float as a constant."""
+        return v if isinstance(v, _Jet) else _Jet(iv.mpf(v))
+
+    def __add__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(self.f[0] + iv.mpf(o), *self.f[1:])
+        return _Jet(*(a + b for a, b in zip(self.f, o.f)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(*(-a for a in self.f))
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if not isinstance(o, _Jet):
+            o = iv.mpf(o)
+            return _Jet(*(a * o for a in self.f))
+        (a, a1, a2), (b, b1, b2) = self.f, o.f
+        return _Jet(a * b, a1 * b + a * b1, a2 * b + (a1 * b1 + a1 * b1) + a * b2)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        (a, a1, a2), (b, b1, b2) = self.f, o.f
+        q = a / b
+        q1 = (a1 - q * b1) / b
+        return _Jet(q, q1, (a2 - (q1 * b1 + q1 * b1) - q * b2) / b)
+
+    def __pow__(self, n):
+        # (a^n)' = n a^(n-1) a',  (a^n)'' = n a^(n-2) ((n-1) a'^2 + a a'')
+        a, a1, a2 = self.f
+        m, low = iv.mpf(n), a ** (n - 2)
+        return _Jet(a**n, m * low * a * a1, m * low * (iv.mpf(n - 1) * a1 * a1 + a * a2))
+
+    def atan(self):
+        t, t1, t2 = self.f
+        d = 1 + t * t
+        # the value enters no bound (only |C| + |S| of the offset term)
+        return _Jet(iv.pi * iv.mpf([-0.5, 0.5]), t1 / d, t2 / d - 2 * t * t1**2 / d**2)
+
+
+def _magnitude(x) -> float:
+    """An upper bound on |x| over the interval x (a 53-bit endpoint)."""
+    return float(abs(x).b)
+
+
+def _table_jets(s_lo: float, s_hi: float, along_ray: bool):
+    """``_w1_table`` over s in [s_lo, s_hi] and beta within _BETA_RTOL of
+    3s, as _Jet coefficients along the ray beta = 3s(1 + eps) or along
+    beta alone. The table reads alpha and q only through alpha*q, so
+    alpha = s, q = 1 stands for every (alpha, q) on the line."""
+    s, one = iv.mpf([s_lo, s_hi]), iv.mpf(1)
+    ray = 3 * iv.mpf([1 - _BETA_RTOL, 1 + _BETA_RTOL])
+    box = SimpleNamespace(alpha=_Jet(s, one if along_ray else iv.mpf(0)), q=1.0,
+                          beta=_Jet(s * ray, ray if along_ray else one))
+    # the table's one transcendental coefficient is the offset 2 atan(t)
+    with mock.patch.object(darboux, "math", SimpleNamespace(atan=_Jet.atan)):
+        table = _w1_table(box)
+    lift = _Jet.lift
+    return [(w, lift(o), [lift(v) for v in c], [lift(v) for v in sn]) for w, o, c, sn in table]
+
+
+def _flat(table):
+    """Each term's coefficients in one list: offset, then C, then S."""
+    return [[o, *c, *sn] for _, o, c, sn in table]
+
+
+def _majorant(table, slopes) -> np.ndarray:
+    """Ascending coefficients of a polynomial K(x) >= |dW1| for x >= 0,
+    where table holds _Jet enclosures of the coefficients over the box and
+    slopes, in the order of ``_flat``, bounds on their derivatives d. For
+    one term C(x) cos(w x + o) + S(x) sin(w x + o) that derivative is at
+    most |dC| + |dS| |sin(w x + o)| + |do| (|C| + |S|), with
+    |P(x)| <= |P|(x) for x >= 0, and |sin(w x)| <= w x where the offset o
+    is zero: at large s, W1(0) is about 7/s^2 and those sines would
+    otherwise set the step."""
+    k = [0.0] * 6
+    for (w, o, c, sn), (turn, *dc) in zip(table, slopes):
+        shift = 0 if turn or _magnitude(o.f[0]) else 1
+        for n, v in enumerate(c):
+            k[n] += dc[n] + turn * _magnitude(v.f[0])
+        for n, v in enumerate(sn):
+            k[n] += turn * _magnitude(v.f[0])
+            k[n + shift] += dc[len(c) + n] * (w if shift else 1.0)
+    return np.array(k) * _UP
+
+
+def _beta_majorant(s_lo: float, s_hi: float) -> np.ndarray:
+    """K(x) >= |dW1/dbeta| over the box of ``_table_jets``."""
+    table = _table_jets(s_lo, s_hi, False)
+    return _majorant(table, [[_magnitude(v.f[1]) for v in term] for term in _flat(table)])
+
+
+def _ray_slopes(s_lo: float, s_hi: float, table) -> list:
+    """Bounds on |d/ds| along the ray beta = 3s(1 + eps) over the pair of
+    each coefficient of ``table = _table_jets(s_lo, s_hi, True)``, in the
+    order of ``_flat``. They are in centered form, from the derivative at
+    the midpoint m and the second derivative over the pair,
+    |f'(s)| <= |f'(m)| + |s - m| |f''|: f' enclosed over the whole pair
+    would lose the cancellations between the terms of a coefficient, by an
+    amount that grows with the width of the pair."""
+    mid = 0.5 * (s_lo + s_hi)
+    half = max(mid - s_lo, s_hi - mid) * _UP
+    return [[_magnitude(at_mid.f[1]) + half * _magnitude(over.f[2]) for at_mid, over in zip(*terms)]
+            for terms in zip(_flat(_table_jets(mid, mid, True)), _flat(table))]
+
+
+def _cell_certificate(params, x_max: float, slack, m2, refinements: int = _REFINEMENTS):
+    """None if W1 > slack on x = q r in [0, x_max] is proven, else the
+    first x where the proof fails; slack and m2 are ascending coefficients
+    of polynomials with nonnegative coefficients, so they increase on
+    x >= 0.
+
+    On a uniform grid of step h, W1 lies above its linear interpolant
+    minus M2 h^2/8 on each cell (the interpolation error bound), with
+    M2 = m2(right end) a majorant of |d^2 W1/dx^2| there, so the cell is
+    proven when min(W1_i, W1_i+1) - M2 h^2/8 > slack(right end). Unproven
+    cells halve h, up to ``refinements`` times; a sample at or below the
+    slack fails outright, since no finer grid can prove the cells beside it.
+    """
+    n = _CELLS
+    for _ in range(refinements + 1):
+        x = np.linspace(0.0, x_max, n + 1)
+        w = _w1(params, x / params.q, 0)[0]
+        floor = polyval(x, slack)
+        if np.any(w <= floor):
+            return float(x[np.argmax(w <= floor)])
+        h = x_max / n
+        proven = np.minimum(w[:-1], w[1:]) - polyval(x[1:], m2) * h * h / 8.0 > floor[1:]
+        if proven.all():
+            return None
+        n *= 2
+    return float(x[np.argmin(proven)])
+
+
+def _pair_is_proven(s_lo: float, s_hi: float, k_beta) -> bool:
+    """W1(x; s) > 0 for all x >= 0, s in [s_lo, s_hi] and beta within
+    _BETA_RTOL of 3s, given k_beta >= |dW1/dbeta| there.
+
+    Beyond X*, the largest x_star over the pair, the Cauchy bound holds at
+    every s. Below it the node s_lo is certified cell by cell with a slack
+    that covers the rounding of its float samples and the largest change
+    of W1 from the node to any (s, beta) of the pair. The path moves beta
+    from the node's fl(3 s_lo) onto the ray beta = 3s(1 + eps), by at most
+    6 _BETA_RTOL s_hi, then s along the ray by at most s_hi - s_lo.
+    """
+    table = _table_jets(s_lo, s_hi, True)
+    k_ray = _majorant(table, _ray_slopes(s_lo, s_hi, table))
+    x_star, lower, m2 = _w1_bounds([
+        (w, 0.0, [_magnitude(v.f[0]) for v in c], [_magnitude(v.f[0]) for v in sn])
+        for w, _, c, sn in table])
+    slack = polyadd(_SAMPLE_RTOL * np.abs(lower),
+                    ((s_hi - s_lo) * k_ray + 6.0 * _BETA_RTOL * s_hi * k_beta) * _UP)
+    node = bs.PotentialParams.bic(alpha=s_lo, q=1.0)
+    return _cell_certificate(node, x_star * _UP, slack, m2 * _UP) is None
+
+
+def _prove(s_lo: float, s_hi: float, chunks=_CHUNKS, halvings=_HALVINGS):
+    """(True, number of pairs accepted) if W1 > 0 is proven over
+    [s_lo, s_hi] (see ``_pair_is_proven``), else (False, left node of the
+    first pair still unproven after ``halvings`` halvings of its step).
+
+    The pairs run upward from s_lo; the step grows by _GROWTH after each
+    accepted pair and halves after each refused one. |dW1/dbeta| only meets
+    steps of a few ulps, so it is bounded once per log-spaced chunk of the
+    range, and pairs end at the chunk boundaries."""
+    nodes = np.geomspace(s_lo, s_hi, chunks + 1)
+    nodes[0], nodes[-1] = s_lo, s_hi
+    accepted, step = 0, None
+    for lo, hi in zip(nodes[:-1].tolist(), nodes[1:].tolist()):
+        k_beta = _beta_majorant(lo, hi)
+        s, step = lo, step or hi - lo
+        while s < hi:
+            top = min(s + step, hi)
+            if _pair_is_proven(s, top, k_beta):
+                accepted, s, step = accepted + 1, top, _GROWTH * (top - s)
+            elif (step := 0.5 * (top - s)) < (hi - lo) * 0.5**halvings:
+                return False, s
+    return True, accepted
+
+
+def test_w1_is_positive_over_the_proven_s_range():
+    """The proof itself, over every alpha*q that ``TruncatedConfig``
+    accepts; the range holds the envelope alpha, q in [0.3, 3] with room.
+    A pair whose left node is certified but across which
+    W1(0) = 108 s^2/(1 + 4s^2)^2 changes by more than W1(0) itself is
+    refused when its step may not shrink, so the node-spacing test is not
+    vacuous.
+    322 pairs in 3.3 to 4.1 s on a 2-CPU Xeon VM (Python 3.11, mpmath 1.3)."""
+    assert S_MIN <= 0.05 and S_MAX >= 20.0
+    proven, where = _prove(*_PROVEN)
+    assert proven, f"no proof for the pair from s = {where!r}"
+    lo, hi = S_MIN, 2.0 * S_MIN
+    w1_lo, w1_hi = (float(bs.w1_bundle(bs.PotentialParams.bic(alpha=s, q=1.0), 0.0).w1)
+                    for s in (lo, hi))
+    assert w1_hi - w1_lo > w1_lo
+    node = bs.PotentialParams.bic(alpha=lo, q=1.0)
+    assert _cell_certificate(node, 4.0, [0.0], _w1_bounds(_w1_table(node))[2]) is None
+    assert _prove(lo, hi, chunks=1, halvings=0) == (False, lo)
+
+
+@pytest.mark.parametrize("s_lo,s_hi", [(S_MIN, 1.02 * S_MIN), (0.3, 0.31), (3.0, 3.1),
+                                       (S_MAX / 1.01, S_MAX)])
+def test_w1_s_majorant_bounds_the_change_across_a_pair(s_lo, s_hi):
+    """The step term of ``_pair_is_proven``, (s - s_lo) K(x), stays above
+    the change of the float W1 between the nodes on dense x."""
+    table = _table_jets(s_lo, s_hi, True)
+    k_ray = _majorant(table, _ray_slopes(s_lo, s_hi, table))
+    x = np.linspace(0.0, 4.0, 4001)
+    for s in np.linspace(s_lo, s_hi, 5)[1:]:
+        w0, w = (bs.w1_bundle(bs.PotentialParams.bic(alpha=v, q=1.0), x).w1 for v in (s_lo, s))
+        assert np.all(np.abs(w - w0) <= (s - s_lo) * polyval(x, k_ray) + 1e-12 * (1.0 + x**4))
+
+
+@pytest.mark.parametrize("s_lo,s_hi", [(S_MIN, 1.1 * S_MIN), (0.3, 0.33), (3.0, 3.3),
+                                       (S_MAX / 1.1, S_MAX)])
+def test_w1_ray_slopes_bound_each_coefficient(s_lo, s_hi):
+    """Each coefficient's slope bound stays above its central difference
+    along the ray, taken on the float table at the ends and the middle of
+    the pair."""
+    slopes = _ray_slopes(s_lo, s_hi, _table_jets(s_lo, s_hi, True))
+
+    def coefficients(s):
+        return np.array([float(v) for term in _flat(_w1_table(bs.PotentialParams.bic(alpha=s, q=1.0)))
+                         for v in term])
+
+    bound = np.array([v for term in slopes for v in term])
+    for s in (s_lo, 0.5 * (s_lo + s_hi), s_hi):
+        h = 1e-6 * s
+        slope = (coefficients(s + h) - coefficients(s - h)) / (2.0 * h)
+        assert np.all(np.abs(slope) <= bound + 1e-6 * (1.0 + np.abs(slope)))
+
+
+@pytest.mark.parametrize("s", [S_MIN, 0.09, 1.0, 9.0, S_MAX])
+def test_w1_sample_rounding_is_inside_its_allowance(s):
+    """Float W1 samples against the same table in 40-digit arithmetic at
+    the float (s, beta): the error stays 100 times below _SAMPLE_RTOL times
+    the sum of the terms in absolute value."""
+    params = bs.PotentialParams.bic(alpha=s, q=1.0)
+    _, lower, _ = _w1_bounds(_w1_table(params))
+    x = np.linspace(0.0, 4.0, 201)
+    with mpmath.workdps(40):
+        exact_params = SimpleNamespace(alpha=mpmath.mpf(params.alpha), q=mpmath.mpf(1),
+                                       beta=mpmath.mpf(params.beta))
+        with mock.patch.object(darboux, "math", mpmath):
+            table = _w1_table(exact_params)
+        exact = [sum(mpmath.polyval(c[::-1], xi) * mpmath.cos(w * xi + o)
+                     + (mpmath.polyval(sn[::-1], xi) * mpmath.sin(w * xi + o) if sn else 0)
+                     for w, o, c, sn in table) for xi in map(mpmath.mpf, x)]
+    error = np.abs(_w1(params, x, 0)[0] - np.array([float(e) for e in exact]))
+    assert np.all(error <= 0.01 * _SAMPLE_RTOL * polyval(x, np.abs(lower)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(alpha=envelope, q=envelope)
 def test_w1_bounds_hold_on_the_envelope(alpha, q):
     """The quartic lower bound stays below W1 and m2 above |W1''| (in x =
-    q r) on dense samples of [0, x_star/q], and the certificate proves
-    W1 > 0 over the envelope."""
+    q r) on dense samples of [0, x_star/q]."""
     params = bs.PotentialParams.bic(alpha=alpha, q=q)
-    x_star, lower, m2 = _w1_bounds(params)
+    x_star, lower, m2 = _w1_bounds(_w1_table(params))
     assert x_star <= 3.7
     r = np.linspace(0.0, x_star / q, 20001)
     w = bs.w1_bundle(params, r)
@@ -72,7 +424,25 @@ def test_w1_bounds_hold_on_the_envelope(alpha, q):
     assert np.all(polyval(x, lower) <= w.w1 + slack)
     assert np.all(np.abs(w.w1_rr) <= q * q * polyval(x, m2) + slack)
     assert polyval(x_star, lower) > 0.0
-    assert scattering._w1_violation(params, 1e6) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_s=st.floats(min_value=math.log(S_MIN), max_value=math.log(S_MAX)),
+       q=st.floats(min_value=0.1, max_value=10.0))
+@example(log_s=math.log(S_MIN), q=1.0)
+@example(log_s=math.log(S_MAX), q=1.0)
+def test_w1_is_positive_where_configs_are_accepted(log_s, q):
+    """W1 > 0 at the floats ``TruncatedConfig`` accepts, on dense x in
+    [0, x_star] and on x far beyond it."""
+    params = bs.PotentialParams.bic(alpha=math.exp(log_s) / q, q=q)
+    try:
+        bs.TruncatedConfig(params=params, a=1e6)
+    except bs.ValidationError:  # alpha*q rounded just outside the range
+        assert not S_MIN <= params.alpha * params.q <= S_MAX
+        return
+    x_star = _w1_bounds(_w1_table(params))[0]
+    x = np.concatenate([np.linspace(0.0, x_star, 20001), np.geomspace(x_star, 1e6, 2001)])
+    assert np.all(bs.w1_bundle(params, x / q).w1 > 0.0)
 
 
 def test_w1_certificate_finds_the_diagnostic_crossing():
@@ -80,39 +450,44 @@ def test_w1_certificate_finds_the_diagnostic_crossing():
     grid step of the first sign-change bracket of the plain scan."""
     bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True)
     lo, hi = bs.scan_w1_sign(bad, 30.0)[0]
-    where = scattering._w1_violation(bad, 30.0)
-    step = _w1_bounds(bad)[0] / bad.q / scattering._W1_CELLS
+    x_star, _, m2 = _w1_bounds(_w1_table(bad))
+    where = _cell_certificate(bad, x_star, [0.0], m2)
+    step = x_star / bad.q / _CELLS
     assert where is not None
     assert lo - step <= where <= hi + step
     assert float(bs.w1_bundle(bad, where).w1) <= 0.0
 
 
-def test_w1_certificate_refuses_what_its_grid_cannot_prove(monkeypatch):
+def test_w1_certificate_refuses_what_its_grid_cannot_prove():
     # W1(0) ~ 7e-4 here: the first 64-cell pass leaves cells unproven
     params = bs.PotentialParams.bic(alpha=100.0, q=1.0)
-    assert scattering._w1_violation(params, 1e3) is None
-    monkeypatch.setattr(scattering, "_W1_REFINEMENTS", 0)
-    assert scattering._w1_violation(params, 1e3) is not None
+    x_star, _, m2 = _w1_bounds(_w1_table(params))
+    assert _cell_certificate(params, x_star, [0.0], m2) is None
+    assert _cell_certificate(params, x_star, [0.0], m2, refinements=0) is not None
 
 
-def test_w1_certificate_cost_is_independent_of_cutoff(params, monkeypatch):
-    # the certificate samples W1 alone (order 0); the boundary data takes
-    # W1 and W1' at r = 0 and r = a in one more call of order 1
+def test_config_evaluates_w1_only_at_zero_and_a(params, monkeypatch):
     points = []
     w1 = scattering._w1
 
     def counting(p, r, order):
-        if order == 0:
-            points.append(np.size(r))
+        points.append(np.asarray(r).tolist())
         return w1(p, r, order)
 
     monkeypatch.setattr(scattering, "_w1", counting)
-    counts = []
-    for a in (1e3, 1e6):
+    for a in (1e2, 5000.0, 1e6, 1e12):
         points.clear()
         bs.TruncatedConfig(params=params, a=a)
-        counts.append(sum(points))
-    assert counts[0] == counts[1] < 1000
+        assert points == [[0.0, a]]
+
+
+@pytest.mark.parametrize("end,outward", [(S_MIN, 0.0), (S_MAX, math.inf)])
+def test_config_refuses_alpha_q_outside_the_proven_range(end, outward):
+    # alpha*q one ulp past either end of the range on which W1 > 0 is proven
+    bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=end, q=1.0), a=5000.0)
+    alpha = float(np.nextafter(end, outward))
+    with pytest.raises(bs.ValidationError, match=r"outside \[0\.01, 100\.0\]"):
+        bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=1.0), a=5000.0)
 
 
 def test_regular_solution_origin_slope(config):
@@ -607,17 +982,22 @@ def test_landmarks_agree_with_brentq_over_the_envelope(alpha, q, log_a):
 
 
 @pytest.mark.parametrize("dk", [None, 1e-6, 1e-7])
-def test_no_minimum_in_the_noise_where_d_g_vanish_exactly_at_q(dk):
+def test_no_minimum_in_the_noise_where_d_g_vanish_exactly_at_q(exact_zero_config, dk):
     # the e2^0 coefficients at r = 0 come out as exact zeros here, so
     # d(q) = g(q) = 0 exactly; the noise floor must come from the rounding
-    # beside q, or sign changes within 1e-3 pi/a of q pass as minima
-    params = bs.PotentialParams.bic(alpha=1.3515190914385014, q=2.075714076655437)
-    config = bs.TruncatedConfig(params=params, a=786.6321175533113)
-    q, a = params.q, config.a
+    # beside q, or sign changes within 1e-3 pi/a of q pass as minima. The
+    # expected minima are the doublet's two, one on each side of q, refined
+    # by brentq on the default grid.
+    config = exact_zero_config
+    q, a = config.params.q, config.a
     assert bs.dg(config, q) == (0.0, 0.0)
-    marks = bs.sigma_landmarks(config, q - 3 * math.pi / a, q + 3 * math.pi / a, dk=dk)
+    window = (q - 3 * math.pi / a, q + 3 * math.pi / a)
+    with mock.patch.object(scattering, "_bracketed_newton", _brentq_refinement):
+        expected = [(m - q) * a / math.pi for m in bs.sigma_landmarks(config, *window).minima]
+    assert len(expected) == 2 and expected[0] < -0.1 and expected[1] > 0.1
+    marks = bs.sigma_landmarks(config, *window, dk=dk)
     x = [(m - q) * a / math.pi for m in marks.minima]
-    assert x == pytest.approx([-0.5622, 0.7110], abs=1e-4)
+    assert x == pytest.approx(expected, abs=1e-4)
 
 
 def test_minima_not_found_in_barren_window(config):
