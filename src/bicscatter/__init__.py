@@ -19,7 +19,6 @@ from .darboux import (
     potential_v4,
     scan_w1_sign,
     w1_bundle,
-    w1_generic,
 )
 from .errors import (
     AmbiguousWinding,
@@ -46,12 +45,10 @@ from .jost import (
     UVBundle,
     bound_state,
     jost_value,
-    schrodinger_residual,
     uv_bundle,
 )
 from .numerics import (
     ComplexRectangle,
-    Tolerance,
     adaptive_quadrature,
     newton_complex,
     unwrap_phase,
@@ -75,7 +72,6 @@ from .scattering import (
     TruncatedConfig,
     cross_section,
     dg,
-    h_normalizer,
     jost_function,
     phase_jump,
     phase_shift,

@@ -38,7 +38,6 @@ from .resonances import (
     sweep_cutoff,
 )
 from .scattering import (
-    Q_EXCLUSION,
     TruncatedConfig,
     _checked_grid,
     _unwrap_principal,
@@ -192,6 +191,11 @@ def _r_grid(s: _Settings) -> np.ndarray:
         raise ValidationError("r-max and dr must be positive and finite")
     _grid_count(0.0, r_max + 0.5 * dr, dr)
     return np.arange(0.0, r_max + 0.5 * dr, dr)
+
+
+# phase-shift and cross-section rows skip this neighborhood of k = q, where d
+# and g vanish to fourth order and the sampled phase is rounding noise
+Q_EXCLUSION = 1e-5
 
 
 def _k_grid(s: _Settings, q: float) -> np.ndarray:

@@ -7,10 +7,8 @@ defines the potential
 
     V(r) = -2 * d^2/dr^2 [ln W1(q, r)].
 
-W1 is evaluated in two algebraically equivalent ways: a fully expanded closed
-form (`w1_bundle`, which also carries exact analytic r-derivatives) and a
-compact form parameterized by the phase-shift derivatives (`w1_generic`).
-Their agreement is one of the package's standing cross-checks.
+W1 is evaluated from one fully expanded closed form (`w1_bundle`), which also
+carries exact analytic r-derivatives.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularPotential, StrictModeViolation, ValidationError
+from .numerics import _grid_count
 
 __all__ = [
     "PotentialParams",
@@ -29,7 +28,6 @@ __all__ = [
     "W1Bundle",
     "phase_data",
     "w1_bundle",
-    "w1_generic",
     "potential_v4",
     "scan_w1_sign",
 ]
@@ -270,41 +268,9 @@ def w1_bundle(params: PotentialParams, r) -> W1Bundle:
     return W1Bundle(*_w1(params, r, 2))
 
 
-def w1_generic(params: PotentialParams, r):
-    """Compact W1 form parameterized by the phase-shift derivatives.
-
-    Must agree with ``w1_bundle(...).w1`` to near machine precision; the two
-    evaluations share no intermediate algebra.
-    """
-    r = np.asarray(r, dtype=float)
-    pd = phase_data(params)
-    q = params.q
-    th = pd.theta(r)
-    qg = q * pd.gamma(r)
-    qg1 = q * q * pd.gamma1
-    qg2 = q**3 * pd.gamma2
-    return (
-        16.0 * qg**4
-        - 12.0 * qg**2
-        + 8.0 * qg2 * qg
-        - 12.0 * qg1**2
-        + 24.0 * (qg1 * qg + qg**2) * np.cos(2.0 * th)
-        + 3.0 * np.sin(2.0 * th) ** 2
-        + (16.0 * qg**3 - 12.0 * qg - 12.0 * qg1 - 4.0 * qg2) * np.sin(2.0 * th)
-    )
-
-
-def potential_v4(params: PotentialParams, r, form: str = "ratio"):
-    """The transformed potential V(r) = -2 d^2/dr^2 ln W1.
-
-    Parameters
-    ----------
-    params : PotentialParams
-    r : float or array_like
-    form : {"ratio", "log"}
-        Two algebraically identical evaluations, kept separate as a
-        cross-check:  "ratio" computes -2 (W1'' W1 - W1'^2) / W1^2,
-        "log" computes -2 (W1''/W1 - (W1'/W1)^2).
+def potential_v4(params: PotentialParams, r):
+    """The transformed potential V(r) = -2 d^2/dr^2 ln W1, computed as
+    -2 (W1'' W1 - W1'^2) / W1^2.
 
     Raises
     ------
@@ -325,23 +291,30 @@ def potential_v4(params: PotentialParams, r, form: str = "ratio"):
     if flips.size:
         bad = float(np.atleast_1d(r)[flips[0]])
         raise SingularPotential(f"W1 changes sign between samples near r = {bad:.6g}")
-    if form == "ratio":
-        return -2.0 * (b.w1_rr * b.w1 - b.w1_r**2) / b.w1**2
-    if form == "log":
-        return -2.0 * (b.w1_rr / b.w1 - (b.w1_r / b.w1) ** 2)
-    raise ValidationError(f"unknown potential form {form!r}")
+    return -2.0 * (b.w1_rr * b.w1 - b.w1_r**2) / b.w1**2
 
 
-def scan_w1_sign(params: PotentialParams, r_max: float, step: float = 0.01):
-    """Scan [0, r_max] for sign changes of W1.
+# scan_w1_sign samples W1 this far apart
+_SCAN_STEP = 0.01
+
+
+def scan_w1_sign(params: PotentialParams, r_max: float):
+    """Scan [0, r_max] for sign changes of W1, in steps of 0.01.
 
     Returns a list of (r_lo, r_hi) brackets, each containing at least one
     zero of W1. An empty list certifies positivity on the scanned grid, which
     is the validity condition for the transformation.
+
+    Raises
+    ------
+    ValidationError
+        If r_max is not finite and non-negative, or the grid would hold
+        more than ``numerics._MAX_GRID_POINTS`` points.
     """
-    if step <= 0:
-        raise ValidationError("step must be positive")
-    r = np.arange(0.0, r_max + step, step)
+    if not 0.0 <= r_max < math.inf:
+        raise ValidationError(f"r_max must be finite and non-negative, got {r_max!r}")
+    _grid_count(0.0, r_max + _SCAN_STEP, _SCAN_STEP)
+    r = np.arange(0.0, r_max + _SCAN_STEP, _SCAN_STEP)
     w = _w1(params, r, 0)[0]
     flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
     return [(float(r[i]), float(r[i + 1])) for i in flips]

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .darboux import (PhaseData, PotentialParams, _closed_form, _horner, _w1, phase_data,
-                      potential_v4)
+from .darboux import PhaseData, PotentialParams, _closed_form, _horner, _w1, phase_data
 from .errors import NearSpectralSingularity, NotBicMode, ValidationError
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "uv_bundle",
     "jost_value",
     "bound_state",
-    "schrodinger_residual",
     "NEAR_SINGULARITY_THRESHOLD",
 ]
 
@@ -214,14 +212,13 @@ def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostVa
 class BoundState:
     """The square-integrable state at energy q^2 (requires beta = 3*alpha*q).
 
-    ``norm`` is the L2 norm of the raw closed-form amplitude; calling the
-    object evaluates the amplitude, divided by ``norm`` when ``normalized``.
+    ``norm`` is the L2 norm of the raw closed-form amplitude (``raw``);
+    calling the object evaluates the amplitude divided by ``norm``.
     """
 
     params: PotentialParams
     phase: PhaseData
     norm: float
-    normalized: bool = True
 
     def raw(self, r):
         """Closed-form amplitude 24 q^2 X(r) / W1(r); vanishes at r = 0."""
@@ -236,11 +233,10 @@ class BoundState:
         return 24.0 * q**2 * x / _w1(self.params, r, 0)[0]
 
     def __call__(self, r):
-        amp = self.raw(r)
-        return amp / self.norm if self.normalized else amp
+        return self.raw(r) / self.norm
 
 
-def bound_state(params: PotentialParams, normalized: bool = True) -> BoundState:
+def bound_state(params: PotentialParams) -> BoundState:
     """Construct psi_B with its closed-form norm.
 
     N^2 = int raw^2 dr is a Wronskian boundary term. The solution
@@ -267,30 +263,4 @@ def bound_state(params: PotentialParams, normalized: bool = True) -> BoundState:
         params=params,
         phase=phase_data(params),
         norm=math.sqrt(norm_sq),
-        normalized=normalized,
     )
-
-
-def schrodinger_residual(params: PotentialParams, k, evaluator: Callable,
-                         grid: np.ndarray) -> float:
-    """Max scaled residual of -psi'' + V psi - k^2 psi on a uniform grid.
-
-    The second derivative is the five-point stencil
-    (-psi[i-2] + 16 psi[i-1] - 30 psi[i] + 16 psi[i+1] - psi[i+2]) / (12 h^2),
-    truncation O(h^4); with the closed forms' curvature near the origin a
-    three-point stencil at h = 1e-3 would bottom out near 1e-4, too coarse
-    to certify anything.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 5:
-        raise ValidationError("grid must be 1-d with at least 5 points")
-    h = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), h, rtol=1e-9):
-        raise ValidationError("grid must be uniform")
-    psi = np.asarray(evaluator(grid))
-    d2 = (
-        -psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]
-    ) / (12.0 * h * h)
-    v = potential_v4(params, grid[2:-2])
-    resid = -d2 + (v - k * k) * psi[2:-2]
-    return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))

@@ -24,7 +24,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerance",
     "ComplexRectangle",
     "newton_complex",
     "winding_count",
@@ -38,20 +37,10 @@ __all__ = [
 _BLOCK = 16384
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative tolerance pair plus an iteration budget."""
-
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-13
-    max_iter: int = 80
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.max_iter >= 1):
-            raise ValidationError("tolerances must be positive and max_iter >= 1")
-
-    def met(self, value: float, scale: float = 1.0) -> bool:
-        return abs(value) <= self.abs_tol + self.rel_tol * abs(scale)
+# newton_complex stops once a step is at most _NEWTON_TOL (1 + |z|), and
+# gives up after _NEWTON_MAX_ITER steps
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -86,12 +75,13 @@ class ComplexRectangle:
         )
 
 
-def newton_complex(f, fprime, z0: complex, tol: Tolerance = Tolerance()):
+def newton_complex(f, fprime, z0: complex):
     """Damped Newton iteration on a complex scalar function.
 
     ``fprime`` is the exact derivative of ``f``; the update f/f' is halved
     (up to 60 times) until |f| decreases, which keeps the iteration inside
-    the basin even from seeds several linewidths away.
+    the basin even from seeds several linewidths away. The iteration stops
+    once a step is at most 1e-13 (1 + |z|), within 80 steps.
 
     Returns
     -------
@@ -107,7 +97,7 @@ def newton_complex(f, fprime, z0: complex, tol: Tolerance = Tolerance()):
     """
     z = complex(z0)
     fz = f(z)
-    for it in range(tol.max_iter):
+    for it in range(_NEWTON_MAX_ITER):
         df = fprime(z)
         if df == 0 or abs(df) * (1.0 + abs(z)) < 1e-23 * abs(fz):
             raise ZeroDerivative(f"derivative vanished at {z!r} (|f| = {abs(fz):.3e})")
@@ -121,14 +111,14 @@ def newton_complex(f, fprime, z0: complex, tol: Tolerance = Tolerance()):
             damping *= 0.5
         else:
             # no productive step of any size: either converged or stuck
-            if abs(step) <= tol.abs_tol + tol.rel_tol * abs(z):
+            if abs(step) <= _NEWTON_TOL + _NEWTON_TOL * abs(z):
                 return z, fz, it
             raise NoConvergence(f"stalled at {z!r} with |f| = {abs(fz):.3e}")
         z, fz = z_new, fz_new
-        if abs(damping * step) <= tol.abs_tol + tol.rel_tol * abs(z):
+        if abs(damping * step) <= _NEWTON_TOL + _NEWTON_TOL * abs(z):
             return z, fz, it + 1
     raise NoConvergence(
-        f"no convergence after {tol.max_iter} iterations, |f| = {abs(fz):.3e}"
+        f"no convergence after {_NEWTON_MAX_ITER} iterations, |f| = {abs(fz):.3e}"
     )
 
 
@@ -206,7 +196,7 @@ def winding_count(f, rect: ComplexRectangle) -> int:
     placement can alias a full 2*pi of phase while each naive increment
     stays small. Requiring the modulus to be resolved as well rules that
     out for zeros up to order ~4. ``find_resonances`` divides the zero
-    that motivated it (order about 5 at k = q, beside the top edge of its
+    that motivated it (order 4 at k = q, beside the top edge of its
     default box) out of its integrand; the test still guards other
     integrands and boxes.
 

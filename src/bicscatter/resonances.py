@@ -67,8 +67,13 @@ _EPS = np.finfo(float).eps
 _DEDUPE_SPACINGS = 1e-3
 # gamow_state refuses N^2 whose estimated relative rounding is above this
 _N_SQUARED_RTOL = 1e-6
-# order of the zero at k = q that find_resonances divides out of G before
-# counting: G ~ e2 (x^4 + ...) in x = (k - q) a (see _limit_root)
+# gamow_state refuses a resonance whose residual is above this
+_RESIDUAL_RTOL = 1e-6
+# power of (k - q) that find_resonances divides out of G before counting.
+# G's zero at q has order exactly 4, but G ~ e2 x^4 at leading order in 1/a
+# (x = (k - q) a, see _limit_root) falls like x^5 down to |x| ~ a^-3, as the
+# default box's top edge sees it. G / (k - q)^5 has a simple pole at q, which
+# every counted box leaves outside, so it winds exactly as often as G.
 _DEFLATION_ORDER = 5
 
 
@@ -200,11 +205,12 @@ def default_search_box(config: TruncatedConfig) -> ComplexRectangle:
     its Im edges stay clear of the removable zero at k = q and of the
     doublet's O(1/a) offsets from the limit, which at qa = 30 put Im x at
     -0.98 to -0.73 (Im x = -0.865 in the limit). The top edge passes
-    0.1/a below that zero of order about 5, but costs no refinement:
-    ``find_resonances`` counts the winding of G / (k - q)^5, which has no
-    zero near the edge, so the count resolves on the 4 x 65 initial
-    samples of ``winding_count`` over the envelope. The box reaches
-    Re k <= 0, and is refused, where q a <= 2.1 pi.
+    0.1/a below that zero, of order 4 but falling like x^5 there
+    (``_DEFLATION_ORDER``), yet costs no refinement: ``find_resonances``
+    counts the winding of G / (k - q)^5, which has no zero near the edge,
+    so the count resolves on the 4 x 65 initial samples of
+    ``winding_count`` over the envelope. The box reaches Re k <= 0, and is
+    refused, where q a <= 2.1 pi.
     """
     q = config.params.q
     a = config.a
@@ -228,15 +234,16 @@ def find_resonances(
     by other means; one reaching Re k <= 0 or holding k = q is refused
     before any search.
 
-    G has a removable zero of order about 5 at k = q, on the real axis.
-    The winding is counted on H = G / (k - q)^5: a box that leaves q
-    outside its closed rectangle holds no zero or pole of (k - q)^5 on or
-    inside it, so by the argument principle H winds exactly as often as
-    G, and the certificate is the same theorem. H is free of the
-    near-zero beside the top edge that forced G's contour to be refined
-    there. A box holding q (on its top edge, at Im k = 0) would put a zero
-    of G on the contour, where no winding number certifies anything.
-    Seeds, roots and residuals are those of G.
+    G has a removable zero of order 4 at k = q, on the real axis, which
+    falls like (k - q)^5 a little way off it (``_DEFLATION_ORDER``). The
+    winding is counted on H = G / (k - q)^5, which has a simple pole at q:
+    a box that leaves q outside its closed rectangle holds no zero or pole
+    of (k - q)^5 on or inside it, so by the argument principle H winds
+    exactly as often as G, and the certificate is the same theorem. H is
+    free of the near-zero beside the top edge that forced G's contour to
+    be refined there. A box holding q (on its top edge, at Im k = 0)
+    would put a zero of G on the contour, where no winding number
+    certifies anything. Seeds, roots and residuals are those of G.
 
     Raises
     ------
@@ -340,8 +347,7 @@ def _n_squared_rounding(config: TruncatedConfig, k, d_minus_ig, g_prime) -> floa
     return float(dg_noise / abs(d_minus_ig) + g_prime_noise / abs(g_prime) + phases)
 
 
-def gamow_state(config: TruncatedConfig, resonance: Resonance,
-                residual_tol: float = 1e-6) -> GamowState:
+def gamow_state(config: TruncatedConfig, resonance: Resonance) -> GamowState:
     """Normalize the regular solution at a resonance pole.
 
     F(-k) = pref(k) e^{2ika} G(k) with the zero-free pref = W1(0) / (h(k)
@@ -356,8 +362,7 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance,
     Raises
     ------
     ValidationError
-        If the resonance residual is above ``residual_tol`` (not a certified
-        root).
+        If the resonance residual is above 1e-6 (not a certified root).
     DegenerateNormalizer
         If the estimated relative rounding of N^2 is above 1e-6: k_n is so
         close to q that d - ig and G' are rounding noise.
@@ -365,9 +370,9 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance,
         If |dF(-k)/dk| at the root is negligible against F(k_n) — the zero
         would be higher-order and the state degenerate.
     """
-    if resonance.residual > residual_tol:
+    if resonance.residual > _RESIDUAL_RTOL:
         raise ValidationError(
-            f"resonance residual {resonance.residual:.3e} above {residual_tol:.0e}"
+            f"resonance residual {resonance.residual:.3e} above {_RESIDUAL_RTOL:.0e}"
         )
     kn = resonance.k_complex
     d, g = dg(config, kn)

@@ -40,7 +40,6 @@ from .numerics import _BLOCK, _bracketed_newton, _grid_count, _unwrap_block
 __all__ = [
     "TruncatedConfig",
     "ScatteringPoint",
-    "h_normalizer",
     "regular_solution",
     "dg",
     "jost_function",
@@ -57,10 +56,6 @@ __all__ = [
 # the embedded-state wave number). ``resonances.gamow_state`` refuses on the
 # rounding of what N^2 is built from instead.
 H_DEGENERACY_RTOL = 1e-12
-
-# k grids for phase and cross section skip this neighborhood of k = q, where
-# d and g vanish to fourth order and the sampled phase is rounding noise
-Q_EXCLUSION = 1e-5
 
 # d and g are resolved where hypot(d, g) exceeds this multiple of its values at
 # k = q and q +- _NOISE_OFFSET / a, which are pure rounding (see _noise_floor)
@@ -232,8 +227,8 @@ class ScatteringPoint:
     sigma: float
 
 
-def h_normalizer(params: PotentialParams, k):
-    """h(k) = u v' - v u' + k (u^2 + v^2), all at r = 0.
+def _h_of(u2, k, q):
+    """h(k) = u v' - v u' + k (u^2 + v^2), all at r = 0, from u2 = U2(0).
 
     Normalizes the regular solution's boundary condition. With
     u = U0 + U1 e2 + U2 e2^2 and v = k (V0 + V1 e2), e2 = k^2 - q^2
@@ -247,10 +242,6 @@ def h_normalizer(params: PotentialParams, k):
     near k = q, where its rounding error is 1e-5 to 1e-4 of h at the
     a = 5000 doublet and grows like a^4.
     """
-    return _h_of(_uv_coefficients(params, 0.0, 0)[0][0][2], k, params.q)
-
-
-def _h_of(u2, k, q):
     e2 = (k - q) * (k + q)
     return k * (u2 * e2 * e2) ** 2
 
@@ -386,13 +377,15 @@ def _noise_floor(config: TruncatedConfig) -> float:
     are rounding noise: ``_NOISE_FACTOR`` times the largest hypot(d, g) at
     k = q and q +- 1e-4/a (``_dg_rounding_near_q``).
 
-    At leading order in 1/a, d + ig is e2 times the bracket of
-    ``resonances._limit_root``, which is -(2/3) x^4 + O(x^5) in
-    x = (k - q) a: it vanishes like x^5. At |x| <= 1e-4 its exact value is
-    about 1e-20 of its size at |x| ~ 1, so what is computed there is
-    rounding. At q alone the rounding can be exactly zero (when the e2^0
-    coefficients at r = 0 come out as exact zeros, as at alpha = 2.4033,
-    q = 1.0302), which would leave no floor at all.
+    d + ig has a zero of order exactly 4 at k = q (the e2^4 of h; F(-q)
+    is not zero), but its x^4 term, in x = (k - q) a, weighs about a^-3
+    against the next: at leading order in 1/a, d + ig is e2 times the
+    bracket of ``resonances._limit_root``, -(2/3) x^4 + O(x^5), so it falls
+    like x^5 down to |x| ~ a^-3. At |x| <= 1e-4 its exact value is about
+    1e-20 of its size at |x| ~ 1, so what is computed there is rounding.
+    At q alone the rounding can be exactly zero (when the e2^0 coefficients
+    at r = 0 come out as exact zeros, as at alpha = 2.4033, q = 1.0302),
+    which would leave no floor at all.
     """
     return _NOISE_FACTOR * _dg_rounding_near_q(config)
 
@@ -554,8 +547,7 @@ def phase_shift(config: TruncatedConfig, k):
     return _blockwise(lambda kk: (_principal_phase(*_num_den(config, kk)),), k)[0]
 
 
-def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
-                          max_step_fraction: float = 0.45) -> np.ndarray:
+def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray) -> np.ndarray:
     """Continuous delta_a along a monotone k grid.
 
     Unwraps the principal values mod pi.
@@ -566,14 +558,14 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray,
         If the grid is not 1-d, has fewer than two points, or any step is
         not finite and positive (a NaN or an infinity in it included).
     UnwrapAmbiguity
-        If any adjusted step exceeds ``max_step_fraction * pi``: the grid
-        is too coarse to track the phase through the resonances (their
-        half-widths are ~1e-4 at a = 5000, so dk must be well below that).
+        If any adjusted step exceeds 0.45 pi: the grid is too coarse to
+        track the phase through the resonances (their half-widths are
+        ~1e-4 at a = 5000, so dk must be well below that).
     """
     k_grid = _checked_grid(k_grid)
     return _unwrap_principal(
         lambda start, stop: _principal_phase(*_num_den(config, k_grid[start:stop])),
-        k_grid, max_step_fraction)
+        k_grid)
 
 
 def _checked_grid(k_grid) -> np.ndarray:
@@ -589,8 +581,11 @@ def _checked_grid(k_grid) -> np.ndarray:
     return k_grid
 
 
-def _unwrap_principal(principal, k_grid: np.ndarray,
-                      max_step_fraction: float = 0.45) -> np.ndarray:
+# phase_shift_unwrapped refuses an adjusted step above this many pi
+_MAX_STEP_FRACTION = 0.45
+
+
+def _unwrap_principal(principal, k_grid: np.ndarray) -> np.ndarray:
     """``phase_shift_unwrapped`` on ``k_grid`` (a ``_checked_grid``), where
     principal(start, stop) gives the principal values on k_grid[start:stop]:
     unwrap mod pi and step test, ``_BLOCK`` steps at a time, so that beyond
@@ -605,7 +600,7 @@ def _unwrap_principal(principal, k_grid: np.ndarray,
         if start == 1:
             out[0] = part[0]
         carry, excess = _unwrap_block(part, math.pi, carry, out[start:start + _BLOCK])
-        if excess.max() > max_step_fraction:
+        if excess.max() > _MAX_STEP_FRACTION:
             i = int(np.argmax(excess))
             raise UnwrapAmbiguity(
                 f"unwrapped phase step {math.pi * excess[i]:.3f} rad between k = "
@@ -757,16 +752,28 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
 
 
 def phase_jump(config: TruncatedConfig, k_lo: float, k_hi: float,
-               dk: float = 1e-6) -> float:
+               dk: Optional[float] = None) -> float:
     """Total change of the unwrapped delta_a across [k_lo, k_hi].
 
     Across a window containing the resonance doublet (with enough margin
     for the Breit-Wigner tails to complete) the magnitude approaches 2*pi:
-    each resonance contributes a drop of pi. Grid points within Q_EXCLUSION
-    of the embedded-state wave number are excised. The window and dk are
-    checked as in ``sigma_landmarks``.
+    each resonance contributes a drop of pi. dk defaults to pi/(64 a), as
+    in ``sigma_landmarks``. Grid points where hypot(num, den) = hypot(d, g)
+    is at or below the noise floor (``_noise_floor``) are dropped, the rule
+    of ``background.hadamard_residual``: there the sampled phase is
+    rounding. Over the envelope that drops |x| below about 0.1 in
+    x = (k - q) a, so the doublet (|x| about 5) and the sigma minima stay on
+    the grid at every cutoff. The window and dk are checked as in
+    ``sigma_landmarks``.
     """
+    if dk is None:
+        dk = math.pi / (64.0 * config.a)
     grid = _window_points(k_lo, dk, 0, _window_size(k_lo, k_hi, dk))
-    grid = grid[np.abs(grid - config.params.q) > Q_EXCLUSION]
-    un = phase_shift_unwrapped(config, grid)
+    floor = _noise_floor(config)
+
+    def resolved(k):
+        num, den = _num_den(config, k)
+        return (num * num + den * den > floor * floor,)
+
+    un = phase_shift_unwrapped(config, grid[_blockwise(resolved, grid)[0]])
     return float(un[-1] - un[0])

@@ -1,9 +1,15 @@
-"""Shared fixtures.
+"""Shared fixtures and the reference kernels that only tests use.
 
 The expensive objects (resonance search, bound-state normalization, the
 background fit) are session-scoped: they are deterministic pure functions
 of the default parameter set, so every test that needs them can share one
 instance without coupling.
+
+The reference kernels are second evaluations of what the library computes
+one way (W1 in its compact form, V in its log-derivative form), or checks
+of its results (the Schrodinger residual, quadrature norms, mpmath
+oracles). Each is served by a session fixture of the same name without the
+leading underscore.
 """
 
 import functools
@@ -28,16 +34,16 @@ def _quadrature_norm_sq(params):
     quarter period (the aliasing guard), and the tolerance is relative to
     the norm, so large norms (~650 at alpha = q = 3) stay reachable.
     """
-    psi = bs.bound_state(params, normalized=False)
+    psi = bs.bound_state(params)
     q, delta = params.q, psi.phase.delta
     period = math.pi / q
     r_cut = (0.5 * math.pi * math.ceil((300.0 + delta) / (0.5 * math.pi)) - delta) / q
     inner = bs.adaptive_quadrature(
-        lambda r: float(psi(r)) ** 2, 0.0, r_cut, tol=1e-11 * psi.norm**2,
+        lambda r: float(psi.raw(r)) ** 2, 0.0, r_cut, tol=1e-11 * psi.norm**2,
         initial_intervals=math.ceil(4.0 * r_cut / period),
     )
     r = r_cut + np.linspace(0.0, period * math.ceil(r_cut / period), 20000, endpoint=False)
-    return inner + float(np.mean(psi(r) ** 2 * r**4)) / (3.0 * r_cut**3)
+    return inner + float(np.mean(psi.raw(r) ** 2 * r**4)) / (3.0 * r_cut**3)
 
 
 def _uv_reference(k, r, q, ph, sin=np.sin, cos=np.cos):
@@ -127,6 +133,79 @@ def _dg_oracle(config, k):
         va_r * wa - va * wa_r + k * ua * wa) * rot_b
     g = -k * wa * (ua * rot_a + va * rot_b)
     return d, g
+
+
+def _w1_generic(params, r):
+    """Compact W1 form parameterized by the phase-shift derivatives.
+
+    Must agree with ``w1_bundle(...).w1`` to near machine precision; the two
+    evaluations share no intermediate algebra.
+    """
+    r = np.asarray(r, dtype=float)
+    pd = bs.phase_data(params)
+    q = params.q
+    th = pd.theta(r)
+    qg = q * pd.gamma(r)
+    qg1 = q * q * pd.gamma1
+    qg2 = q**3 * pd.gamma2
+    return (
+        16.0 * qg**4
+        - 12.0 * qg**2
+        + 8.0 * qg2 * qg
+        - 12.0 * qg1**2
+        + 24.0 * (qg1 * qg + qg**2) * np.cos(2.0 * th)
+        + 3.0 * np.sin(2.0 * th) ** 2
+        + (16.0 * qg**3 - 12.0 * qg - 12.0 * qg1 - 4.0 * qg2) * np.sin(2.0 * th)
+    )
+
+
+def _potential_v4_log(params, r):
+    """V(r) = -2 d^2/dr^2 ln W1 as -2 (W1''/W1 - (W1'/W1)^2).
+
+    Algebraically identical to ``potential_v4``'s -2 (W1'' W1 - W1'^2) / W1^2,
+    kept as a cross-check; no singularity guard.
+    """
+    b = bs.w1_bundle(params, np.asarray(r, dtype=float))
+    return -2.0 * (b.w1_rr / b.w1 - (b.w1_r / b.w1) ** 2)
+
+
+def _schrodinger_residual(params, k, evaluator, grid) -> float:
+    """Max scaled residual of -psi'' + V psi - k^2 psi on a uniform grid.
+
+    The second derivative is the five-point stencil
+    (-psi[i-2] + 16 psi[i-1] - 30 psi[i] + 16 psi[i+1] - psi[i+2]) / (12 h^2),
+    truncation O(h^4); with the closed forms' curvature near the origin a
+    three-point stencil at h = 1e-3 would bottom out near 1e-4, too coarse
+    to certify anything.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 5:
+        raise bs.ValidationError("grid must be 1-d with at least 5 points")
+    h = grid[1] - grid[0]
+    if not np.allclose(np.diff(grid), h, rtol=1e-9):
+        raise bs.ValidationError("grid must be uniform")
+    psi = np.asarray(evaluator(grid))
+    d2 = (
+        -psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]
+    ) / (12.0 * h * h)
+    v = bs.potential_v4(params, grid[2:-2])
+    resid = -d2 + (v - k * k) * psi[2:-2]
+    return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
+
+
+@pytest.fixture(scope="session")
+def w1_generic():
+    return _w1_generic
+
+
+@pytest.fixture(scope="session")
+def potential_v4_log():
+    return _potential_v4_log
+
+
+@pytest.fixture(scope="session")
+def schrodinger_residual():
+    return _schrodinger_residual
 
 
 @pytest.fixture(scope="session")

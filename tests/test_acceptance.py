@@ -68,13 +68,13 @@ def test_criterion_3_wronskian_identity(params):
           f"over 100 draws; |W(q)|/scale = {abs(w_q)/scale:.2e}")
 
 
-def test_criterion_4_schrodinger_residuals(params, config, psi_b):
+def test_criterion_4_schrodinger_residuals(params, config, psi_b, schrodinger_residual):
     grid = np.arange(0.1, 50.0, 1e-3)
-    res_fplus = bs.schrodinger_residual(
+    res_fplus = schrodinger_residual(
         params, 2.0, lambda r: bs.jost_value(params, 2.0, r, normalized=False).f_plus, grid
     )
-    res_bic = bs.schrodinger_residual(params, params.q, psi_b, grid)
-    res_phi = bs.schrodinger_residual(
+    res_bic = schrodinger_residual(params, params.q, psi_b, grid)
+    res_phi = schrodinger_residual(
         params, 1.5, lambda r: bs.regular_solution(config, 1.5, r)[0], grid
     )
     assert res_fplus < 1e-5
@@ -166,17 +166,18 @@ def test_criterion_8_bound_state_properties(params, psi_b, quadrature_norm_sq):
           f"norm^2 matches quadrature to {norm_dev:.1e}")
 
 
-def test_criterion_9_algebraic_cross_checks(params, config, fit):
+def test_criterion_9_algebraic_cross_checks(params, config, fit, w1_generic,
+                                            potential_v4_log):
     # W1: expanded vs compact assembly
     r = np.linspace(0.0, 120.0, 4001)
     w_a = bs.w1_bundle(params, r).w1
-    w_b = bs.w1_generic(params, r)
+    w_b = w1_generic(params, r)
     w1_dev = float(np.max(np.abs(w_a - w_b) / np.maximum(1.0, np.abs(w_a))))
     assert w1_dev < 1e-12
 
     # potential: ratio form vs log-derivative form
-    v_a = bs.potential_v4(params, r, form="ratio")
-    v_b = bs.potential_v4(params, r, form="log")
+    v_a = bs.potential_v4(params, r)
+    v_b = potential_v4_log(params, r)
     v_dev = float(np.max(np.abs(v_a - v_b)))
     assert v_dev < 1e-10 * float(np.max(np.abs(v_a)))
 

@@ -61,14 +61,14 @@ def test_w1_value_at_origin():
     assert float(w0.w1) == pytest.approx(4.32, abs=1e-12)
 
 
-def test_w1_two_routes_agree():
+def test_w1_two_routes_agree(w1_generic):
     """Expanded polynomial-in-gamma assembly vs the compact trigonometric
     form, on a wide grid and for several parameter sets."""
     r = np.linspace(0.0, 120.0, 4001)
     for alpha, beta, q in [(1.0, 3.0, 1.0), (0.8, 2.1, 1.3), (1.5, 0.9, 0.6)]:
         p = bs.PotentialParams(alpha=alpha, beta=beta, q=q)
         a = bs.w1_bundle(p, r).w1
-        b = bs.w1_generic(p, r)
+        b = w1_generic(p, r)
         scale = np.maximum(1.0, np.abs(a))
         assert np.max(np.abs(a - b) / scale) < 1e-12
 
@@ -96,11 +96,11 @@ def test_w1_growth_is_quartic():
     assert abs(ratio[2] - ratio[1]) < abs(ratio[1] - ratio[0])
 
 
-def test_potential_two_forms_agree():
+def test_potential_two_forms_agree(potential_v4_log):
     p = bs.PotentialParams.bic()
     r = np.linspace(0.0, 60.0, 6001)
-    va = bs.potential_v4(p, r, form="ratio")
-    vb = bs.potential_v4(p, r, form="log")
+    va = bs.potential_v4(p, r)
+    vb = potential_v4_log(p, r)
     assert np.max(np.abs(va - vb)) < 1e-10 * np.max(np.abs(va))
 
 
@@ -122,12 +122,6 @@ def test_potential_envelope_decays_like_one_over_r():
     env = np.abs(bs.potential_v4(p, r)) * r
     assert env.max() < 50.0
     assert env[r > 500.0].mean() > 1.0
-
-
-def test_invalid_form_rejected():
-    p = bs.PotentialParams.bic()
-    with pytest.raises(bs.ValidationError):
-        bs.potential_v4(p, 1.0, form="spline")
 
 
 def test_bic_constructor_ties_beta():
@@ -181,6 +175,14 @@ def test_w1_sign_scan():
 
     good = bs.PotentialParams(alpha=1.0, beta=5.0, q=1.0)
     assert bs.scan_w1_sign(good, 30.0) == []
+
+
+@pytest.mark.parametrize("r_max", [math.inf, math.nan, 1e12, -1.0])
+def test_w1_scan_refuses_unbounded_or_negative_ranges(r_max):
+    # no grid for an infinite, NaN or negative range (an empty bracket list
+    # would read as a positivity certificate), and none of 1e14 points
+    with pytest.raises(bs.ValidationError):
+        bs.scan_w1_sign(bs.PotentialParams.bic(), r_max)
 
 
 def test_singular_potential_raises():

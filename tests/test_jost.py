@@ -174,43 +174,37 @@ def test_bound_state_zero_at_origin(psi_b):
     assert abs(float(psi_b(0.0))) < 1e-14
 
 
-def test_bound_state_unnormalized_variant(params, psi_b):
-    raw_state = bs.bound_state(params, normalized=False)
-    r = np.array([0.5, 1.0, 4.0])
-    assert np.allclose(raw_state(r), psi_b.raw(r), rtol=1e-13)
-
-
 def test_bound_state_requires_constraint():
     p = bs.PotentialParams(alpha=1.0, beta=5.0, q=1.0)
     with pytest.raises(bs.NotBicMode):
         bs.bound_state(p)
 
 
-def test_outgoing_solution_satisfies_equation():
+def test_outgoing_solution_satisfies_equation(schrodinger_residual):
     p = bs.PotentialParams.bic()
     grid = np.arange(0.1, 50.0, 1e-3)
-    res = bs.schrodinger_residual(
+    res = schrodinger_residual(
         p, 2.0, lambda r: bs.jost_value(p, 2.0, r, normalized=False).f_plus, grid
     )
     assert res < 1e-5
 
 
-def test_trapped_state_satisfies_equation(params, psi_b):
+def test_trapped_state_satisfies_equation(params, psi_b, schrodinger_residual):
     grid = np.arange(0.1, 50.0, 1e-3)
-    res = bs.schrodinger_residual(params, params.q, psi_b, grid)
+    res = schrodinger_residual(params, params.q, psi_b, grid)
     assert res < 1e-5
 
 
-def test_residual_rejects_perturbed_state(params, psi_b):
+def test_residual_rejects_perturbed_state(params, psi_b, schrodinger_residual):
     # negative control: a small additive contamination must be seen
     grid = np.arange(0.1, 50.0, 1e-3)
-    res = bs.schrodinger_residual(
+    res = schrodinger_residual(
         params, params.q, lambda r: psi_b(r) + 0.01 * np.sin(r), grid
     )
     assert res > 1e-3
 
 
-def test_residual_requires_uniform_grid(params, psi_b):
+def test_residual_requires_uniform_grid(params, psi_b, schrodinger_residual):
     grid = np.array([0.1, 0.2, 0.35, 0.5])
     with pytest.raises(bs.ValidationError):
-        bs.schrodinger_residual(params, params.q, psi_b, grid)
+        schrodinger_residual(params, params.q, psi_b, grid)

@@ -8,22 +8,6 @@ import bicscatter as bs
 from bicscatter import numerics
 
 
-# ---------------------------------------------------------------- tolerance
-
-
-def test_tolerance_validation():
-    with pytest.raises(bs.ValidationError):
-        bs.Tolerance(abs_tol=0.0)
-    with pytest.raises(bs.ValidationError):
-        bs.Tolerance(rel_tol=-1e-10)
-    with pytest.raises(bs.ValidationError):
-        bs.Tolerance(max_iter=0)
-    t = bs.Tolerance(abs_tol=1e-3, rel_tol=1e-2)
-    assert t.met(5e-4)
-    assert t.met(0.05, scale=10.0)
-    assert not t.met(0.5, scale=10.0)
-
-
 def test_rectangle_basics():
     rect = bs.ComplexRectangle(-1.0, 2.0, -0.5, 0.5)
     bl, br, tr, tl = rect.corners
@@ -74,7 +58,7 @@ def test_newton_no_convergence():
     # exp has no zeros; |f| keeps decreasing so the iteration never stalls,
     # it just runs out of budget with a unit step
     with pytest.raises(bs.NoConvergence):
-        bs.newton_complex(cmath.exp, cmath.exp, 0.0, tol=bs.Tolerance(max_iter=25))
+        bs.newton_complex(cmath.exp, cmath.exp, 0.0)
 
 
 # -------------------------------------------------------- bracketed newton

@@ -386,7 +386,7 @@ def test_newton_near_the_removable_zero_leaves_the_box(params):
     config = bs.TruncatedConfig(params=params, a=1e6)
     try:
         z, _, _ = bs.newton_complex(bs.root_function(config), bs.root_derivative(config),
-                                    1.0 - 1e-7j, bs.Tolerance(abs_tol=1e-13, rel_tol=1e-13))
+                                    1.0 - 1e-7j)
     except (bs.NoConvergence, bs.ZeroDerivative):
         return
     assert not bs.default_search_box(config).contains(z)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bicscatter as bs
-from bicscatter import darboux, scattering
+from bicscatter import cli, darboux, jost, scattering
 from bicscatter.darboux import _w1, _w1_table
 from bicscatter.scattering import S_MAX, S_MIN
 
@@ -504,9 +504,9 @@ def test_regular_solution_range_check(config):
         bs.regular_solution(config, 1.5, -0.1)
 
 
-def test_regular_solution_satisfies_equation(config, params):
+def test_regular_solution_satisfies_equation(config, params, schrodinger_residual):
     grid = np.arange(0.1, 50.0, 1e-3)
-    res = bs.schrodinger_residual(
+    res = schrodinger_residual(
         params, 1.5, lambda r: bs.regular_solution(config, 1.5, r)[0], grid
     )
     assert res < 1e-5
@@ -617,7 +617,7 @@ def test_blocked_grid_matches_sub_block_slices(config, fit, name):
             config, 0.995, 1.005, dk, cuts)
         return
     if name == "phase_shift_unwrapped":
-        k = k[np.abs(k - 1.0) > scattering.Q_EXCLUSION]
+        k = k[np.abs(k - 1.0) > cli.Q_EXCLUSION]
         raw = np.concatenate([bs.phase_shift(config, piece) for piece in np.split(k, cuts)])
         assert np.array_equal(bs.phase_shift_unwrapped(config, k),
                               bs.unwrap_phase(raw, math.pi))
@@ -639,7 +639,7 @@ def test_blocked_unwrap_matches_sub_block_slices(config):
     # count applied to principal values computed on sub-block slices
     block = scattering._BLOCK
     k = np.linspace(0.995, 1.005, 5 * block // 2)
-    k = k[np.abs(k - 1.0) > scattering.Q_EXCLUSION]
+    k = k[np.abs(k - 1.0) > cli.Q_EXCLUSION]
     jumps = np.nonzero(np.abs(np.diff(bs.phase_shift(config, k))) > math.pi / 2)[0]
     k = k[jumps[jumps >= block][0] + 1 - block:]
     raw = np.concatenate([bs.phase_shift(config, k[i:i + 1000])
@@ -669,7 +669,7 @@ def test_cross_section_peak_memory_is_bounded(config):
 def test_unwrapped_phase_peak_memory_is_bounded(config):
     # the principal values and the output, plus one block's temporaries
     k = np.linspace(0.995, 1.005, 10**6)
-    k = k[np.abs(k - 1.0) > scattering.Q_EXCLUSION]
+    k = k[np.abs(k - 1.0) > cli.Q_EXCLUSION]
     delta, peak = _peak_bytes(lambda: bs.phase_shift_unwrapped(config, k))
     assert peak < 3 * delta.nbytes
 
@@ -824,10 +824,15 @@ def test_phase_shift_principal_branch(config):
     assert np.all(np.abs(d) <= math.pi / 2 + 1e-12)
 
 
+def _h_normalizer(params, k):
+    """h(k) through ``scattering._h_of``, with U2(0) from ``jost._uv_coefficients``."""
+    return scattering._h_of(jost._uv_coefficients(params, 0.0, 0)[0][0][2], k, params.q)
+
+
 def test_normalizer_positive_off_the_singular_point(params):
     k = np.linspace(0.5, 2.0, 301)
     k = k[np.abs(k - params.q) > 5e-4]
-    h = bs.h_normalizer(params, k)
+    h = _h_normalizer(params, k)
     assert np.all(np.real(h) > 0)
     assert np.max(np.abs(np.imag(h))) == 0
 
@@ -843,7 +848,7 @@ def test_normalizer_closed_form_against_mpmath(alpha, q, uv_oracle):
                   1.3 * q, q * (0.5 + 0.1j)):
             u, v, u_r, v_r = uv_oracle(p, k, 0.0)
             want = complex(u * v_r - v * u_r + mpmath.mpc(k) * (u * u + v * v))
-            assert abs(complex(bs.h_normalizer(p, k)) - want) <= 1e-12 * abs(want)
+            assert abs(complex(_h_normalizer(p, k)) - want) <= 1e-12 * abs(want)
 
 
 def test_degenerate_normalizer_guard(config):
@@ -1021,13 +1026,6 @@ def test_unwrap_ambiguity_on_coarse_grid(config):
         bs.phase_shift_unwrapped(config, k)
 
 
-def test_unwrap_step_budget_parameter(config):
-    k = np.arange(0.9995, 1.0005, 1e-6)
-    k = k[np.abs(k - 1.0) > 1e-5]
-    with pytest.raises(bs.UnwrapAmbiguity):
-        bs.phase_shift_unwrapped(config, k, max_step_fraction=1e-3)
-
-
 def test_unwrapped_requires_increasing_grid(config):
     with pytest.raises(bs.ValidationError):
         bs.phase_shift_unwrapped(config, np.array([1.002, 1.001, 1.003]))
@@ -1076,3 +1074,37 @@ def test_phase_jump_across_doublet(config):
     jump = bs.phase_jump(config, 0.99, 1.01)
     assert jump == pytest.approx(-6.163017, abs=1e-3)
     assert abs(abs(jump) - 2 * math.pi) < 0.2
+
+
+_log_uniform_envelope = st.floats(min_value=math.log10(0.3),
+                                  max_value=math.log10(3.0)).map(lambda x: 10.0**x)
+# the cutoffs of the phase-jump table that the fixed |k - q| <= 1e-5 window
+# got wrong: UnwrapAmbiguity at 1e5 and 3e5, -0.970 pi at 2e5, +0.030 pi from
+# 5e5 on (the doublet, at |x| ~ 5, falls inside the window there)
+_PHASE_JUMP_TABLE = (5e4, 1e5, 2e5, 3e5, 5e5, 7e5, 1e6)
+
+
+def _table_examples(fn):
+    for alpha_q in (1.0, 0.3, 3.0):
+        for a in _PHASE_JUMP_TABLE:
+            fn = example(alpha=alpha_q, q=alpha_q, log_a=math.log10(a), shift=0.0)(fn)
+    return fn
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=_log_uniform_envelope, q=_log_uniform_envelope,
+       log_a=st.floats(min_value=4.7, max_value=6.0),
+       shift=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@_table_examples
+# grid point 1279 lands exactly on k = q, where d and g are rounding
+@example(alpha=1.0, q=1.0, log_a=6.0, shift=0.9999985604062519)
+def test_phase_jump_is_two_pi_at_large_cutoffs(alpha, q, log_a, shift):
+    """Across q +- 20 pi/a at the default dk = pi/(64 a), shifted by a
+    fraction of dk, the jump reads -1.9696 pi to 5e-3, however large a
+    gets: only points at the rounding noise floor around q are dropped."""
+    a = 10.0**log_a
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    offset = shift * (math.pi / (64.0 * a))
+    window = 20.0 * math.pi / a
+    jump = bs.phase_jump(config, q - window + offset, q + window + offset)
+    assert abs(jump / math.pi + 1.9696) <= 5e-3
