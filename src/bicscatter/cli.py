@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .background import Doublet, fit_lambda, hadamard_residual, model_phase_and_sigma
-from .darboux import PotentialParams, potential_v4, scan_w1_sign, w1_bundle
+from .darboux import PotentialParams, _sign_changes, potential_v4, w1_bundle
 from .errors import NumericalError, ValidationError
 from .jost import bound_state
 from .numerics import ComplexRectangle, _grid_count
@@ -124,14 +124,14 @@ def _build_params(s: _Settings) -> PotentialParams:
 
 def _params_at_beta(s: _Settings, alpha: float, q: float, beta: float,
                     diagnostic: bool = False) -> PotentialParams:
-    """PotentialParams at an explicit beta, in bic mode where
-    beta = 3*alpha*q; --bic with any other beta is refused."""
-    if s.get("bic", False, conv=bool) and beta != 3.0 * alpha * q:
+    """PotentialParams at an explicit beta; --bic with a beta off the bic
+    line is refused."""
+    params = PotentialParams(alpha=alpha, beta=beta, q=q, diagnostic=diagnostic)
+    if s.get("bic", False, conv=bool) and not params.bic_mode:
         raise ValidationError(
             f"--bic contradicts --beta {beta} (3*alpha*q = {3.0 * alpha * q})"
         )
-    return PotentialParams(alpha=alpha, beta=beta, q=q,
-                           bic_mode=(beta == 3.0 * alpha * q), diagnostic=diagnostic)
+    return params
 
 
 def _metadata(s: _Settings, command: str, params: PotentialParams,
@@ -233,10 +233,9 @@ def cmd_w1(s: _Settings) -> None:
     r = _r_grid(s)
     for params in all_params:
         w1 = w1_bundle(params, r).w1
-        crossings = scan_w1_sign(params, float(r[-1]))
         meta = _metadata(
             s, "w1", params,
-            extra={"diagnostic": params.diagnostic, "sign_changes": len(crossings)},
+            extra={"diagnostic": params.diagnostic, "sign_changes": _sign_changes(w1).size},
         )
         path = out
         if len(betas) > 1:
@@ -332,7 +331,7 @@ def cmd_gamow(s: _Settings) -> None:
             "half_width": state.resonance.half_width,
             "n_squared_re": state.N_squared.real,
             "n_squared_im": state.N_squared.imag,
-            "sqrt_branch": state.branch,
+            "sqrt_branch": "principal",
         },
     )
     _write_csv(

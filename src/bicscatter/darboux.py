@@ -46,10 +46,8 @@ def _is_real(v) -> bool:
 class PotentialParams:
     """The (alpha, beta, q) triple defining the transformed potential.
 
-    ``bic_mode`` records that beta was constructed as exactly 3*alpha*q, the
-    relation under which the transformation supports a normalizable state at
-    energy q**2. ``diagnostic`` permits beta < 0, which produces a singular
-    potential (useful only for plotting the W1 sign structure); all scattering
+    ``diagnostic`` permits beta < 0, which produces a singular potential
+    (useful only for plotting the W1 sign structure); all scattering
     machinery requires strict mode (beta > 0). Fields are stored as builtin
     floats whatever real type they were given in.
     """
@@ -57,7 +55,6 @@ class PotentialParams:
     alpha: float
     beta: float
     q: float
-    bic_mode: bool = False
     diagnostic: bool = False
 
     def __post_init__(self):
@@ -75,19 +72,19 @@ class PotentialParams:
                 "beta < 0 produces a singular potential; pass diagnostic=True "
                 "if that is intentional"
             )
-        if self.bic_mode and self.beta != 3.0 * self.alpha * self.q:
-            raise ValidationError(
-                f"bic_mode requires beta == 3*alpha*q exactly "
-                f"(beta={self.beta}, 3*alpha*q={3.0 * self.alpha * self.q})"
-            )
+
+    @property
+    def bic_mode(self) -> bool:
+        """beta == 3*alpha*q exactly, where a normalizable state sits at energy q**2."""
+        return self.beta == 3.0 * self.alpha * self.q
 
     @classmethod
     def bic(cls, alpha: float = 1.0, q: float = 1.0) -> "PotentialParams":
         """Parameters with beta pinned to 3*alpha*q (bound state in the continuum)."""
-        # beta is formed in builtin floats, as the exact bic check compares it
+        # beta is formed in builtin floats, as ``bic_mode`` compares it
         if _is_real(alpha) and _is_real(q):
             alpha, q = float(alpha), float(q)
-        return cls(alpha=alpha, beta=3.0 * alpha * q, q=q, bic_mode=True)
+        return cls(alpha=alpha, beta=3.0 * alpha * q, q=q)
 
 
 @dataclass(frozen=True)
@@ -240,10 +237,18 @@ def _w1_table(params: PotentialParams):
 
 
 def _w1(params: PotentialParams, r, order: int):
-    """[W1, dW1/dr, ..., d^order W1/dr^order] at r, from ``_w1_table``."""
+    """[W1, dW1/dr, ..., d^order W1/dr^order] at r, from ``_w1_table``;
+    ValidationError where a coefficient of that table overflows."""
     r = np.asarray(r, dtype=float)
     x = params.q * (float(r) if r.ndim == 0 else r)
-    return _closed_form(_w1_table(params), x, x, params.q, params.q, order)
+    try:
+        table = _w1_table(params)
+    except OverflowError as exc:
+        raise ValidationError(
+            f"W1's coefficients overflow at alpha={params.alpha!r}, "
+            f"beta={params.beta!r}, q={params.q!r}"
+        ) from exc
+    return _closed_form(table, x, x, params.q, params.q, order)
 
 
 def w1_bundle(params: PotentialParams, r) -> W1Bundle:
@@ -264,6 +269,11 @@ def w1_bundle(params: PotentialParams, r) -> W1Bundle:
     -------
     W1Bundle
         Fields broadcast to the shape of ``r``.
+
+    Raises
+    ------
+    ValidationError
+        If (alpha, beta, q) are so large that a coefficient of W1 overflows.
     """
     return W1Bundle(*_w1(params, r, 2))
 
@@ -286,12 +296,16 @@ def potential_v4(params: PotentialParams, r):
     if np.any(np.abs(b.w1) < floor):
         bad = r[np.abs(b.w1) < floor] if r.ndim else r
         raise SingularPotential(f"W1 vanishes near r = {np.atleast_1d(bad)[0]:.6g}")
-    w = np.atleast_1d(b.w1)
-    flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
+    flips = _sign_changes(np.atleast_1d(b.w1))
     if flips.size:
         bad = float(np.atleast_1d(r)[flips[0]])
         raise SingularPotential(f"W1 changes sign between samples near r = {bad:.6g}")
     return -2.0 * (b.w1_rr * b.w1 - b.w1_r**2) / b.w1**2
+
+
+def _sign_changes(w: np.ndarray) -> np.ndarray:
+    """Indices i where w[i] and w[i + 1] have opposite signs (a zero opens none)."""
+    return np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
 
 
 # scan_w1_sign samples W1 this far apart
@@ -302,8 +316,8 @@ def scan_w1_sign(params: PotentialParams, r_max: float):
     """Scan [0, r_max] for sign changes of W1, in steps of 0.01.
 
     Returns a list of (r_lo, r_hi) brackets, each containing at least one
-    zero of W1. An empty list certifies positivity on the scanned grid, which
-    is the validity condition for the transformation.
+    zero of W1. An empty list says only that W1 keeps its sign between the
+    samples; a pair of zeros closer than the step goes unseen.
 
     Raises
     ------
@@ -315,6 +329,4 @@ def scan_w1_sign(params: PotentialParams, r_max: float):
         raise ValidationError(f"r_max must be finite and non-negative, got {r_max!r}")
     _grid_count(0.0, r_max + _SCAN_STEP, _SCAN_STEP)
     r = np.arange(0.0, r_max + _SCAN_STEP, _SCAN_STEP)
-    w = _w1(params, r, 0)[0]
-    flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
-    return [(float(r[i]), float(r[i + 1])) for i in flips]
+    return [(float(r[i]), float(r[i + 1])) for i in _sign_changes(_w1(params, r, 0)[0])]

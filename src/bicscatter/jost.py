@@ -252,7 +252,7 @@ def bound_state(params: PotentialParams) -> BoundState:
     NotBicMode
         If beta != 3*alpha*q (no embedded bound state exists off that line).
     """
-    if not params.bic_mode and params.beta != 3.0 * params.alpha * params.q:
+    if not params.bic_mode:
         raise NotBicMode(
             f"bound state requires beta = 3*alpha*q "
             f"(beta={params.beta}, 3*alpha*q={3.0 * params.alpha * params.q})"

@@ -53,6 +53,9 @@ class ComplexRectangle:
     im_max: float
 
     def __post_init__(self):
+        edges = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(math.isfinite(e) for e in edges):
+            raise ValidationError(f"rectangle edges must be finite, got {edges!r}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValidationError(
                 f"degenerate rectangle [{self.re_min}, {self.re_max}] x "
@@ -128,8 +131,7 @@ _EPS = sys.float_info.epsilon
 _BRACKET_MAX_ITER = 60
 
 
-def _bracketed_newton(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                      max_iter: int = _BRACKET_MAX_ITER) -> float:
+def _bracketed_newton(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """Zero of a real scalar function on [lo, hi], where it changes sign.
 
     ``f(x)`` returns the pair (f, f') as Python floats; ``f_lo`` and
@@ -147,13 +149,13 @@ def _bracketed_newton(f, lo: float, hi: float, f_lo: float, f_hi: float,
     Raises
     ------
     NoConvergence
-        If ``max_iter`` evaluations meet neither stopping test.
+        If ``_BRACKET_MAX_ITER`` evaluations meet neither stopping test.
     """
     neg_lo = math.copysign(1.0, f_lo) < 0.0
     x = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if f_lo != f_hi else lo
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_BRACKET_MAX_ITER):
         fx, dfx = f(x)
         if fx == 0.0:
             return x
@@ -171,7 +173,7 @@ def _bracketed_newton(f, lo: float, hi: float, f_lo: float, f_hi: float,
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
     raise NoConvergence(
-        f"bracketed Newton still on [{lo!r}, {hi!r}] after {max_iter} iterations"
+        f"bracketed Newton still on [{lo!r}, {hi!r}] after {_BRACKET_MAX_ITER} iterations"
     )
 
 
@@ -215,14 +217,17 @@ def winding_count(f, rect: ComplexRectangle) -> int:
         If a sample lands exactly on a zero (perturb the rectangle).
     AmbiguousWinding
         If the accumulated phase is not within 0.1 of an integer multiple
-        of 2*pi (non-analytic integrand or an unresolvable boundary zero).
+        of 2*pi (non-analytic integrand or an unresolvable boundary zero),
+        or at the first sample where f is not finite: a segment with such
+        an end is never accepted, so subdividing it would only double it
+        to the depth limit.
     MaxDepthExceeded
         If a segment fails both acceptance tests at depth 48.
     """
     c = rect.corners
     pts = np.array([np.linspace(a, b, _INITIAL_SEGMENTS + 1)
                     for a, b in zip(c, c[1:] + c[:1])])
-    vals = np.reshape(f(pts.ravel()), pts.shape)
+    vals = _finite_samples(np.reshape(f(pts.ravel()), pts.shape), pts)
     za, zb = pts[:, :-1].ravel(), pts[:, 1:].ravel()
     fa, fb = vals[:, :-1].ravel(), vals[:, 1:].ravel()
     total = 0.0
@@ -244,13 +249,22 @@ def winding_count(f, rect: ComplexRectangle) -> int:
         rejected = ~resolved
         za, zb, fa, fb = za[rejected], zb[rejected], fa[rejected], fb[rejected]
         zm = 0.5 * (za + zb)
-        fm = f(zm)
+        fm = _finite_samples(f(zm), zm)
         za, zb = np.concatenate([za, zm]), np.concatenate([zm, zb])
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
     n = total / (2.0 * math.pi)
     if abs(n - round(n)) >= 0.1:
         raise AmbiguousWinding(f"winding integral gave {n:.4f}, not close to an integer")
     return int(round(n))
+
+
+def _finite_samples(fz: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """fz, the values of f at z, once all are finite; AmbiguousWinding else."""
+    finite = np.isfinite(fz)
+    if not finite.all():
+        at = z.ravel()[np.argmin(finite.ravel())]
+        raise AmbiguousWinding(f"f is not finite on the contour at {complex(at)!r}")
+    return fz
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,

@@ -308,14 +308,13 @@ class GamowState:
     """Purely outgoing eigenfunction at a resonance pole.
 
     psi_n = Phi(k_n, .) / N_n with N_n^2 = F(k_n) F'(-k_n) / (4 i k_n^2).
-    N_n is defined by its square only; ``branch`` records which square root
-    the evaluator uses (the density psi_n^2 is branch-independent).
+    N_n is defined by its square only; the evaluator uses its principal
+    square root (the density psi_n^2 is branch-independent).
     """
 
     resonance: Resonance
     N_squared: complex
     config: TruncatedConfig = field(repr=False)
-    branch: str = "principal"
 
     @property
     def N(self) -> complex:

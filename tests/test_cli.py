@@ -59,6 +59,43 @@ def test_w1_beta_list(tmp_path):
     assert np.all(cols_p["w1"] > 0)
 
 
+def test_w1_counts_sign_changes_on_its_own_rows(tmp_path):
+    """sign_changes counts the sign changes between consecutive written
+    rows. At beta = -1 W1 vanishes near r = 0.025 and 1.105: steps of 0.01
+    and 0.5 see both, a step of 3 steps over the pair."""
+    for i, (dr, want) in enumerate([("0.01", 2), ("0.5", 2), ("3", 0)]):
+        assert main(["w1", "--alpha", "1", "--q", "1", "--beta-list=-1,3,5",
+                     "--r-max", "30", "--dr", dr,
+                     "--out", str(tmp_path / f"s{i}.csv"), "--reproducible"]) == 0
+        for beta in ("-1", "3", "5"):
+            meta, _, cols = _read_csv(tmp_path / f"s{i}_beta{beta}.csv")
+            signs = np.sign(cols["w1"]).tolist()
+            changes = sum(1 for lo, hi in zip(signs, signs[1:]) if lo * hi < 0)
+            assert int(meta["sign_changes"]) == changes
+            assert changes == (want if beta == "-1" else 0)
+
+
+def test_w1_grid_bound_is_its_own_output_grid(tmp_path):
+    # 20001 rows at dr = 10; no finer grid is laid over [0, r_max]
+    out = tmp_path / "w1.csv"
+    assert main(["w1", "--bic", "--r-max", "2e5", "--dr", "10",
+                 "--out", str(out), "--reproducible"]) == 0
+    meta, _, cols = _read_csv(out)
+    assert cols["r"].size == 20001 and cols["r"][-1] == 2e5
+    assert meta["sign_changes"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["w1", "--alpha", "1", "--q", "1", "--beta-list=-1e300,3", "--r-max", "1"],
+    ["potential", "--bic", "--alpha", "1e300", "--r-max", "1"],
+])
+def test_overflowing_w1_coefficients_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "overflow" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_potential_run(tmp_path):
     out = tmp_path / "pot.csv"
     assert main(["potential", "--bic", "--r-max", "3", "--dr", "0.01",
@@ -273,6 +310,32 @@ def test_bic_contradicting_beta_exits_2(tmp_path, capsys, argv):
     assert err == {"error": "ValidationError",
                    "message": "--bic contradicts --beta 5.0 (3*alpha*q = 3.0)"}
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("box,code", [("0.9,inf,-0.01,-0.001", 2),
+                                      ("0.99,1.01,-inf,-1e-5", 2),
+                                      ("0.999,1.001,-1e300,-1e-5", 3)])
+def test_census_box_without_finite_integrand_fails_fast(tmp_path, box, code):
+    # a box with an infinite edge, or so deep that G overflows, gives the
+    # winding count segments it can never accept; subdividing them would
+    # exhaust memory, so the CLI runs in a child under a 1 GB address-space
+    # cap and a timeout, where a regression fails fast
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bs.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from bicscatter.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-c", script, "resonances", "--bic",
+         f"--box={box}", "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    err = json.loads(done.stderr)
+    assert err["error"] == ("ValidationError" if code == 2 else "AmbiguousWinding")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_unknown_command_is_usage_error():

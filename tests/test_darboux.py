@@ -131,8 +131,10 @@ def test_bic_constructor_ties_beta():
 
 
 def test_bic_mode_requires_exact_relation():
-    with pytest.raises(bs.ValidationError):
-        bs.PotentialParams(alpha=1.0, beta=3.0000001, q=1.0, bic_mode=True)
+    # bic_mode is read from beta, not set: off the line by 1e-7 it is false
+    assert not bs.PotentialParams(alpha=1.0, beta=3.0000001, q=1.0).bic_mode
+    p = bs.PotentialParams(alpha=1.0, beta=3.0, q=1.0)
+    assert p.bic_mode and p == bs.PotentialParams.bic()
 
 
 def test_parameter_validation():
@@ -183,6 +185,13 @@ def test_w1_scan_refuses_unbounded_or_negative_ranges(r_max):
     # would read as a positivity certificate), and none of 1e14 points
     with pytest.raises(bs.ValidationError):
         bs.scan_w1_sign(bs.PotentialParams.bic(), r_max)
+
+
+def test_w1_coefficient_overflow_is_a_validation_error():
+    # t**4 of the W1 table overflows at t = alpha*q - beta = 1e160
+    p = bs.PotentialParams(alpha=1.0, beta=-1e160, q=1.0, diagnostic=True)
+    with pytest.raises(bs.ValidationError, match="overflow at alpha=1.0, beta=-1e"):
+        bs.w1_bundle(p, 1.0)
 
 
 def test_singular_potential_raises():

@@ -16,6 +16,9 @@ def test_rectangle_basics():
     assert not rect.contains(3.0)
     with pytest.raises(bs.ValidationError):
         bs.ComplexRectangle(1.0, 1.0, 0.0, 1.0)
+    for edges in [(0.9, math.inf, -0.01, -0.001), (0.99, 1.01, -math.inf, -1e-5)]:
+        with pytest.raises(bs.ValidationError, match="finite"):
+            bs.ComplexRectangle(*edges)
 
 
 # ------------------------------------------------------------------ newton
@@ -100,10 +103,10 @@ def test_bracketed_newton_stops_on_a_step_below_half_an_ulp():
     assert calls == [0.25]
 
 
-def test_bracketed_newton_budget_raises():
+def test_bracketed_newton_budget_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "_BRACKET_MAX_ITER", 1)
     with pytest.raises(bs.NoConvergence):
-        numerics._bracketed_newton(lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, -1.0, 2.0,
-                                   max_iter=1)
+        numerics._bracketed_newton(lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, -1.0, 2.0)
 
 
 # ----------------------------------------------------------------- winding
@@ -146,6 +149,21 @@ def test_winding_branch_cut_hits_depth_limit():
     rect = bs.ComplexRectangle(-1.0, 1.0, -1.0, 1.0)
     with pytest.raises(bs.MaxDepthExceeded):
         bs.winding_count(lambda z: np.sqrt(z - (0.2 + 0.1j)), rect)
+
+
+def test_winding_stops_at_the_first_non_finite_sample():
+    # a segment with a non-finite end is never accepted: the count refuses
+    # on the samples that show it rather than subdivide to the depth limit
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return np.where(z.imag < -0.5, np.inf, z)
+
+    rect = bs.ComplexRectangle(-1.0, 1.0, -1.0, 1.0)
+    with pytest.raises(bs.AmbiguousWinding, match="not finite"):
+        bs.winding_count(f, rect)
+    assert len(calls) == 1
 
 
 def test_winding_inconsistent_values_flagged():

@@ -441,7 +441,6 @@ def gamow(config, doublet_pair):
 
 
 def test_gamow_metadata(gamow):
-    assert gamow.branch == "principal"
     assert gamow.N == cmath.sqrt(gamow.N_squared)
     assert gamow.N.real >= 0
 

@@ -445,6 +445,22 @@ def test_w1_is_positive_where_configs_are_accepted(log_s, q):
     assert np.all(bs.w1_bundle(params, x / q).w1 > 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(log_alpha=st.floats(min_value=math.log(0.3), max_value=math.log(3.0)),
+       log_q=st.floats(min_value=math.log(0.3), max_value=math.log(3.0)),
+       log_a=st.floats(min_value=2.0, max_value=6.0))
+def test_bic_mode_is_read_from_beta(log_alpha, log_q, log_a):
+    """Parameters given with beta = 3*alpha*q are the bic parameters: equal
+    to ``PotentialParams.bic``, in bic mode, and accepted by TruncatedConfig
+    with the boundary data of the config built from ``bic``, bit for bit."""
+    alpha, q, a = math.exp(log_alpha), math.exp(log_q), 10.0**log_a
+    params = bs.PotentialParams(alpha=alpha, beta=3.0 * alpha * q, q=q)
+    bic = bs.PotentialParams.bic(alpha, q)
+    assert params == bic and params.bic_mode
+    rows = bs.TruncatedConfig(params=params, a=a)._boundary_data.rows
+    assert rows.tobytes() == bs.TruncatedConfig(params=bic, a=a)._boundary_data.rows.tobytes()
+
+
 def test_w1_certificate_finds_the_diagnostic_crossing():
     """beta = -1 makes W1 cross zero; the certificate reports it within one
     grid step of the first sign-change bracket of the plain scan."""
