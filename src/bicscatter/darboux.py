@@ -118,6 +118,19 @@ class W1Bundle:
     w1_rr: np.ndarray
 
 
+def _overflow_checked(build, params: PotentialParams, *args):
+    """build(params, *args), with the OverflowError of a ``**`` past the
+    float range in its coefficients raised as a ValidationError naming the
+    parameters."""
+    try:
+        return build(params, *args)
+    except OverflowError as exc:
+        raise ValidationError(
+            f"closed-form coefficients overflow at alpha={params.alpha!r}, "
+            f"beta={params.beta!r}, q={params.q!r}"
+        ) from exc
+
+
 def phase_data(params: PotentialParams) -> PhaseData:
     """Closed-form delta(q) = arctan(alpha*q - beta) and its q-derivatives.
 
@@ -127,7 +140,16 @@ def phase_data(params: PotentialParams) -> PhaseData:
         gamma0 = alpha / D
         gamma1 = -2 alpha^2 t / D^2
         gamma2 = -2 alpha^3 (1 - 3 t^2) / D^3
+
+    Raises
+    ------
+    ValidationError
+        If (alpha, beta, q) are so large that a coefficient overflows.
     """
+    return _overflow_checked(_phase_data, params)
+
+
+def _phase_data(params: PotentialParams) -> PhaseData:
     t = params.alpha * params.q - params.beta
     d = 1.0 + t * t
     return PhaseData(
@@ -238,17 +260,22 @@ def _w1_table(params: PotentialParams):
 
 def _w1(params: PotentialParams, r, order: int):
     """[W1, dW1/dr, ..., d^order W1/dr^order] at r, from ``_w1_table``;
-    ValidationError where a coefficient of that table overflows."""
+    ValidationError where a coefficient of that table overflows, or where
+    one of the results is not finite: r is not finite, or q r or q is so
+    large that W1 (about 16 (q r)^4) or a derivative (q^m times one in
+    q r) overflows."""
     r = np.asarray(r, dtype=float)
     x = params.q * (float(r) if r.ndim == 0 else r)
-    try:
-        table = _w1_table(params)
-    except OverflowError as exc:
+    table = _overflow_checked(_w1_table, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _closed_form(table, x, x, params.q, params.q, order)
+    if not all(np.isfinite(f).all() for f in out):
         raise ValidationError(
-            f"W1's coefficients overflow at alpha={params.alpha!r}, "
-            f"beta={params.beta!r}, q={params.q!r}"
-        ) from exc
-    return _closed_form(table, x, x, params.q, params.q, order)
+            f"W1 or an r-derivative is not finite for r in [{float(r.min())!r}, "
+            f"{float(r.max())!r}] at alpha={params.alpha!r}, beta={params.beta!r}, "
+            f"q={params.q!r}: r must be finite, and q r and q small enough not to overflow"
+        )
+    return out
 
 
 def w1_bundle(params: PotentialParams, r) -> W1Bundle:
@@ -273,7 +300,9 @@ def w1_bundle(params: PotentialParams, r) -> W1Bundle:
     Raises
     ------
     ValidationError
-        If (alpha, beta, q) are so large that a coefficient of W1 overflows.
+        If (alpha, beta, q) are so large that a coefficient of W1 overflows,
+        or W1 or a derivative is not finite at some r (r not finite, q r
+        past about 6e76, or q past about 1e154).
     """
     return W1Bundle(*_w1(params, r, 2))
 
@@ -284,6 +313,9 @@ def potential_v4(params: PotentialParams, r):
 
     Raises
     ------
+    ValidationError
+        If W1 is not finite at some r (``w1_bundle``), or V is not: W1^2
+        overflows from q r of about 1e38 on.
     SingularPotential
         If |W1| falls below the scale-aware threshold
         ``1e-10 * (1 + (q r)^4)`` anywhere on ``r`` (a zero of W1 is a pole
@@ -300,7 +332,14 @@ def potential_v4(params: PotentialParams, r):
     if flips.size:
         bad = float(np.atleast_1d(r)[flips[0]])
         raise SingularPotential(f"W1 changes sign between samples near r = {bad:.6g}")
-    return -2.0 * (b.w1_rr * b.w1 - b.w1_r**2) / b.w1**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = -2.0 * (b.w1_rr * b.w1 - b.w1_r**2) / b.w1**2
+    if not np.isfinite(v).all():
+        raise ValidationError(
+            f"V is not finite for r in [{float(r.min())!r}, {float(r.max())!r}] at "
+            f"alpha={params.alpha!r}, beta={params.beta!r}, q={params.q!r}: W1^2 overflows"
+        )
+    return v
 
 
 def _sign_changes(w: np.ndarray) -> np.ndarray:

@@ -39,8 +39,8 @@ class NearSpectralSingularity(NumericalError):
 
 
 class DegenerateNormalizer(NumericalError):
-    """Too close to k = q: h(k) is below the regular solution's threshold,
-    or the d - ig and G' that Gamow N^2 is built from are rounding noise."""
+    """Too close to k = q: F+-, or a Gamow N^2, lost to its own rounding, or
+    h(k) below the regular solution's threshold."""
 
 
 class UnwrapAmbiguity(NumericalError):

@@ -24,7 +24,15 @@ from typing import Optional
 
 import numpy as np
 
-from .darboux import PhaseData, PotentialParams, _closed_form, _horner, _w1, phase_data
+from .darboux import (
+    PhaseData,
+    PotentialParams,
+    _closed_form,
+    _horner,
+    _overflow_checked,
+    _w1,
+    phase_data,
+)
 from .errors import NearSpectralSingularity, NotBicMode, ValidationError
 
 __all__ = [
@@ -141,7 +149,7 @@ def _uv_coefficients(params: PotentialParams, r, order: int):
     ``_uv_table``, from one evaluation of that table."""
     r = np.asarray(r, dtype=float)
     pd = phase_data(params)
-    table = _uv_table(params, pd, r.ndim)
+    table = _overflow_checked(_uv_table, params, pd, r.ndim)
     if r.ndim == 0:
         r = float(r)
     return _closed_form(table, r + pd.gamma0, params.q * r + pd.delta, 1.0, params.q, order)
@@ -172,6 +180,8 @@ def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostVa
 
     Raises
     ------
+    ValidationError
+        If r is negative, or W1 is not finite at r (``darboux.w1_bundle``).
     NearSpectralSingularity
         If ``normalized`` and |k^2 - q^2| < 1e-8: the normalization factor
         1/(k^2 - q^2)^2 has a double pole there. Re-call with
@@ -179,8 +189,8 @@ def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostVa
     """
     if np.any(np.asarray(r) < 0):
         raise ValidationError("r must be nonnegative")
-    b = uv_bundle(params, k, r)
     w1, w1_r = _w1(params, r, 1)
+    b = uv_bundle(params, k, r)
     ep, em = np.exp(1j * k * np.asarray(r)), np.exp(-1j * k * np.asarray(r))
     up, um = b.u + 1j * b.v, b.u - 1j * b.v
     f_plus = up * ep / w1
@@ -221,7 +231,11 @@ class BoundState:
     norm: float
 
     def raw(self, r):
-        """Closed-form amplitude 24 q^2 X(r) / W1(r); vanishes at r = 0."""
+        """Closed-form amplitude 24 q^2 X(r) / W1(r); vanishes at r = 0.
+        Takes what ``potential_v4`` takes, with the same ValidationError
+        where W1 is not finite."""
+        r = np.asarray(r, dtype=float)
+        w1 = _w1(self.params, r, 0)[0]
         q = self.params.q
         th = self.phase.theta(r)
         ga = self.phase.gamma(r)
@@ -230,7 +244,7 @@ class BoundState:
             + (q * ga + q**2 * self.phase.gamma1) * np.sin(th)
             + np.sin(th) ** 2 * np.cos(th)
         )
-        return 24.0 * q**2 * x / _w1(self.params, r, 0)[0]
+        return 24.0 * q**2 * x / w1
 
     def __call__(self, r):
         return self.raw(r) / self.norm

@@ -27,7 +27,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    DegenerateNormalizer,
     NoConvergence,
     RootCountMismatch,
     ValidationError,
@@ -36,11 +35,13 @@ from .errors import (
 from .darboux import PotentialParams
 from .numerics import ComplexRectangle, newton_complex, winding_count
 from .scattering import (
+    _EPS,
     TruncatedConfig,
     _g,
     _g_prime,
+    _jost_from_dg,
     _jost_prefactor,
-    _rounding_near_q,
+    _near_q,
     dg,
     regular_solution,
 )
@@ -61,12 +62,9 @@ __all__ = [
 
 # Newton steps allowed on the scaling-limit equation (3 to 7 are taken)
 _LIMIT_MAX_ITER = 30
-_EPS = np.finfo(float).eps
 # two polished roots closer than this many pi/a are the same zero (the
 # string's members are about pi/a apart)
 _DEDUPE_SPACINGS = 1e-3
-# gamow_state refuses N^2 whose estimated relative rounding is above this
-_N_SQUARED_RTOL = 1e-6
 # gamow_state refuses a resonance whose residual is above this
 _RESIDUAL_RTOL = 1e-6
 # power of (k - q) that find_resonances divides out of G before counting.
@@ -325,38 +323,17 @@ class GamowState:
         return ph / self.N
 
 
-def _n_squared_rounding(config: TruncatedConfig, k, d_minus_ig, g_prime) -> float:
-    """Estimated relative rounding error of N^2 built from d - ig and G' at k.
-
-    d + ig and d - ig vanish at k = q to fourth order and G' to third, so
-    their values computed at and beside q are pure rounding: the noise
-    floor of this config's d, g and G' (``scattering._rounding_near_q``,
-    whose d, g half the sigma landmarks read too), which stays at that
-    level near q.
-    Divided by |d - ig| and |G'| at k they give the share lost to
-    cancellation. The rounding of the phases k a and theta(a) = q a + delta
-    adds about 2 eps (|k| + 2q) a. Against N^2 in 50-digit arithmetic the estimate
-    was 0.7 to 2 times the error where cancellation dominates (k within
-    1e-3 of q at a = 300 and 5000, error up to 0.3), above 1 wherever N^2
-    was pure noise, and 1.5 to 400 times the error at doublets with a up
-    to 1e8, where the phases dominate.
-    """
-    dg_noise, g_prime_noise = _rounding_near_q(config)
-    phases = 2.0 * np.finfo(float).eps * (abs(k) + 2.0 * config.params.q) * config.a
-    return float(dg_noise / abs(d_minus_ig) + g_prime_noise / abs(g_prime) + phases)
-
-
 def gamow_state(config: TruncatedConfig, resonance: Resonance) -> GamowState:
     """Normalize the regular solution at a resonance pole.
 
     F(-k) = pref(k) e^{2ika} G(k) with the zero-free pref = W1(0) / (h(k)
     W1(a)^2), so at a zero of G the derivative is exactly
     dF(-k)/dk = pref(k_n) e^{2ik_n a} G'(k_n), from ``root_derivative``;
-    the terms it drops are proportional to the root residual. h and pref
-    are products, accurate to rounding however small h gets, so N^2 is as
-    accurate as d - ig and G' at k_n (``_n_squared_rounding``). Evaluating
-    the state keeps the |h| threshold of ``regular_solution``, whose
-    numerator cancels to about h r.
+    the terms it drops are proportional to the root residual. F(k_n) comes
+    from ``scattering._jost_from_dg``, whose rounding estimate G' joins with
+    its own noise near q (it vanishes at q to third order) over |G'|.
+    Evaluating the state keeps the |h| threshold of ``regular_solution``,
+    whose numerator cancels to about h r.
 
     Raises
     ------
@@ -374,17 +351,10 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance) -> GamowState:
             f"resonance residual {resonance.residual:.3e} above {_RESIDUAL_RTOL:.0e}"
         )
     kn = resonance.k_complex
-    d, g = dg(config, kn)
     g_prime = root_derivative(config)(kn)
-    rounding = _n_squared_rounding(config, kn, d - 1j * g, g_prime)
-    if not rounding <= _N_SQUARED_RTOL:
-        raise DegenerateNormalizer(
-            f"N^2 at k = {kn!r} is resolved only to {rounding:.1e} relative: d - ig and "
-            "G' are rounding noise this close to the embedded-state wave number"
-        )
-    pref = _jost_prefactor(config, kn)
-    f_plus = pref * np.exp(-1j * kn * config.a) * (d - 1j * g)
-    d_f_minus = pref * np.exp(2j * kn * config.a) * g_prime
+    g_prime_noise = max(abs(_g_prime(config, k)) for k in _near_q(config))
+    _, f_plus = _jost_from_dg(config, kn, *dg(config, kn), g_prime_noise / abs(g_prime))
+    d_f_minus = _jost_prefactor(config, kn) * np.exp(2j * kn * config.a) * g_prime
     if abs(d_f_minus) * (1.0 + abs(kn)) < 1e-12 * abs(f_plus):
         raise ZeroDerivative(
             f"|dF(-k)/dk| = {abs(d_f_minus):.3e} at k = {kn!r}: higher-order zero"

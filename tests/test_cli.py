@@ -88,8 +88,15 @@ def test_w1_grid_bound_is_its_own_output_grid(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["w1", "--alpha", "1", "--q", "1", "--beta-list=-1e300,3", "--r-max", "1"],
     ["potential", "--bic", "--alpha", "1e300", "--r-max", "1"],
+    # W1's x^4 term overflows at x = q r ~ 1e98 (inf - inf wrote NaN rows)
+    ["potential", "--bic", "--alpha", "1e-100", "--q", "1e100", "--r-max", "1"],
+    # alpha**3 of the phase data, then q**5 of the u, v table
+    ["potential", "--bic", "--alpha", "1e103", "--q", "1e-100", "--r-max", "1"],
+    ["resonances", "--bic", "--alpha", "1e103", "--q", "1e-103"],
+    ["resonances", "--bic", "--alpha", "1e-100", "--q", "1e100", "--cutoff", "1e-98"],
 ])
 def test_overflowing_w1_coefficients_exit_2(tmp_path, capsys, argv):
+    # every closed form past the float range: a ValidationError, no file
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError" and "overflow" in err["message"]

@@ -194,6 +194,20 @@ def test_w1_coefficient_overflow_is_a_validation_error():
         bs.w1_bundle(p, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p, config: bs.potential_v4(p, [1.0, math.nan]),
+    lambda p, config: bs.potential_v4(p, 1e60),  # W1 is finite there, W1^2 is not
+    lambda p, config: bs.w1_bundle(p, math.nan),
+    lambda p, config: bs.jost_value(p, 2.0, math.nan),
+    lambda p, config: bs.regular_solution(config, 1.3, math.nan),
+    lambda p, config: bs.bound_state(p)(math.inf),
+], ids=["v4-nan", "v4-1e60", "w1-nan", "jost-nan", "regular-nan", "bound-inf"])
+def test_non_finite_closed_forms_raise(params, config, call):
+    # each returned NaN without an error
+    with pytest.raises(bs.ValidationError, match="alpha=1.0, beta=3.0, q=1.0"):
+        call(params, config)
+
+
 def test_singular_potential_raises():
     bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True)
     r = np.linspace(0.0, 30.0, 30001)

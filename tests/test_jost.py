@@ -174,6 +174,11 @@ def test_bound_state_zero_at_origin(psi_b):
     assert abs(float(psi_b(0.0))) < 1e-14
 
 
+def test_bound_state_takes_a_list(psi_b):
+    # as potential_v4 and w1_bundle do
+    assert psi_b([0.5, 1.0]).tolist() == psi_b(np.array([0.5, 1.0])).tolist()
+
+
 def test_bound_state_requires_constraint():
     p = bs.PotentialParams(alpha=1.0, beta=5.0, q=1.0)
     with pytest.raises(bs.NotBicMode):

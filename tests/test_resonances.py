@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import bicscatter as bs
-from bicscatter import numerics, resonances
+from bicscatter import numerics, resonances, scattering
 
 
 def test_doublet_positions(doublet_pair):
@@ -170,15 +170,32 @@ def test_gamow_norm_at_large_cutoffs(alpha, q, a, rtol, uv_oracle, dg_oracle):
 
 def test_n_squared_rounding_reads_d_g_beside_q(exact_zero_config):
     # d(q) = g(q) = 0 exactly here (the e2^0 coefficients at r = 0 come out
-    # as exact zeros), so read at q alone the d - ig term of the estimate
-    # was 0; beside q it is the rounding it estimates. With |G'| infinite
-    # only that term and the phases remain.
+    # as exact zeros), so read at q alone the d +- ig term of the estimate
+    # that F+- and N^2 are refused by would be 0; beside q it is the
+    # rounding it estimates. With |d +- ig| infinite only the phases remain.
     config = exact_zero_config
     assert bs.dg(config, config.params.q) == (0.0, 0.0)
     kn = bs.find_resonances(config)[0].k_complex
     d, g = bs.dg(config, kn)
-    estimate = resonances._n_squared_rounding
-    assert estimate(config, kn, d - 1j * g, math.inf) > estimate(config, kn, math.inf, math.inf)
+    estimate = scattering._jost_rounding
+    assert estimate(config, kn, d + 1j * g, d - 1j * g) > estimate(config, kn, math.inf, math.inf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_alpha=st.floats(math.log(0.3), math.log(3.0)),
+       log_q=st.floats(math.log(0.3), math.log(3.0)), log_a=st.floats(2.0, 6.0))
+def test_jost_function_builds_the_gamow_norm_over_the_envelope(log_alpha, log_q, log_a):
+    """F(k_n) from ``jost_function`` at both doublet members gives N^2 bit
+    for bit: N^2 is built from the same F(k_n), refused by the same rule."""
+    q = math.exp(log_q)
+    config = bs.TruncatedConfig(
+        params=bs.PotentialParams.bic(alpha=math.exp(log_alpha), q=q), a=10.0**log_a)
+    for res in bs.doublet_of(bs.find_resonances(config), q):
+        kn = res.k_complex
+        _, f_plus = bs.jost_function(config, kn)
+        d_f_minus = (scattering._jost_prefactor(config, kn) * np.exp(2j * kn * config.a)
+                     * bs.root_derivative(config)(kn))
+        assert f_plus * d_f_minus / (4j * kn**2) == bs.gamow_state(config, res).N_squared
 
 
 @pytest.mark.parametrize("a,k", [(5000.0, 1.0 + 1e-5 + 0j), (5000.0, 1.0 + 3e-6 - 1e-6j),

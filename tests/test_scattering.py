@@ -867,20 +867,56 @@ def test_normalizer_closed_form_against_mpmath(alpha, q, uv_oracle):
             assert abs(complex(_h_normalizer(p, k)) - want) <= 1e-12 * abs(want)
 
 
-def test_degenerate_normalizer_guard(config):
-    # the flux-normalized quantities blow up as (k^2-q^2)^-4 near k=q and
-    # are blocked; the phase/sigma route involves no such division and
-    # stays available through the same neighborhood
+def _jost_oracle(config, k, uv_oracle, dg_oracle):
+    """(F(-k), F(k)) = pref e^{+-ika} (d +- ig) at 40 digits: d, g from
+    ``dg_oracle``, pref = W1(0) / (h W1(a)^2) with h = u v' - v u' +
+    k (u^2 + v^2) at r = 0 from ``uv_oracle``; W1(0) and W1(a) are the
+    library's floats."""
+    p = config.params
+    w0 = float(bs.w1_bundle(p, 0.0).w1)
+    wa = float(bs.w1_bundle(p, config.a).w1)
+    with mpmath.workdps(40):
+        k = mpmath.mpc(k)
+        d, g = dg_oracle(config, k)
+        u0, v0, u0_r, v0_r = uv_oracle(p, k, 0.0)
+        pref = w0 / ((u0 * v0_r - v0 * u0_r + k * (u0**2 + v0**2)) * wa**2)
+        phase = mpmath.exp(1j * k * mpmath.mpf(config.a))
+        return complex(pref * phase * (d + 1j * g)), complex(pref / phase * (d - 1j * g))
+
+
+def test_degenerate_normalizer_guard(config, uv_oracle, dg_oracle):
+    # F(-q) is finite (d + ig carries the e2^4 of h), so near q nothing
+    # blows up: F+- are refused only where d +- ig are rounding, here from
+    # within about 0.06/a of q. At x = (k - q) a = 0.5 they are resolved to
+    # 1e-9 (measured 7e-11), and the regular solution keeps its |h| guard,
+    # as its numerator cancels to about h r
+    fm, fp = bs.jost_function(config, 1.0001)
+    pt = bs.scattering_point(config, 1.0001)
+    want_m, want_p = _jost_oracle(config, 1.0001, uv_oracle, dg_oracle)
+    for got, want in ((fm, want_m), (fp, want_p), (pt.F_minus, want_m), (pt.F_plus, want_p)):
+        assert abs(got - want) <= 1e-9 * abs(want)
     with pytest.raises(bs.DegenerateNormalizer):
-        bs.jost_function(config, 1.0001)
+        bs.jost_function(config, 1.0 + 1e-6)
     with pytest.raises(bs.DegenerateNormalizer):
-        bs.scattering_point(config, 1.0001)
+        bs.scattering_point(config, 1.0 + 1e-6)
     with pytest.raises(bs.DegenerateNormalizer):
         bs.regular_solution(config, config.params.q, 1.0)
     assert np.isfinite(float(bs.cross_section(config, 1.0001)))
     assert np.isfinite(float(bs.phase_shift(config, 1.0001)))
-    # outside the guard band the full point works
     assert np.isfinite(bs.scattering_point(config, 1.0005).sigma)
+
+
+@pytest.mark.parametrize("alpha,q,a", [(1.0, 1.0, 5e4), (1.0, 1.0, 2e5), (1.0, 1.0, 1e6),
+                                       (0.3, 3.0, 1e6)])
+def test_jost_function_at_doublets_of_large_cutoffs(alpha, q, a, uv_oracle, dg_oracle):
+    """F(k_n) at both doublet members, where |h| was below a threshold of
+    1e-12 (|u|^2 + |v|^2) at r = 0 from a = 3e4 on at alpha = q = 1, yet d - ig
+    is resolved: within 1e-9 of 40-digit arithmetic (measured <= 1.3e-10)."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    for res in bs.doublet_of(bs.find_resonances(config), q):
+        _, want = _jost_oracle(config, res.k_complex, uv_oracle, dg_oracle)
+        _, got = bs.jost_function(config, res.k_complex)
+        assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_sigma_landmark_positions(landmarks):
