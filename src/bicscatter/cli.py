@@ -5,7 +5,8 @@ results). Output is deterministic: the same configuration produces
 byte-identical files when --reproducible suppresses the timestamp.
 
 Configuration may come from flags or from a flat key-value run file
-(`key = value`, `#` comments); flags override the file. CSV files carry a
+(`key = value`, `#` comments); flags override the file, and ``_OPTIONS``
+gives every option its type and default. CSV files carry a
 `#`-prefixed metadata block, a header row, and 12-significant-digit values.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure; failures
@@ -20,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,31 +55,40 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def parse_run_file(path: str) -> Dict[str, str]:
-    """Flat `key = value` file; blank lines and # comments ignored. Every
-    key must be an option of some command (``_run_file_keys``)."""
-    out: Dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                    )
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _run_file_keys():
-                    raise ValidationError(
-                        f"{path}:{lineno}: unknown key {key!r} (not an option of any command)"
-                    )
-                out[key] = value.strip()
-    except OSError as exc:
-        raise ValidationError(f"cannot read run file {path}: {exc}") from exc
-    return out
+class _Option(NamedTuple):
+    type: type
+    default: object
+    help: Optional[str] = None
 
+
+# every option of every command, by the name its flag and run-file key share;
+# a flag's own default is None, so that main can tell a flag from its absence
+_OPTIONS: Dict[str, _Option] = {
+    "alpha": _Option(float, 1.0),
+    "beta": _Option(float, None, "default: the bic line 3*alpha*q"),
+    "q": _Option(float, 1.0),
+    "bic": _Option(bool, False, "pin beta = 3*alpha*q"),
+    "cutoff": _Option(float, 5000.0, "truncation radius a"),
+    "config": _Option(str, None, "key = value run file"),
+    "out": _Option(str, None, "output path"),
+    "reproducible": _Option(bool, False,
+                            "omit the timestamp so identical runs are byte-identical"),
+    "r-max": _Option(float, 30.0),
+    "dr": _Option(float, 0.01),
+    "beta-list": _Option(str, None, "comma-separated betas; negative values allowed here"),
+    "wide-box": _Option(bool, False,
+                        "scan the wider string of zeros instead of just the doublet"),
+    "box": _Option(str, None, "custom box: re_min,re_max,im_min,im_max"),
+    "root-index": _Option(int, 0, "doublet member, 0 or 1"),
+    "k-min": _Option(float, None, "default: 0.995 q"),
+    "k-max": _Option(float, None, "default: 1.005 q"),
+    "dk": _Option(float, 1e-6),
+    "mode": _Option(str, "exact", "exact, model or both"),
+    "window": _Option(str, None, "fit window: k_lo,k_hi"),
+    "a-list": _Option(str, None, "comma-separated cutoffs"),
+}
+# the options every command takes
+_COMMON = ("alpha", "beta", "q", "bic", "cutoff", "config", "out", "reproducible")
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -93,48 +103,64 @@ def _as_bool(raw: str, key: str) -> bool:
     raise ValidationError(f"run-file key {key!r}: expected boolean, got {raw!r}")
 
 
-class _Settings:
-    """Flag-over-file-over-default resolution for one command invocation."""
-
-    def __init__(self, args: argparse.Namespace, file_cfg: Dict[str, str]):
-        self._args = args
-        self._file = file_cfg
-
-    def get(self, key: str, default, conv=float):
-        flag_val = getattr(self._args, key.replace("-", "_"), None)
-        if flag_val is not None:
-            return flag_val
-        if key in self._file:
-            raw = self._file[key]
-            try:
-                return _as_bool(raw, key) if conv is bool else conv(raw)
-            except ValueError as exc:
-                raise ValidationError(f"run-file key {key!r}: {exc}") from exc
-        return default
+def _from_file(key: str, raw: str):
+    """A run-file value converted by its option's type."""
+    kind = _OPTIONS[key].type
+    if kind is bool:
+        return _as_bool(raw, key)
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ValidationError(f"run-file key {key!r}: {exc}") from exc
 
 
-def _build_params(s: _Settings) -> PotentialParams:
-    alpha = s.get("alpha", 1.0)
-    q = s.get("q", 1.0)
-    beta = s.get("beta", None)
-    if beta is None:
-        return PotentialParams.bic(alpha=alpha, q=q)
-    return _params_at_beta(s, alpha, q, beta)
+def parse_run_file(path: str) -> Dict[str, object]:
+    """Flat `key = value` file; blank lines and # comments ignored. Every
+    key must be an option of some command (``_OPTIONS``), so one file serves
+    several commands, and every value is converted by its option's type on
+    loading, whichever command reads the file."""
+    out: Dict[str, object] = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ValidationError(
+                        f"{path}:{lineno}: expected 'key = value', got {line!r}"
+                    )
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if key not in _OPTIONS:
+                    raise ValidationError(
+                        f"{path}:{lineno}: unknown key {key!r} (not an option of any command)"
+                    )
+                out[key] = _from_file(key, value.strip())
+    except OSError as exc:
+        raise ValidationError(f"cannot read run file {path}: {exc}") from exc
+    return out
 
 
-def _params_at_beta(s: _Settings, alpha: float, q: float, beta: float,
+def _build_params(s: argparse.Namespace) -> PotentialParams:
+    if s.beta is None:
+        return PotentialParams.bic(alpha=s.alpha, q=s.q)
+    return _params_at_beta(s, s.beta)
+
+
+def _params_at_beta(s: argparse.Namespace, beta: float,
                     diagnostic: bool = False) -> PotentialParams:
     """PotentialParams at an explicit beta; --bic with a beta off the bic
     line is refused."""
-    params = PotentialParams(alpha=alpha, beta=beta, q=q, diagnostic=diagnostic)
-    if s.get("bic", False, conv=bool) and not params.bic_mode:
+    params = PotentialParams(alpha=s.alpha, beta=beta, q=s.q, diagnostic=diagnostic)
+    if s.bic and not params.bic_mode:
         raise ValidationError(
-            f"--bic contradicts --beta {beta} (3*alpha*q = {3.0 * alpha * q})"
+            f"--bic contradicts --beta {beta} (3*alpha*q = {3.0 * s.alpha * s.q})"
         )
     return params
 
 
-def _metadata(s: _Settings, command: str, params: PotentialParams,
+def _metadata(s: argparse.Namespace, command: str, params: PotentialParams,
               extra: Optional[dict] = None, cutoff: Optional[float] = None) -> dict:
     meta = {
         "command": command,
@@ -148,7 +174,7 @@ def _metadata(s: _Settings, command: str, params: PotentialParams,
         meta["cutoff"] = cutoff
     if extra:
         meta.update(extra)
-    if not s.get("reproducible", False, conv=bool):
+    if not s.reproducible:
         meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
 
@@ -184,9 +210,8 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _r_grid(s: _Settings) -> np.ndarray:
-    r_max = s.get("r-max", 30.0)
-    dr = s.get("dr", 0.01)
+def _r_grid(s: argparse.Namespace) -> np.ndarray:
+    r_max, dr = s.r_max, s.dr
     if not (0 < r_max < math.inf and 0 < dr < math.inf):
         raise ValidationError("r-max and dr must be positive and finite")
     _grid_count(0.0, r_max + 0.5 * dr, dr)
@@ -198,15 +223,23 @@ def _r_grid(s: _Settings) -> np.ndarray:
 Q_EXCLUSION = 1e-5
 
 
-def _k_grid(s: _Settings, q: float) -> np.ndarray:
-    k_min = s.get("k-min", 0.995)
-    k_max = s.get("k-max", 1.005)
-    dk = s.get("dk", 1e-6)
+def _k_grid(s: argparse.Namespace, q: float) -> np.ndarray:
+    """The k rows on [k-min, k-max] (by default [0.995 q, 1.005 q]) outside
+    |k - q| <= Q_EXCLUSION; ValidationError if fewer than two are left."""
+    k_min = 0.995 * q if s.k_min is None else s.k_min
+    k_max = 1.005 * q if s.k_max is None else s.k_max
+    dk = s.dk
     if not (0 < k_min < k_max < math.inf and 0 < dk < math.inf):
         raise ValidationError("need 0 < k-min < k-max and dk > 0, all finite")
     _grid_count(k_min, k_max + 0.5 * dk, dk)
     grid = np.arange(k_min, k_max + 0.5 * dk, dk)
-    return grid[np.abs(grid - q) > Q_EXCLUSION]
+    grid = grid[np.abs(grid - q) > Q_EXCLUSION]
+    if grid.size < 2:
+        raise ValidationError(
+            f"the k grid keeps {grid.size} row(s) outside |k - q| <= {Q_EXCLUSION:g} "
+            f"(excluded_near_q); need at least 2"
+        )
+    return grid
 
 
 def _floats_csv(raw: str, key: str) -> List[float]:
@@ -219,17 +252,12 @@ def _floats_csv(raw: str, key: str) -> List[float]:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_w1(s: _Settings) -> None:
-    alpha = s.get("alpha", 1.0)
-    q = s.get("q", 1.0)
-    beta_list = s.get("beta-list", None, conv=str)
-    betas = (
-        _floats_csv(beta_list, "beta-list")
-        if beta_list
-        else [s.get("beta", 3.0 * alpha * q)]
-    )
-    all_params = [_params_at_beta(s, alpha, q, beta, diagnostic=beta < 0) for beta in betas]
-    out = s.get("out", "w1.csv", conv=str)
+def cmd_w1(s: argparse.Namespace) -> None:
+    if s.beta_list:
+        betas = _floats_csv(s.beta_list, "beta-list")
+    else:
+        betas = [3.0 * s.alpha * s.q if s.beta is None else s.beta]
+    all_params = [_params_at_beta(s, beta, diagnostic=beta < 0) for beta in betas]
     r = _r_grid(s)
     for params in all_params:
         w1 = w1_bundle(params, r).w1
@@ -237,15 +265,15 @@ def cmd_w1(s: _Settings) -> None:
             s, "w1", params,
             extra={"diagnostic": params.diagnostic, "sign_changes": _sign_changes(w1).size},
         )
-        path = out
+        path = s.out
         if len(betas) > 1:
-            stem, dot, ext = out.rpartition(".")
-            base = stem if dot else out
+            stem, dot, ext = s.out.rpartition(".")
+            base = stem if dot else s.out
             path = f"{base}_beta{_fmt(params.beta)}.{ext if dot else 'csv'}"
         _write_csv(path, meta, ["r", "w1"], [r, w1])
 
 
-def cmd_potential(s: _Settings) -> None:
+def cmd_potential(s: argparse.Namespace) -> None:
     params = _build_params(s)
     if not params.bic_mode:
         raise ValidationError("potential command requires the bic-mode potential")
@@ -254,30 +282,24 @@ def cmd_potential(s: _Settings) -> None:
     psi = bound_state(params)
     psi_sq = psi(r) ** 2
     meta = _metadata(s, "potential", params, extra={"psi_b_norm": psi.norm})
-    _write_csv(
-        s.get("out", "potential.csv", conv=str),
-        meta,
-        ["r", "v4", "psi_b_sq"],
-        [r, v, psi_sq],
-    )
+    _write_csv(s.out, meta, ["r", "v4", "psi_b_sq"], [r, v, psi_sq])
 
 
-def _resonance_box(s: _Settings, config: TruncatedConfig) -> ComplexRectangle:
-    box_spec = s.get("box", None, conv=str)
-    if box_spec:
-        vals = _floats_csv(box_spec, "box")
+def _resonance_box(s: argparse.Namespace, config: TruncatedConfig) -> ComplexRectangle:
+    if s.box:
+        vals = _floats_csv(s.box, "box")
         if len(vals) != 4:
             raise ValidationError("box must be re_min,re_max,im_min,im_max")
         return ComplexRectangle(*vals)
-    if s.get("wide-box", False, conv=bool):
+    if s.wide_box:
         q = config.params.q
         return ComplexRectangle(q - 0.01, q + 0.01, -0.001, -1e-5)
     return default_search_box(config)
 
 
-def cmd_resonances(s: _Settings) -> None:
+def cmd_resonances(s: argparse.Namespace) -> None:
     params = _build_params(s)
-    a = s.get("cutoff", 5000.0)
+    a = s.cutoff
     config = TruncatedConfig(params=params, a=a)
     box = _resonance_box(s, config)
     found = find_resonances(config, box)
@@ -308,13 +330,13 @@ def cmd_resonances(s: _Settings) -> None:
             for r in found
         ],
     }
-    _write_json(s.get("out", "resonances.json", conv=str), payload)
+    _write_json(s.out, payload)
 
 
-def cmd_gamow(s: _Settings) -> None:
+def cmd_gamow(s: argparse.Namespace) -> None:
     params = _build_params(s)
-    a = s.get("cutoff", 5000.0)
-    index = int(s.get("root-index", 0, conv=int))
+    a = s.cutoff
+    index = s.root_index
     if index not in (0, 1):
         raise ValidationError("root-index must be 0 or 1 (doublet member)")
     config = TruncatedConfig(params=params, a=a)
@@ -334,17 +356,12 @@ def cmd_gamow(s: _Settings) -> None:
             "sqrt_branch": "principal",
         },
     )
-    _write_csv(
-        s.get("out", "gamow.csv", conv=str),
-        meta,
-        ["r", "psi_n_sq", "v4"],
-        [r, psi_sq, v],
-    )
+    _write_csv(s.out, meta, ["r", "psi_n_sq", "v4"], [r, psi_sq, v])
 
 
-def cmd_phase_shift(s: _Settings) -> None:
+def cmd_phase_shift(s: argparse.Namespace) -> None:
     params = _build_params(s)
-    a = s.get("cutoff", 5000.0)
+    a = s.cutoff
     config = TruncatedConfig(params=params, a=a)
     k = _checked_grid(_k_grid(s, params.q))
     raw = phase_shift(config, k)
@@ -355,17 +372,17 @@ def cmd_phase_shift(s: _Settings) -> None:
         extra={"excluded_near_q": Q_EXCLUSION},
     )
     _write_csv(
-        s.get("out", "phase_shift.csv", conv=str),
+        s.out,
         meta,
         ["k", "delta_raw", "delta_unwrapped", "delta_ramp_removed"],
         [k, raw, unwrapped, ramp_removed],
     )
 
 
-def cmd_cross_section(s: _Settings) -> None:
+def cmd_cross_section(s: argparse.Namespace) -> None:
     params = _build_params(s)
-    a = s.get("cutoff", 5000.0)
-    mode = s.get("mode", "exact", conv=str)
+    a = s.cutoff
+    mode = s.mode
     if mode not in ("exact", "model", "both"):
         raise ValidationError(f"mode must be exact, model, or both, got {mode!r}")
     config = TruncatedConfig(params=params, a=a)
@@ -388,18 +405,17 @@ def cmd_cross_section(s: _Settings) -> None:
             max_deviation=hadamard_residual(config, fit),
         )
     meta = _metadata(s, "cross-section", params, cutoff=a, extra=extra)
-    _write_csv(s.get("out", "cross_section.csv", conv=str), meta, header, columns)
+    _write_csv(s.out, meta, header, columns)
 
 
-def cmd_fit_background(s: _Settings) -> None:
+def cmd_fit_background(s: argparse.Namespace) -> None:
     params = _build_params(s)
-    a = s.get("cutoff", 5000.0)
+    a = s.cutoff
     config = TruncatedConfig(params=params, a=a)
     pair = doublet_of(find_resonances(config), params.q)
     window = None
-    window_spec = s.get("window", None, conv=str)
-    if window_spec:
-        vals = _floats_csv(window_spec, "window")
+    if s.window:
+        vals = _floats_csv(s.window, "window")
         if len(vals) != 2:
             raise ValidationError("window must be k_lo,k_hi")
         window = (vals[0], vals[1])
@@ -418,15 +434,14 @@ def cmd_fit_background(s: _Settings) -> None:
         "window": fit.fit_report["window"],
         "overlapping_resonances": fit.fit_report["overlapping_resonances"],
     }
-    _write_json(s.get("out", "fit_background.json", conv=str), payload)
+    _write_json(s.out, payload)
 
 
-def cmd_sweep_cutoff(s: _Settings) -> None:
+def cmd_sweep_cutoff(s: argparse.Namespace) -> None:
     params = _build_params(s)
-    a_list_spec = s.get("a-list", None, conv=str)
-    if not a_list_spec:
+    if not s.a_list:
         raise ValidationError("sweep-cutoff requires --a-list (comma-separated cutoffs)")
-    a_values = _floats_csv(a_list_spec, "a-list")
+    a_values = _floats_csv(s.a_list, "a-list")
     result = sweep_cutoff(params, a_values)
     lines = [{"meta": _metadata(s, "sweep-cutoff", params, extra={"a_list": a_values})}]
     for row in result.rows:
@@ -440,21 +455,38 @@ def cmd_sweep_cutoff(s: _Settings) -> None:
             }
         )
     lines.append({"gamma_monotone": result.gamma_monotone})
-    path = s.get("out", "sweep_cutoff.jsonl", conv=str)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(s.out, "w", encoding="utf-8", newline="\n") as fh:
         for obj in lines:
             fh.write(json.dumps(obj) + "\n")
 
 
-_COMMANDS = {
-    "w1": cmd_w1,
-    "potential": cmd_potential,
-    "resonances": cmd_resonances,
-    "gamow": cmd_gamow,
-    "phase-shift": cmd_phase_shift,
-    "cross-section": cmd_cross_section,
-    "fit-background": cmd_fit_background,
-    "sweep-cutoff": cmd_sweep_cutoff,
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], None]
+    help: str
+    out: str  # the default of --out
+    options: Tuple[str, ...]  # beyond _COMMON
+
+
+_GRID_R = ("r-max", "dr")
+_GRID_K = ("k-min", "k-max", "dk")
+_COMMANDS: Dict[str, _Command] = {
+    "w1": _Command(cmd_w1, "W1(r) curves (one file per beta)", "w1.csv",
+                   (*_GRID_R, "beta-list")),
+    "potential": _Command(cmd_potential, "V(r) and normalized |psi_B|^2", "potential.csv",
+                          _GRID_R),
+    "resonances": _Command(cmd_resonances, "certified zero census in a complex-k box",
+                           "resonances.json", ("wide-box", "box")),
+    "gamow": _Command(cmd_gamow, "normalized resonance eigenfunction profile", "gamow.csv",
+                      ("root-index", *_GRID_R)),
+    "phase-shift": _Command(cmd_phase_shift, "phase shift across the doublet window",
+                            "phase_shift.csv", _GRID_K),
+    "cross-section": _Command(cmd_cross_section, "exact and model cross sections",
+                              "cross_section.csv", (*_GRID_K, "mode")),
+    "fit-background": _Command(cmd_fit_background,
+                               "fit lambda0 + lambda1*k to the exact minima",
+                               "fit_background.json", ("window",)),
+    "sweep-cutoff": _Command(cmd_sweep_cutoff, "doublet trajectory over a list of cutoffs",
+                             "sweep_cutoff.jsonl", ("a-list",)),
 }
 
 
@@ -462,18 +494,6 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps no
     state between calls, each returns a fresh namespace."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=None)
-    common.add_argument("--beta", type=float, default=None)
-    common.add_argument("--q", type=float, default=None)
-    common.add_argument("--bic", action="store_true", default=None,
-                        help="pin beta = 3*alpha*q")
-    common.add_argument("--cutoff", type=float, default=None, help="truncation radius a")
-    common.add_argument("--config", type=str, default=None, help="key = value run file")
-    common.add_argument("--out", type=str, default=None, help="output path")
-    common.add_argument("--reproducible", action="store_true", default=None,
-                        help="omit the timestamp so identical runs are byte-identical")
-
     parser = argparse.ArgumentParser(
         prog="bicscatter",
         description="Datasets for a truncated four-fold-degenerate potential: "
@@ -482,68 +502,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "background fit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("w1", parents=[common], help="W1(r) curves (one file per beta)")
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--dr", type=float, default=None)
-    p.add_argument("--beta-list", type=str, default=None,
-                   help="comma-separated betas; negative values allowed here")
-
-    p = sub.add_parser("potential", parents=[common],
-                       help="V(r) and normalized |psi_B|^2")
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--dr", type=float, default=None)
-
-    p = sub.add_parser("resonances", parents=[common],
-                       help="certified zero census in a complex-k box")
-    p.add_argument("--wide-box", action="store_true", default=None,
-                   help="scan the wider string of zeros instead of just the doublet")
-    p.add_argument("--box", type=str, default=None,
-                   help="custom box: re_min,re_max,im_min,im_max")
-
-    p = sub.add_parser("gamow", parents=[common],
-                       help="normalized resonance eigenfunction profile")
-    p.add_argument("--root-index", type=int, default=None, help="doublet member, 0 or 1")
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--dr", type=float, default=None)
-
-    for name in ("phase-shift", "cross-section"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("--k-min", type=float, default=None)
-        p.add_argument("--k-max", type=float, default=None)
-        p.add_argument("--dk", type=float, default=None)
-        if name == "cross-section":
-            p.add_argument("--mode", type=str, default=None,
-                           choices=("exact", "model", "both"))
-
-    p = sub.add_parser("fit-background", parents=[common],
-                       help="fit lambda0 + lambda1*k to the exact minima")
-    p.add_argument("--window", type=str, default=None, help="fit window: k_lo,k_hi")
-
-    p = sub.add_parser("sweep-cutoff", parents=[common],
-                       help="doublet trajectory over a list of cutoffs")
-    p.add_argument("--a-list", type=str, default=None)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in _COMMON + command.options:
+            option = _OPTIONS[key]
+            kind = {"action": "store_true"} if option.type is bool else {"type": option.type}
+            p.add_argument(f"--{key}", default=None, help=option.help, **kind)
     return parser
-
-
-@functools.cache
-def _run_file_keys() -> frozenset:
-    """The options of every command, spelled as ``_Settings.get`` reads
-    them: the keys a run file may hold, so one file serves several commands."""
-    dests = set()
-    for command in _COMMANDS:
-        dests.update(vars(_build_parser().parse_args([command])))
-    dests.discard("command")
-    return frozenset(d.replace("_", "-") for d in dests)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    file_cfg: Dict[str, str] = {}
+    command = _COMMANDS[args.command]
     try:
-        if args.config:
-            file_cfg = parse_run_file(args.config)
-        _COMMANDS[args.command](_Settings(args, file_cfg))
+        file_cfg = parse_run_file(args.config) if args.config else {}
+        # each setting once: the flag, else the run file, else the table
+        for key in _COMMON + command.options:
+            dest = key.replace("-", "_")
+            if getattr(args, dest) is None:
+                default = command.out if key == "out" else _OPTIONS[key].default
+                setattr(args, dest, file_cfg.get(key, default))
+        command.run(args)
         return 0
     except ValidationError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

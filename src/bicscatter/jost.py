@@ -265,6 +265,9 @@ def bound_state(params: PotentialParams) -> BoundState:
     ------
     NotBicMode
         If beta != 3*alpha*q (no embedded bound state exists off that line).
+    ValidationError
+        If N^2 is not finite and positive: alpha < 0 on the (diagnostic)
+        bic line, or q so large (about 1e154) that N^2 overflows.
     """
     if not params.bic_mode:
         raise NotBicMode(
@@ -273,6 +276,11 @@ def bound_state(params: PotentialParams) -> BoundState:
         )
     a, q = params.alpha, params.q
     norm_sq = 2.0 * q * q * (1.0 + 4.0 * a * a * q * q) / (3.0 * a)
+    if not 0.0 < norm_sq < math.inf:
+        raise ValidationError(
+            f"bound state norm^2 = {norm_sq!r} is not finite and positive "
+            f"(alpha={a!r}, q={q!r})"
+        )
     return BoundState(
         params=params,
         phase=phase_data(params),

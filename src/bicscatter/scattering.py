@@ -704,10 +704,10 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
 
     Minima are the real zeros of the phase-shift numerator
     d sin ka + g cos ka (there sigma vanishes identically); the peak is the
-    zero of the denominator between the two innermost minima (there
-    delta_a = pi/2 mod pi, so sigma touches 4 pi / k^2). Both are bracketed
-    on a dk grid and refined by Newton on their exact k-derivatives
-    (``_num_den_dk``), kept inside the bracket
+    zero of the denominator, of largest sin^2 delta, between the outermost
+    minima minima[0] and minima[-1] (there delta_a = pi/2 mod pi, so sigma
+    touches 4 pi / k^2). Both are bracketed on a dk grid and refined by
+    Newton on their exact k-derivatives (``_num_den_dk``), kept inside the bracket
     (``numerics._bracketed_newton``): each stops within about
     1e-14 + 4 eps k of the zero of the computed function, unless that
     function is rounding noise over a wider band around it. Only

@@ -407,6 +407,64 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert main(["w1", "--config", str(cfg), "--out", str(tmp_path / "w1.csv")]) == 0
 
 
+def test_run_file_values_are_converted_on_loading(tmp_path, capsys):
+    # w1 reads no cutoff, but a value its option's type cannot parse is
+    # refused when the file is loaded, for every command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bic = true\ncutoff = abc\n")
+    assert main(["w1", "--config", str(cfg), "--out", str(tmp_path / "w1.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "'cutoff'" in err["message"]
+    assert not (tmp_path / "w1.csv").exists()
+
+
+def test_run_file_at_the_defaults_is_no_file(tmp_path):
+    # every option of phase-shift that has a default, at that default
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("alpha = 1\nq = 1\nbic = false\ncutoff = 5000\nreproducible = false\n"
+                   "k-min = 0.995\nk-max = 1.005\ndk = 1e-6\n")
+    with_file, without = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["phase-shift", "--config", str(cfg), "--reproducible",
+                 "--out", str(with_file)]) == 0
+    assert main(["phase-shift", "--reproducible", "--out", str(without)]) == 0
+    assert with_file.read_bytes() == without.read_bytes()
+
+
+def test_invalid_mode_is_a_json_error(tmp_path, capsys):
+    assert main(["cross-section", "--bic", "--mode", "bogus",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "'bogus'" in err["message"]
+
+
+def test_default_k_window_is_centred_on_q(tmp_path):
+    out = tmp_path / "s2.csv"
+    assert main(["cross-section", "--bic", "--q", "2", "--out", str(out),
+                 "--reproducible"]) == 0
+    _, _, cols = _read_csv(out)
+    k = cols["k"]
+    assert k[0] == pytest.approx(1.99) and k[-1] == pytest.approx(2.01)
+    params = bs.PotentialParams.bic(q=2.0)
+    pair = bs.doublet_of(bs.find_resonances(bs.TruncatedConfig(params=params, a=5000.0)), 2.0)
+    assert all(k[0] < r.k_re < k[-1] for r in pair)
+    # at q = 1 the default window is the explicit [0.995, 1.005]
+    default, explicit = tmp_path / "d.csv", tmp_path / "e.csv"
+    assert main(["phase-shift", "--bic", "--out", str(default), "--reproducible"]) == 0
+    assert main(["phase-shift", "--bic", "--k-min", "0.995", "--k-max", "1.005",
+                 "--out", str(explicit), "--reproducible"]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["phase-shift", "cross-section"])
+def test_k_window_inside_the_exclusion_exits_2(tmp_path, capsys, command):
+    # every row of the window lies within Q_EXCLUSION of q
+    assert main([command, "--bic", "--k-min", "0.999995", "--k-max", "1.000005",
+                 "--dk", "1e-6", "--out", str(tmp_path / "out.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "excluded_near_q" in err["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [["potential", "--bic", "--r-max", "nan"],
                                   ["potential", "--bic", "--r-max", "inf"],
                                   ["phase-shift", "--bic", "--dk", "nan"],

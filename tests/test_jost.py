@@ -185,6 +185,17 @@ def test_bound_state_requires_constraint():
         bs.bound_state(p)
 
 
+@pytest.mark.parametrize("params", [
+    # the diagnostic bic line at alpha < 0: N^2 < 0
+    bs.PotentialParams(alpha=-1.0, beta=-3.0, q=1.0, diagnostic=True),
+    # q^2 overflows: N^2 = inf
+    bs.PotentialParams.bic(alpha=1e-155, q=1e155),
+])
+def test_bound_state_refuses_a_norm_that_is_not_finite_and_positive(params):
+    with pytest.raises(bs.ValidationError, match="alpha=.*q="):
+        bs.bound_state(params)
+
+
 def test_outgoing_solution_satisfies_equation(schrodinger_residual):
     p = bs.PotentialParams.bic()
     grid = np.arange(0.1, 50.0, 1e-3)
