@@ -232,9 +232,9 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     Raises
     ------
     ValidationError
-        If the fit was made at another cutoff, the grid is empty (as given,
-        or the default grid after the noise filter), or the default grid
-        would hold more than ``numerics._MAX_GRID_POINTS`` points.
+        If the fit was made at another cutoff, a given grid is empty or not
+        finite, or the default grid is empty after the noise filter or would
+        hold more than ``numerics._MAX_GRID_POINTS`` points.
     """
     if fit.a != config.a:
         raise ValidationError(f"fit is for cutoff {fit.a!r}, config has {config.a!r}")
@@ -258,8 +258,10 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
 
 def _block_deviation(config: TruncatedConfig, fit: BackgroundFit, k, floor):
     """``hadamard_residual`` on one block: the maximum deviation over the
-    points where num^2 + den^2 = d^2 + g^2 exceeds ``floor``^2 (all of them
-    for None), or -inf if there are none."""
+    points where num^2 + den^2 = d^2 + g^2 exceeds ``floor``^2 (all of a
+    given grid's block for None, refused if not finite), or -inf if none."""
+    if floor is None and not np.isfinite(k).all():
+        raise ValidationError("k_grid must be finite")
     num, den = _num_den(config, k)
     exact = _sin2(num, den)  # den becomes num^2 + den^2
     if floor is not None:

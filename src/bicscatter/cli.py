@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .background import Doublet, fit_lambda, hadamard_residual, model_phase_and_sigma
-from .darboux import PotentialParams, _sign_changes, potential_v4, w1_bundle
+from .darboux import PotentialParams, _sign_changes, _w1, potential_v4
 from .errors import NumericalError, ValidationError
 from .jost import bound_state
 from .numerics import ComplexRectangle, _grid_count
@@ -260,7 +260,7 @@ def cmd_w1(s: argparse.Namespace) -> None:
     all_params = [_params_at_beta(s, beta, diagnostic=beta < 0) for beta in betas]
     r = _r_grid(s)
     for params in all_params:
-        w1 = w1_bundle(params, r).w1
+        w1 = _w1(params, r, 0)[0]
         meta = _metadata(
             s, "w1", params,
             extra={"diagnostic": params.diagnostic, "sign_changes": _sign_changes(w1).size},

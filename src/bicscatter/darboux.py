@@ -260,20 +260,20 @@ def _w1_table(params: PotentialParams):
 
 def _w1(params: PotentialParams, r, order: int):
     """[W1, dW1/dr, ..., d^order W1/dr^order] at r, from ``_w1_table``;
-    ValidationError where a coefficient of that table overflows, or where
-    one of the results is not finite: r is not finite, or q r or q is so
-    large that W1 (about 16 (q r)^4) or a derivative (q^m times one in
-    q r) overflows."""
+    ValidationError where r is negative, where a coefficient of that table
+    overflows, or where one of the results is not finite: r is not finite,
+    or q r or q is so large that W1 (about 16 (q r)^4) or a derivative
+    (q^m times one in q r) overflows."""
     r = np.asarray(r, dtype=float)
     x = params.q * (float(r) if r.ndim == 0 else r)
     table = _overflow_checked(_w1_table, params)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _closed_form(table, x, x, params.q, params.q, order)
-    if not all(np.isfinite(f).all() for f in out):
+    if (r < 0).any() or not all(np.isfinite(f).all() for f in out):
         raise ValidationError(
-            f"W1 or an r-derivative is not finite for r in [{float(r.min())!r}, "
-            f"{float(r.max())!r}] at alpha={params.alpha!r}, beta={params.beta!r}, "
-            f"q={params.q!r}: r must be finite, and q r and q small enough not to overflow"
+            f"W1 refused for r in [{float(r.min())!r}, {float(r.max())!r}] at "
+            f"alpha={params.alpha!r}, beta={params.beta!r}, q={params.q!r}: r must be nonnegative "
+            "and finite, and q r and q small enough that W1 and its r-derivatives do not overflow"
         )
     return out
 
@@ -300,9 +300,9 @@ def w1_bundle(params: PotentialParams, r) -> W1Bundle:
     Raises
     ------
     ValidationError
-        If (alpha, beta, q) are so large that a coefficient of W1 overflows,
-        or W1 or a derivative is not finite at some r (r not finite, q r
-        past about 6e76, or q past about 1e154).
+        If some r is negative, (alpha, beta, q) are so large that a
+        coefficient of W1 overflows, or W1 or a derivative is not finite at
+        some r (r not finite, q r past about 6e76, or q past about 1e154).
     """
     return W1Bundle(*_w1(params, r, 2))
 
@@ -314,8 +314,8 @@ def potential_v4(params: PotentialParams, r):
     Raises
     ------
     ValidationError
-        If W1 is not finite at some r (``w1_bundle``), or V is not: W1^2
-        overflows from q r of about 1e38 on.
+        If some r is negative or W1 is not finite at some r (``w1_bundle``),
+        or V is not: W1^2 overflows from q r of about 1e38 on.
     SingularPotential
         If |W1| falls below the scale-aware threshold
         ``1e-10 * (1 + (q r)^4)`` anywhere on ``r`` (a zero of W1 is a pole

@@ -146,8 +146,12 @@ def _uv_table(params: PotentialParams, pd: PhaseData, ndim: int):
 def _uv_coefficients(params: PotentialParams, r, order: int):
     """[c, dc/dr, ..., d^order c/dr^order]: u and v/k at r as polynomials in
     e2 = k^2 - q^2, arrays of shape (2, 3) + shape(r) laid out as in
-    ``_uv_table``, from one evaluation of that table."""
+    ``_uv_table``, from one evaluation of that table; r >= 0 and finite."""
     r = np.asarray(r, dtype=float)
+    if not ((r >= 0) & (r < math.inf)).all():
+        raise ValidationError(f"u, v refused for r in [{float(r.min())!r}, {float(r.max())!r}] "
+                              f"at alpha={params.alpha!r}, beta={params.beta!r}, q={params.q!r}: "
+                              "r must be nonnegative and finite")
     pd = phase_data(params)
     table = _overflow_checked(_uv_table, params, pd, r.ndim)
     if r.ndim == 0:
@@ -167,7 +171,7 @@ def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
     k enters only through e2 = k^2 - q^2 and, in v, an overall factor k:
     u = U0 + U1 e2 + U2 e2^2 and v = k (V0 + V1 e2), with coefficients in r
     from ``_uv_coefficients``. Broadcasting over both k and r works; complex
-    k is evaluated verbatim.
+    k is evaluated verbatim; r must be nonnegative and finite.
     """
     k = np.asarray(k)
     e2 = k * k - params.q * params.q
@@ -187,8 +191,6 @@ def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostVa
         1/(k^2 - q^2)^2 has a double pole there. Re-call with
         ``normalized=False`` for the (regular) unnormalized pair.
     """
-    if np.any(np.asarray(r) < 0):
-        raise ValidationError("r must be nonnegative")
     w1, w1_r = _w1(params, r, 1)
     b = uv_bundle(params, k, r)
     ep, em = np.exp(1j * k * np.asarray(r)), np.exp(-1j * k * np.asarray(r))
@@ -208,14 +210,7 @@ def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostVa
             )
         F_plus = f_plus / e2**2
         F_minus = f_minus / e2**2
-    return JostValue(
-        f_plus=f_plus,
-        f_minus=f_minus,
-        f_plus_r=f_plus_r,
-        f_minus_r=f_minus_r,
-        F_plus=F_plus,
-        F_minus=F_minus,
-    )
+    return JostValue(f_plus, f_minus, f_plus_r, f_minus_r, F_plus, F_minus)
 
 
 @dataclass(frozen=True)
@@ -233,7 +228,7 @@ class BoundState:
     def raw(self, r):
         """Closed-form amplitude 24 q^2 X(r) / W1(r); vanishes at r = 0.
         Takes what ``potential_v4`` takes, with the same ValidationError
-        where W1 is not finite."""
+        where r is negative or W1 is not finite."""
         r = np.asarray(r, dtype=float)
         w1 = _w1(self.params, r, 0)[0]
         q = self.params.q

@@ -467,8 +467,8 @@ def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
     """(F(-k), F(k)) with the full prefactor W1(0) / (h(k) W1(a)^2).
 
     Returned wherever d +- ig are resolved, close to q too: at alpha = q = 1
-    and a = 5000, k = 1.0001 gives -78.19 -+ 1215.16i. An array k gives
-    arrays shaped like it, point by point.
+    and a = 5000, k = 1.0001 gives -78.19 -+ 1215.16i. An array k, empty
+    or not, gives complex arrays shaped like it, from one pass of ``dg``.
 
     Raises
     ------
@@ -476,9 +476,6 @@ def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
         If F+- are rounding noise at k, or at a point of an array k
         (estimated relative rounding above 1e-6, ``_jost_from_dg``).
     """
-    if np.ndim(k):
-        pairs = [_jost_from_dg(config, z, *dg(config, z)) for z in np.ravel(k)]
-        return tuple(np.reshape(f, np.shape(k)) for f in zip(*pairs))
     return _jost_from_dg(config, k, *dg(config, k))
 
 
@@ -492,16 +489,16 @@ def _jost_prefactor(config: TruncatedConfig, k):
     return bd.w1_0 / (_h_of(bd.at_0[0][2], k, config.params.q) * bd.w1_a**2)
 
 
-def _jost_rounding(config: TruncatedConfig, k, d_plus_ig, d_minus_ig, extra=0.0) -> float:
+def _jost_rounding(config: TruncatedConfig, k, d_plus_ig, d_minus_ig, extra=0.0):
     """The estimated relative rounding of ``_jost_from_dg``'s F+-, plus ``extra``."""
-    scale = max(abs(d_plus_ig), abs(d_minus_ig))
-    noise = _dg_rounding_near_q(config) / scale if scale else math.inf
+    with np.errstate(divide="ignore"):
+        noise = _dg_rounding_near_q(config) / np.maximum(abs(d_plus_ig), abs(d_minus_ig))
     return noise + extra + 2.0 * _EPS * (abs(k) + 2.0 * config.params.q) * config.a
 
 
 def _jost_from_dg(config: TruncatedConfig, k, d, g, extra=0.0):
-    """(F(-k), F(k)) = pref e^{+-ika} (d +- ig) at one scalar k, from d, g
-    there and pref = W1(0) / (h(k) W1(a)^2): the one place F+- are formed.
+    """(F(-k), F(k)) = pref e^{+-ika} (d +- ig) from d, g at k and
+    pref = W1(0) / (h(k) W1(a)^2): the one place F+- are formed.
 
     DegenerateNormalizer where their estimated relative rounding
     (``_jost_rounding``) is above ``_JOST_RTOL``. pref is a product, accurate
@@ -521,9 +518,10 @@ def _jost_from_dg(config: TruncatedConfig, k, d, g, extra=0.0):
     """
     d_plus_ig, d_minus_ig = d + 1j * g, d - 1j * g
     rounding = _jost_rounding(config, k, d_plus_ig, d_minus_ig, extra)
-    if not rounding <= _JOST_RTOL:
-        raise DegenerateNormalizer(f"F(+-k) at k = {k!r} is resolved only to {rounding:.1e} "
-                                   "relative: d +- ig are rounding noise this close to q")
+    if not (rounding <= _JOST_RTOL).all():
+        i = np.argmin(np.ravel(rounding <= _JOST_RTOL))
+        raise DegenerateNormalizer(f"F(+-k) at k = {np.ravel(k)[i].item()!r} is resolved only "
+                                   f"to {np.ravel(rounding)[i]:.1e} relative: d +- ig are noise")
     pref = _jost_prefactor(config, k)
     return (pref * np.exp(1j * k * config.a) * d_plus_ig,
             pref * np.exp(-1j * k * config.a) * d_minus_ig)
@@ -797,11 +795,9 @@ def phase_jump(config: TruncatedConfig, k_lo: float, k_hi: float,
     if dk is None:
         dk = math.pi / (64.0 * config.a)
     grid = _window_points(k_lo, dk, 0, _window_size(k_lo, k_hi, dk))
+    num, den = _blockwise(lambda k: _num_den(config, k), grid)
     floor = _noise_floor(config)
-
-    def resolved(k):
-        num, den = _num_den(config, k)
-        return (num * num + den * den > floor * floor,)
-
-    un = phase_shift_unwrapped(config, grid[_blockwise(resolved, grid)[0]])
+    keep = num * num + den * den > floor * floor
+    principal = _principal_phase(num[keep], den[keep])
+    un = _unwrap_principal(lambda start, stop: principal[start:stop], _checked_grid(grid[keep]))
     return float(un[-1] - un[0])

@@ -199,6 +199,13 @@ def test_shape_deviation_refuses_an_empty_grid(config, fit):
             bs.hadamard_residual(config, fit)
 
 
+@pytest.mark.parametrize("k", [[1.0005, math.nan], [math.inf, 1.0]])
+def test_shape_deviation_refuses_a_grid_that_is_not_finite(config, fit, k):
+    # both returned nan without an error, the second with a RuntimeWarning
+    with pytest.raises(bs.ValidationError, match="finite"):
+        bs.hadamard_residual(config, fit, np.array(k))
+
+
 def test_shape_deviation_refuses_a_fit_at_another_cutoff(params, fit):
     with pytest.raises(bs.ValidationError):
         bs.hadamard_residual(bs.TruncatedConfig(params=params, a=4000.0), fit)

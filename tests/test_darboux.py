@@ -208,6 +208,23 @@ def test_non_finite_closed_forms_raise(params, config, call):
         call(params, config)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: bs.w1_bundle(p, -1.0),
+    lambda p: bs.bound_state(p)(-1.0),
+    lambda p: bs.uv_bundle(p, 1.0, -1.0),
+    lambda p: bs.potential_v4(p, [-2.0, -1.0]),
+    lambda p: bs.uv_bundle(p, 1.0, [1.0, math.nan]),
+    lambda p: bs.uv_bundle(p, 1.0, math.inf),
+], ids=["w1", "bound", "uv", "v4", "uv-nan", "uv-inf"])
+def test_radii_off_the_half_line_raise_validation_error(params, call):
+    # the first three and uv-nan returned values with no error (uv-inf with
+    # a RuntimeWarning); v4 raised SingularPotential, a NumericalError, for
+    # an input out of the domain
+    with pytest.raises(bs.ValidationError, match="alpha=1.0, beta=3.0, q=1.0: r must be "
+                                                 "nonnegative and finite"):
+        call(params)
+
+
 def test_singular_potential_raises():
     bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True)
     r = np.linspace(0.0, 30.0, 30001)
