@@ -32,8 +32,8 @@ from .errors import SingularFitSystem, ValidationError
 from .numerics import _BLOCK, _grid_count
 from .resonances import Resonance
 from .scattering import (TruncatedConfig, _blockwise, _ka_rotation, _noise_floor,
-                         _num_den, _principal_phase, _rotated, _sigma, _sin2,
-                         sigma_landmarks)
+                         _num_den, _principal_phase, _rotated, _sigma, _sigma_minima,
+                         _sin2)
 
 __all__ = [
     "Doublet",
@@ -150,7 +150,9 @@ def fit_lambda(
 
     and lambda0 + lambda1 * m = lam_required(m) at the two minima is a 2x2
     linear system. The Jacobian condition number is reported; positions are
-    pinned exactly (depths there are zero by construction).
+    pinned exactly (depths there are zero by construction). Both come in
+    closed form (``_pinned_line``, ``_condition_number``), within the
+    condition number times a few eps of np.linalg.solve and np.linalg.cond.
 
     ``window`` defaults to [k1 - 10*G1, k2 + 10*G2]; ``minima`` overrides
     the exact-minima search (used by round-trip tests).
@@ -161,7 +163,7 @@ def fit_lambda(
         Fewer than two exact minima on the window (propagated).
     SingularFitSystem
         Degenerate doublet (zero widths make the zeros insensitive to
-        lambda) or numerically singular 2x2 system.
+        lambda), or both minima at one k, or a singular Jacobian.
     """
     if window is None:
         window = (
@@ -169,8 +171,8 @@ def fit_lambda(
             doublet.k2 + 20.0 * doublet.half_width2,
         )
     if minima is None:
-        marks = sigma_landmarks(config, window[0], window[1])
-        m1, m2 = marks.minima[0], marks.minima[-1]
+        found, _ = _sigma_minima(config, window[0], window[1])
+        m1, m2 = found[0], found[-1]
     else:
         if len(minima) != 2:
             raise ValidationError("minima override must supply exactly two positions")
@@ -186,23 +188,19 @@ def fit_lambda(
                 f"background is unconstrained at minimum k = {m:.9g} "
                 "(degenerate doublet?)"
             )
-    vander = np.array([[1.0, m1], [1.0, m2]])
-    try:
-        lam0, lam1 = np.linalg.solve(vander, [-num / den for num, den in zero_terms])
-    except np.linalg.LinAlgError as exc:
-        raise SingularFitSystem(f"fit system singular: {exc}") from exc
-
-    # Jacobian of the two zero conditions w.r.t. (lambda0, lambda1)
-    jac_rows = [[den, den * m] for m, (_, den) in zip((m1, m2), zero_terms)]
-    cond = float(np.linalg.cond(np.array(jac_rows)))
+    if m1 == m2:
+        raise SingularFitSystem(f"fit system singular: both minima at k = {m1:.9g}")
+    (num1, den1), (num2, den2) = zero_terms
+    lam0, lam1 = _pinned_line(m1, m2, float(-num1 / den1), float(-num2 / den2))
+    cond = _condition_number(float(den1), float(den2), m1, m2)
     if not math.isfinite(cond):
         raise SingularFitSystem("fit Jacobian is singular (zero-width doublet)")
 
-    num1, den1 = _model_num_den(doublet, a, lam0, lam1, np.array([m1, m2]))
-    residuals = list(np.abs(num1) / np.hypot(num1, den1))
+    num, den = _model_num_den(doublet, a, lam0, lam1, np.array([m1, m2]))
+    residuals = list(np.abs(num) / np.hypot(num, den))
     return BackgroundFit(
-        lambda0=float(lam0),
-        lambda1=float(lam1),
+        lambda0=lam0,
+        lambda1=lam1,
         doublet=doublet,
         a=a,
         fit_report={
@@ -213,6 +211,25 @@ def fit_lambda(
             "overlapping_resonances": doublet.overlapping,
         },
     )
+
+
+def _pinned_line(m1: float, m2: float, r1: float, r2: float) -> Tuple[float, float]:
+    """(lambda0, lambda1) with lambda0 + lambda1 m_i = r_i for m1 != m2, by
+    the steps of LU with partial pivoting on [[1, m1], [1, m2]]."""
+    lam1 = (r2 - r1) / (m2 - m1)
+    return r1 - m1 * lam1, lam1
+
+
+def _condition_number(den1: float, den2: float, m1: float, m2: float) -> float:
+    """The 2-norm condition number of J = [[den1, den1 m1], [den2, den2 m2]]
+    (inf if singular). For [[a, b], [c, d]] the singular values are
+    (h+ +- h-) / 2 with h+- = hypot(a +- d, b -+ c), whose product is |det|,
+    so it is (h+ + h-)^2 / (4 |det|), with det = den1 den2 (m2 - m1) formed
+    as a product, free of cancellation."""
+    a, b, c, d = den1, den1 * m1, den2, den2 * m2
+    det = den1 * den2 * (m2 - m1)
+    h = math.hypot(a + d, b - c) + math.hypot(a - d, b + c)
+    return 0.25 * h * h / abs(det) if det else math.inf
 
 
 def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
@@ -235,6 +252,9 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
         If the fit was made at another cutoff, a given grid is empty or not
         finite, or the default grid is empty after the noise filter or would
         hold more than ``numerics._MAX_GRID_POINTS`` points.
+    DegenerateNormalizer
+        If a given grid holds a point where d = g = 0, where the exact
+        sin^2 delta is 0/0 (``scattering._sin2``).
     """
     if fit.a != config.a:
         raise ValidationError(f"fit is for cutoff {fit.a!r}, config has {config.a!r}")
@@ -259,11 +279,12 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
 def _block_deviation(config: TruncatedConfig, fit: BackgroundFit, k, floor):
     """``hadamard_residual`` on one block: the maximum deviation over the
     points where num^2 + den^2 = d^2 + g^2 exceeds ``floor``^2 (all of a
-    given grid's block for None, refused if not finite), or -inf if none."""
+    given grid's block for None, refused if not finite or where d = g = 0),
+    or -inf if none."""
     if floor is None and not np.isfinite(k).all():
         raise ValidationError("k_grid must be finite")
     num, den = _num_den(config, k)
-    exact = _sin2(num, den)  # den becomes num^2 + den^2
+    exact = _sin2(num, den, k if floor is None else None)  # den becomes num^2 + den^2
     if floor is not None:
         keep = den > floor * floor
         k, exact = k[keep], exact[keep]

@@ -202,12 +202,22 @@ def _closed_form(table, s, x, s_r, x_r, order: int):
         C -> s_r C' + w x_r S,    S -> s_r S' - w x_r C,
 
     so every derivative is the same evaluation of a derived table, and all
-    of them share one cosine and one sine per term.
+    of them share one cosine and one sine per term. A scalar x (a builtin
+    float) takes them from ``math`` (on 4e5 arguments up to 4e13 they had
+    numpy's bits), so a table of builtin floats is evaluated in Python
+    floats throughout; an infinite phase gives NaN, as numpy's does.
     """
     waves = []
     for w, o, _, _ in table:
         phase = w * x + o if o else w * x
-        waves.append((np.cos(phase), np.sin(phase)) if w else None)
+        if not w:
+            waves.append(None)
+        elif not isinstance(phase, float):
+            waves.append((np.cos(phase), np.sin(phase)))
+        elif math.isinf(phase):
+            waves.append((math.nan, math.nan))
+        else:
+            waves.append((math.cos(phase), math.sin(phase)))
     out = []
     for m in range(order + 1):
         if m:
@@ -263,7 +273,9 @@ def _w1(params: PotentialParams, r, order: int):
     ValidationError where r is negative, where a coefficient of that table
     overflows, or where one of the results is not finite: r is not finite,
     or q r or q is so large that W1 (about 16 (q r)^4) or a derivative
-    (q^m times one in q r) overflows."""
+    (q^m times one in q r) overflows. A scalar r is evaluated in Python
+    floats (see ``_closed_form``) and gives numpy scalars, whose arithmetic
+    callers rely on (a ** past the float range gives inf, not an error)."""
     r = np.asarray(r, dtype=float)
     x = params.q * (float(r) if r.ndim == 0 else r)
     table = _overflow_checked(_w1_table, params)
@@ -275,7 +287,7 @@ def _w1(params: PotentialParams, r, order: int):
             f"alpha={params.alpha!r}, beta={params.beta!r}, q={params.q!r}: r must be nonnegative "
             "and finite, and q r and q small enough that W1 and its r-derivatives do not overflow"
         )
-    return out
+    return out if r.ndim else [np.float64(f) for f in out]
 
 
 def w1_bundle(params: PotentialParams, r) -> W1Bundle:

@@ -154,8 +154,11 @@ def _uv_coefficients(params: PotentialParams, r, order: int):
                               "r must be nonnegative and finite")
     pd = phase_data(params)
     table = _overflow_checked(_uv_table, params, pd, r.ndim)
-    if r.ndim == 0:
-        r = float(r)
+    return _uv_closed_form(params, pd, table, float(r) if r.ndim == 0 else r, order)
+
+
+def _uv_closed_form(params: PotentialParams, pd: PhaseData, table, r, order: int):
+    """``_uv_coefficients`` at r from a ``_uv_table`` built for it, unchecked."""
     return _closed_form(table, r + pd.gamma0, params.q * r + pd.delta, 1.0, params.q, order)
 
 

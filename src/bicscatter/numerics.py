@@ -204,10 +204,11 @@ def winding_count(f, rect: ComplexRectangle) -> int:
 
     ``f`` must broadcast over a 1-d complex array, returning one value per
     point. The work goes level by level: one call evaluates the 65 samples
-    of each edge (each corner twice, once per edge it ends, so that an
-    integrand whose values drift between calls fails the integer test),
-    then every open segment is judged at once and all midpoints of the
-    rejected ones are evaluated in one call. f is called at most 49 times.
+    of each edge (``_edge_samples``, np.linspace's points from one product;
+    each corner twice, once per edge it ends, so that an integrand whose
+    values drift between calls fails the integer test), then every open
+    segment is judged at once and all midpoints of the rejected ones are
+    evaluated in one call. f is called at most 49 times.
 
     Assumes ``f`` is analytic on and inside the rectangle.
 
@@ -224,9 +225,7 @@ def winding_count(f, rect: ComplexRectangle) -> int:
     MaxDepthExceeded
         If a segment fails both acceptance tests at depth 48.
     """
-    c = rect.corners
-    pts = np.array([np.linspace(a, b, _INITIAL_SEGMENTS + 1)
-                    for a, b in zip(c, c[1:] + c[:1])])
+    pts = _edge_samples(rect)
     vals = _finite_samples(np.reshape(f(pts.ravel()), pts.shape), pts)
     za, zb = pts[:, :-1].ravel(), pts[:, 1:].ravel()
     fa, fb = vals[:, :-1].ravel(), vals[:, 1:].ravel()
@@ -256,6 +255,19 @@ def winding_count(f, rect: ComplexRectangle) -> int:
     if abs(n - round(n)) >= 0.1:
         raise AmbiguousWinding(f"winding integral gave {n:.4f}, not close to an integer")
     return int(round(n))
+
+
+def _edge_samples(rect: ComplexRectangle) -> np.ndarray:
+    """The (4, 65) samples of ``winding_count``'s edges, from each corner to
+    the next: np.linspace's bits (start + i (end - start) / 64, then the
+    end) from one arange-times-step product."""
+    c = rect.corners
+    start, end = np.array(c), np.array(c[1:] + c[:1])
+    step = (end - start) / _INITIAL_SEGMENTS
+    pts = np.arange(_INITIAL_SEGMENTS + 1, dtype=complex) * step[:, None]
+    pts += start[:, None]
+    pts[:, -1] = end
+    return pts
 
 
 def _finite_samples(fz: np.ndarray, z: np.ndarray) -> np.ndarray:

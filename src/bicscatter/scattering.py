@@ -27,14 +27,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .darboux import PotentialParams, _horner, _is_real, _w1
+from .darboux import PotentialParams, _is_real, _overflow_checked, _w1, phase_data
 from .errors import (
     DegenerateNormalizer,
     MinimaNotFound,
     UnwrapAmbiguity,
     ValidationError,
 )
-from .jost import _uv_at, _uv_coefficients, uv_bundle
+from .jost import _uv_at, _uv_closed_form, _uv_table, uv_bundle
 from .numerics import _BLOCK, _bracketed_newton, _grid_count, _unwrap_block
 
 __all__ = [
@@ -85,7 +85,13 @@ class _BoundaryData:
     array k still broadcasts. Sums and products round as numpy's do; a
     complex quotient may differ from numpy's in the last bits. ``rows`` is
     the one array: the (4, 5) coefficients of bP, aP, bQ - bP and aQ - aP,
-    which ``_num_den`` multiplies onto the powers of e2."""
+    which ``_num_den`` multiplies onto the powers of e2.
+
+    At r = 0 u and v keep the per-term Horner of ``darboux._closed_form``:
+    on beta = 3 alpha q their e2^0 coefficients cancel there to rounding
+    (to exact zeros at about one envelope draw in 40), and a reordered sum
+    such as a dot product of the table with the basis values leaves
+    residues 2 to 4 times larger, which the Gamow N^2 near q inherits."""
 
     at_0: list
     w1_0: float
@@ -96,10 +102,41 @@ class _BoundaryData:
     rows: np.ndarray
 
 
+def _boundary_values(params: PotentialParams, a: float):
+    """(at_0, at_a, W1(0), [W1(a), W1'(a)]) in builtin floats: the lists of
+    ``jost._uv_coefficients`` at r = 0, and at r = a with r-derivatives.
+
+    Scalar evaluations of one u, v table and of W1's, at order 0 for r = 0
+    and 1 for r = a, bit for bit those on the array [0, a]; ValidationError
+    where a coefficient overflows or W1 is not finite (``darboux._w1``)."""
+    pd = phase_data(params)
+    table = _overflow_checked(_uv_table, params, pd, 0)
+    (at_0,) = _uv_closed_form(params, pd, table, 0.0, 0)
+    at_a = _uv_closed_form(params, pd, table, a, 1)
+    (w1_0,) = _w1(params, 0.0, 0)
+    return (at_0.tolist(), [c.tolist() for c in at_a], float(w1_0),
+            [float(w) for w in _w1(params, a, 1)])
+
+
+def _mul(c1, c2):
+    """The product of two coefficient lists as its 5 coefficients of degree
+    0 to 4, each summed in ascending order of c1's index."""
+    out = [0.0] * 5
+    for i, x in enumerate(c1):
+        for j, y in enumerate(c2[:5 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _e2_derivative(c):
+    """The 5 coefficients of the e2-derivative of a polynomial of degree 4."""
+    return [c[1], 2.0 * c[2], 3.0 * c[3], 4.0 * c[4], 0.0]
+
+
 def _g_polynomials(at_0, at_a, w1_a, q: float, a: float):
     """(g, g_prime, dg, rows): four groups of four real polynomials in
-    e2 = k^2 - q^2 of degree at most 4, the first three as lists of builtin
-    floats.
+    e2 = k^2 - q^2 of degree at most 4, the first three as lists of 5
+    builtin floats.
 
     Write u = U, v = kV at r = 0 and v = k V_a at r = a, all polynomials in
     e2 (``jost._uv_coefficients``, at r = a with their r-derivatives), and
@@ -133,33 +170,37 @@ def _g_polynomials(at_0, at_a, w1_a, q: float, a: float):
 
     As x + iky = i (i (-x) + k y), -i G' has the shape of G: g_prime is
     (-x, y) of P' followed by (-x, y) of Q' - 2ia Q.
+
+    The inputs are the lists of ``_boundary_values``; v/k's e2^2
+    coefficient is zero, so ``_mul`` cuts off only zeros. Each product sums
+    its terms in np.convolve's order, but np.convolve takes them from the
+    BLAS dot product, which fuses multiply-adds where the kernel has FMA:
+    against it each coefficient moves by up to about 2 eps of the summed
+    magnitudes of its terms (bit-identical on OpenBLAS's Sandybridge).
     """
-    def padded(c):
-        return np.concatenate([c, np.zeros(5 - len(c))])
-
-    def mul(c1, c2):
-        # the degrees add up to at most 4, so what is cut off is zero
-        return np.convolve(c1, c2)[:5]
-
-    def e2_derivative(c):
-        return np.append(c[1:] * np.arange(1.0, 5.0), 0.0)
-
-    u0, v0 = (padded(c) for c in at_0)
-    (ua, va), (ua_r, va_r) = ((padded(c) for c in rows) for rows in at_a)
+    u0, v0 = at_0
+    (ua, va), (ua_r, va_r) = at_a
     w, w_r = w1_a
-    k2 = padded([q * q, 1.0])
-    x, y = va_r * w - va * w_r, ua_r * w - ua * w_r
-    x_plus, y_plus = x + 2.0 * w * ua, y - 2.0 * w * mul(k2, va)
-    a_p = -0.5 * (mul(u0, y) + mul(k2, mul(v0, x)))
-    b_p = 0.5 * (mul(u0, x) - mul(v0, y))
-    a_q = 0.5 * (mul(u0, y_plus) + mul(k2, mul(v0, x_plus)))
-    b_q = 0.5 * (mul(u0, x_plus) - mul(v0, y_plus))
-    g_prime = (-(b_p + 2.0 * mul(k2, e2_derivative(b_p))), 2.0 * e2_derivative(a_p),
-               -(b_q + 2.0 * mul(k2, e2_derivative(b_q))) - 2.0 * a * a_q,
-               2.0 * e2_derivative(a_q) - 2.0 * a * b_q)
-    return (*(tuple(tuple(c.tolist() for c in polys) for polys in (
-        (a_p, b_p, a_q, b_q), g_prime, (b_p + b_q, a_p - a_q, b_p - b_q, a_p + a_q)))),
-        np.array([b_p, a_p, b_q - b_p, a_q - a_p]))
+    k2 = [q * q, 1.0]
+    two_w, two_a = 2.0 * w, 2.0 * a
+    x = [s * w - t * w_r for s, t in zip(va_r, va)]
+    y = [s * w - t * w_r for s, t in zip(ua_r, ua)]
+    x_plus = [s + two_w * t for s, t in zip(x, ua)]
+    y_plus = [s - two_w * t for s, t in zip(y + [0.0, 0.0], _mul(k2, va))]
+    a_p = [-0.5 * (s + t) for s, t in zip(_mul(u0, y), _mul(k2, _mul(v0, x)))]
+    b_p = [0.5 * (s - t) for s, t in zip(_mul(u0, x), _mul(v0, y))]
+    a_q = [0.5 * (s + t) for s, t in zip(_mul(u0, y_plus), _mul(k2, _mul(v0, x_plus)))]
+    b_q = [0.5 * (s - t) for s, t in zip(_mul(u0, x_plus), _mul(v0, y_plus))]
+    g_prime = ([-(s + 2.0 * t) for s, t in zip(b_p, _mul(k2, _e2_derivative(b_p)))],
+               [2.0 * s for s in _e2_derivative(a_p)],
+               [-(s + 2.0 * t) - two_a * u
+                for s, t, u in zip(b_q, _mul(k2, _e2_derivative(b_q)), a_q)],
+               [2.0 * s - two_a * t for s, t in zip(_e2_derivative(a_q), b_q)])
+    dg = ([s + t for s, t in zip(b_p, b_q)], [s - t for s, t in zip(a_p, a_q)],
+          [s - t for s, t in zip(b_p, b_q)], [s + t for s, t in zip(a_p, a_q)])
+    rows = np.array([b_p, a_p, [t - s for s, t in zip(b_p, b_q)],
+                     [t - s for s, t in zip(a_p, a_q)]])
+    return (a_p, b_p, a_q, b_q), g_prime, dg, rows
 
 
 @dataclass(frozen=True)
@@ -177,9 +218,12 @@ class TruncatedConfig:
     r-derivatives depend on k only through e2 = k^2 - q^2 (and a factor k
     in v), so G is P + e^{-2ika} Q with P and Q built from four real
     polynomials in e2 (``_g_polynomials``), and every later d, g, G and G'
-    is a short polynomial evaluation. The data is derived from (params, a)
-    and takes no part in equality, hashing or repr; ``dataclasses.replace``
-    recomputes it for the new cutoff.
+    is a short polynomial evaluation. u, v/k and W1 are evaluated at the
+    scalar radii 0 and a (``_boundary_values``), with the bits of one
+    evaluation on the array [0, a], and the polynomials are formed in
+    builtin floats. The data is derived from (params, a) and takes no part
+    in equality, hashing or repr; ``dataclasses.replace`` recomputes it for
+    the new cutoff.
     """
 
     params: PotentialParams
@@ -203,16 +247,9 @@ class TruncatedConfig:
                 f"alpha*q = {s!r} is outside [{S_MIN}, {S_MAX}], the range on which "
                 "W1 > 0 is proven"
             )
-        # u, v/k and W1 at r = 0 and r = a, with their r-derivatives at a
-        r = np.array([0.0, self.a])
-        uv, uv_r = _uv_coefficients(self.params, r, 1)
-        w1, w1_r = (w.tolist() for w in _w1(self.params, r, 1))
-        at_0 = uv[..., 0].tolist()
+        at_0, at_a, w1_0, w1_a = _boundary_values(self.params, self.a)
         object.__setattr__(self, "_boundary_data", _BoundaryData(
-            at_0, w1[0], w1[1],
-            *_g_polynomials(at_0, (uv[..., 1], uv_r[..., 1]), (w1[1], w1_r[1]),
-                            self.params.q, self.a),
-        ))
+            at_0, w1_0, w1_a[0], *_g_polynomials(at_0, at_a, w1_a, self.params.q, self.a)))
 
 
 @dataclass(frozen=True)
@@ -250,12 +287,18 @@ def _h_of(u2, k, q):
 
 def _pq(config: TruncatedConfig, polys, k):
     """(i aP + k bP, i aQ + k bQ) at k, from the four polynomials
-    (aP, bP, aQ, bQ) in e2 = k^2 - q^2 of G or of -i G' (``_g_polynomials``)."""
+    (aP, bP, aQ, bQ) in e2 = k^2 - q^2 of G or of -i G' (``_g_polynomials``).
+
+    Horner's rule written out for 5 coefficients: ``darboux._horner``'s
+    operations in its order, so its bits, at half its cost on a scalar."""
     q = config.params.q
-    e2 = k * k - q * q
-    a_p, b_p, a_q, b_q = polys
-    return (1j * _horner(a_p, e2) + k * _horner(b_p, e2),
-            1j * _horner(a_q, e2) + k * _horner(b_q, e2))
+    e = k * k - q * q
+    ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4),
+     (d0, d1, d2, d3, d4)) = polys
+    return (1j * ((((a4 * e + a3) * e + a2) * e + a1) * e + a0)
+            + k * ((((b4 * e + b3) * e + b2) * e + b1) * e + b0),
+            1j * ((((c4 * e + c3) * e + c2) * e + c1) * e + c0)
+            + k * ((((d4 * e + d3) * e + d2) * e + d1) * e + d0))
 
 
 def _g(config: TruncatedConfig, k):
@@ -380,19 +423,27 @@ def _principal_phase(num, den):
     return -(raw - math.pi * np.round(raw / math.pi))
 
 
-def _sin2(num, den):
+def _sin2(num, den, k=None):
     """sin^2 delta = num^2 / (num^2 + den^2) with no arctan, overwriting
-    num and den when they are arrays."""
+    num and den when they are arrays (den becomes num^2 + den^2). Given the
+    points' k, a point where num^2 + den^2 = 0 (d = g = 0 for the exact
+    phase, as at k = q for some parameters) raises DegenerateNormalizer."""
     num *= num
     den *= den
     den += num
+    if k is not None and not np.all(den):
+        at = float(np.ravel(k)[np.argmin(np.ravel(den))])
+        raise DegenerateNormalizer(f"sin^2 delta at k = {at!r} is 0/0: the numerator and "
+                                   "denominator of tan delta vanish there (for the exact "
+                                   "phase, d = g = 0)")
     num /= den
     return num
 
 
 def _sigma(k, num, den):
-    """(4 pi / k^2) sin^2 delta; overwrites num and den (see ``_sin2``)."""
-    return (4.0 * math.pi / np.asarray(k) ** 2) * _sin2(num, den)
+    """(4 pi / k^2) sin^2 delta; overwrites num and den and refuses a point
+    where both vanish (see ``_sin2``)."""
+    return (4.0 * math.pi / np.asarray(k) ** 2) * _sin2(num, den, k)
 
 
 def regular_solution(config: TruncatedConfig, k, r):
@@ -453,14 +504,18 @@ def dg(config: TruncatedConfig, k):
 
 def _dg(config: TruncatedConfig, k):
     """(d, g) at k, unblocked, from the polynomials ``_BoundaryData.dg``
-    (see ``_g_polynomials``) and np.sin, np.cos of ka."""
+    (see ``_g_polynomials``), by Horner's rule written out as in ``_pq``,
+    and np.sin, np.cos of ka."""
     q = config.params.q
-    b_sum, a_diff, b_diff, a_sum = config._boundary_data.dg
-    e2 = k * k - q * q
+    ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4),
+     (d0, d1, d2, d3, d4)) = config._boundary_data.dg
+    e = k * k - q * q
     ka = k * config.a
     s, c = np.sin(ka), np.cos(ka)
-    return (k * _horner(b_sum, e2) * c - _horner(a_diff, e2) * s,
-            k * _horner(b_diff, e2) * s + _horner(a_sum, e2) * c)
+    return (k * ((((a4 * e + a3) * e + a2) * e + a1) * e + a0) * c
+            - ((((b4 * e + b3) * e + b2) * e + b1) * e + b0) * s,
+            k * ((((c4 * e + c3) * e + c2) * e + c1) * e + c0) * s
+            + ((((d4 * e + d3) * e + d2) * e + d1) * e + d0) * c)
 
 
 def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
@@ -640,6 +695,11 @@ def cross_section(config: TruncatedConfig, k):
 
     Evaluated in blocks of ``_BLOCK`` points through ``_num_den``: on 10^6
     points the peak allocation stays below three output-sized arrays.
+
+    Raises
+    ------
+    DegenerateNormalizer
+        At a point where d = g = 0 (``_sin2``), where sin^2 delta is 0/0.
     """
     return _blockwise(lambda kk: (_sigma(kk, *_num_den(config, kk)),), k)[0]
 
@@ -737,6 +797,23 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     NoConvergence
         If a refinement exhausts its iteration budget.
     """
+    minima, peak_brackets = _sigma_minima(config, k_lo, k_hi, dk)
+    lo, hi = minima[0], minima[-1]
+    peaks = [z for z in _refined(config, peak_brackets, 1, lo, hi) if lo < z < hi]
+    peak = None
+    if peaks:
+        # the candidate of largest sin^2 delta = sigma k^2 / (4 pi)
+        sin2 = [n * n / (n * n + d * d)
+                for (n, _), (d, _) in (_num_den_dk(config, z) for z in peaks)]
+        peak = peaks[int(np.argmax(sin2))]
+    return SigmaLandmarks(minima=tuple(minima), peak=peak)
+
+
+def _sigma_minima(config: TruncatedConfig, k_lo: float, k_hi: float,
+                  dk: Optional[float] = None) -> Tuple[List[float], list]:
+    """(minima, peak_brackets): ``sigma_landmarks``' scan of the window and
+    its refined minima, with the denominator brackets left unrefined, for
+    callers that need no peak; window checks and refusals as there."""
     if dk is None:
         dk = math.pi / (64.0 * config.a)
     n = _window_size(k_lo, k_hi, dk)
@@ -755,26 +832,22 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
                 if not (lo <= q <= hi or math.hypot(num[i], den[i]) <= floor
                         or math.hypot(num[i + 1], den[i + 1]) <= floor):
                     found.append((lo, hi, float(f[i]), float(f[i + 1])))
-
-    def refine(part: int, keep_lo=-math.inf, keep_hi=math.inf) -> List[float]:
-        return [_bracketed_newton(lambda kk: _num_den_dk(config, kk)[part], *bracket)
-                for bracket in brackets[part] if bracket[1] > keep_lo and bracket[0] < keep_hi]
-
-    minima = refine(0)
+    minima = _refined(config, brackets[0], 0)
     if len(minima) < 2:
         raise MinimaNotFound(
             f"found {len(minima)} cross-section minima on [{k_lo}, {k_hi}]; "
             "widen the window or refine dk"
         )
-    peak = None
-    lo, hi = minima[0], minima[-1]
-    peaks = [z for z in refine(1, lo, hi) if lo < z < hi]
-    if peaks:
-        # the candidate of largest sin^2 delta = sigma k^2 / (4 pi)
-        sin2 = [n * n / (n * n + d * d)
-                for (n, _), (d, _) in (_num_den_dk(config, z) for z in peaks)]
-        peak = peaks[int(np.argmax(sin2))]
-    return SigmaLandmarks(minima=tuple(minima), peak=peak)
+    return minima, brackets[1]
+
+
+def _refined(config: TruncatedConfig, brackets: list, part: int,
+             keep_lo: float = -math.inf, keep_hi: float = math.inf) -> List[float]:
+    """The zeros of num (part 0) or den (part 1) refined by
+    ``_bracketed_newton`` in those of ``brackets`` that reach into
+    (keep_lo, keep_hi)."""
+    return [_bracketed_newton(lambda kk: _num_den_dk(config, kk)[part], *bracket)
+            for bracket in brackets if bracket[1] > keep_lo and bracket[0] < keep_hi]
 
 
 def phase_jump(config: TruncatedConfig, k_lo: float, k_hi: float,

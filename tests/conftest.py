@@ -6,7 +6,8 @@ of the default parameter set, so every test that needs them can share one
 instance without coupling.
 
 The reference kernels are second evaluations of what the library computes
-one way (W1 in its compact form, V in its log-derivative form), or checks
+one way (W1 in its compact form, V in its log-derivative form, G's
+polynomials through np.convolve), or checks
 of its results (the Schrodinger residual, quadrature norms, mpmath
 oracles). Each is served by a session fixture of the same name without the
 leading underscore.
@@ -159,6 +160,41 @@ def _w1_generic(params, r):
     )
 
 
+def _g_polynomials_convolve(at_0, at_a, w1_a, q, a):
+    """Reference for ``scattering._g_polynomials``: the same formulas on
+    zero-padded numpy arrays, each product an np.convolve cut to degree 4.
+
+    at_0 holds the lists of u and v/k at r = 0, at_a the arrays of u, v/k
+    and of their r-derivatives at r = a, w1_a (W1(a), W1'(a)). The library
+    sums each product in its own order, so the two agree to a few eps of
+    each polynomial's largest coefficient, not bit for bit.
+    """
+    def padded(c):
+        return np.concatenate([c, np.zeros(5 - len(c))])
+
+    def mul(c1, c2):
+        return np.convolve(c1, c2)[:5]
+
+    def e2_derivative(c):
+        return np.append(c[1:] * np.arange(1.0, 5.0), 0.0)
+
+    u0, v0 = (padded(c) for c in at_0)
+    (ua, va), (ua_r, va_r) = ((padded(c) for c in rows) for rows in at_a)
+    w, w_r = w1_a
+    k2 = padded([q * q, 1.0])
+    x, y = va_r * w - va * w_r, ua_r * w - ua * w_r
+    x_plus, y_plus = x + 2.0 * w * ua, y - 2.0 * w * mul(k2, va)
+    a_p = -0.5 * (mul(u0, y) + mul(k2, mul(v0, x)))
+    b_p = 0.5 * (mul(u0, x) - mul(v0, y))
+    a_q = 0.5 * (mul(u0, y_plus) + mul(k2, mul(v0, x_plus)))
+    b_q = 0.5 * (mul(u0, x_plus) - mul(v0, y_plus))
+    g_prime = (-(b_p + 2.0 * mul(k2, e2_derivative(b_p))), 2.0 * e2_derivative(a_p),
+               -(b_q + 2.0 * mul(k2, e2_derivative(b_q))) - 2.0 * a * a_q,
+               2.0 * e2_derivative(a_q) - 2.0 * a * b_q)
+    return ((a_p, b_p, a_q, b_q), g_prime, (b_p + b_q, a_p - a_q, b_p - b_q, a_p + a_q),
+            np.array([b_p, a_p, b_q - b_p, a_q - a_p]))
+
+
 def _potential_v4_log(params, r):
     """V(r) = -2 d^2/dr^2 ln W1 as -2 (W1''/W1 - (W1'/W1)^2).
 
@@ -196,6 +232,11 @@ def _schrodinger_residual(params, k, evaluator, grid) -> float:
 @pytest.fixture(scope="session")
 def w1_generic():
     return _w1_generic
+
+
+@pytest.fixture(scope="session")
+def g_polynomials_convolve():
+    return _g_polynomials_convolve
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,16 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import bicscatter as bs
+from bicscatter import background, scattering
 
 
 def _model_num_den(doublet, a, lam0, lam1, k):
@@ -124,6 +128,89 @@ def test_singular_fit_system(config):
     with pytest.raises(bs.SingularFitSystem):
         bs.fit_lambda(config, d, minima=[0.999, 1.001])
 
+
+def test_fit_refuses_two_equal_minima(config, doublet):
+    with pytest.raises(bs.SingularFitSystem, match="both minima"):
+        bs.fit_lambda(config, doublet, minima=[1.0003, 1.0003])
+
+
+
+def test_fit_refines_only_the_minima(config, doublet, fit, monkeypatch):
+    # the default window holds the two minima and one peak bracket between
+    # them; sigma_landmarks refines all three, the fit only the minima
+    refined = []
+    newton = scattering._bracketed_newton
+
+    def counting(f, lo, hi, *args):
+        refined.append((lo, hi))
+        return newton(f, lo, hi, *args)
+
+    monkeypatch.setattr(scattering, "_bracketed_newton", counting)
+    assert bs.fit_lambda(config, doublet) == fit
+    assert len(refined) == 2
+    refined.clear()
+    marks = bs.sigma_landmarks(config, *fit.fit_report["window"])
+    assert list(marks.minima) == fit.fit_report["minima"] and len(refined) == 3
+
+
+def _numpy_fit(m1, m2, num_den):
+    """lambda0, lambda1 and the Jacobian condition number of ``fit_lambda``
+    through np.linalg.solve and np.linalg.cond, with the 2-norm condition
+    number of the Vandermonde system solved."""
+    (num1, den1), (num2, den2) = num_den
+    vander = np.array([[1.0, m1], [1.0, m2]])
+    lam = np.linalg.solve(vander, [-num1 / den1, -num2 / den2])
+    jac = np.array([[den1, den1 * m1], [den2, den2 * m2]])
+    return lam, float(np.linalg.cond(jac)), float(np.linalg.cond(vander))
+
+
+def _assert_closed_form_fit(m1, m2, num_den):
+    # agreement to within the condition number times 8 eps: lambda in norm
+    # against the solved system's, the condition number relative to itself
+    eps = np.finfo(float).eps
+    (num1, den1), (num2, den2) = num_den
+    lam = background._pinned_line(m1, m2, -num1 / den1, -num2 / den2)
+    cond = background._condition_number(den1, den2, m1, m2)
+    want, want_cond, vander_cond = _numpy_fit(m1, m2, num_den)
+    assert np.hypot(*(np.array(lam) - want)) <= 8 * eps * vander_cond * np.hypot(*want)
+    assert abs(cond - want_cond) <= 8 * eps * want_cond * want_cond
+
+
+def test_closed_form_fit_matches_numpy_at_the_defaults(config, doublet, fit):
+    m1, m2 = fit.fit_report["minima"]
+    num_den = [tuple(float(v) for v in background._ka_rotation(*bs.yz(doublet, m), m * config.a))
+               for m in (m1, m2)]
+    _assert_closed_form_fit(m1, m2, num_den)
+    assert (fit.lambda0, fit.lambda1) == background._pinned_line(
+        m1, m2, *(-num / den for num, den in num_den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m1=st.floats(min_value=0.3, max_value=3.0), log_gap=st.floats(min_value=-7.0, max_value=0.0),
+       r=st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=2, max_size=2),
+       log_den=st.floats(min_value=-30.0, max_value=0.0),
+       log_ratio=st.floats(min_value=-3.0, max_value=3.0),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2))
+def test_closed_form_fit_matches_numpy(m1, log_gap, r, log_den, log_ratio, signs):
+    # minima 1e-7 to 1 apart, as on the envelope (condition numbers 80 to
+    # 2e7 there), and pinning terms within 1e3 of each other; far past
+    # 1/eps np.linalg.cond loses its own accuracy
+    m2 = m1 + m1 * 10.0**log_gap
+    dens = [signs[0] * 10.0**log_den, signs[1] * 10.0**(log_den + log_ratio)]
+    _assert_closed_form_fit(m1, m2, [(-ri * d, d) for ri, d in zip(r, dens)])
+
+
+def test_given_grid_residual_refuses_where_d_g_vanish_exactly(exact_zero_config):
+    # d(q) = g(q) = 0 exactly: a given grid holding q is refused by name;
+    # the default grid drops q by the noise floor and still gives a number
+    config = exact_zero_config
+    q = config.params.q
+    fit = bs.fit_lambda(config, bs.Doublet.from_resonances(
+        *bs.doublet_of(bs.find_resonances(config), q)))
+    with pytest.raises(bs.DegenerateNormalizer, match=rf"k = {re.escape(repr(q))} "):
+        bs.hadamard_residual(config, fit, [q, q + 1e-3])
+    assert np.isfinite(bs.hadamard_residual(config, fit, [q + 1e-3]))
+    assert 0.0 <= bs.hadamard_residual(config, fit) < 1.0
 
 def test_fit_propagates_missing_minima(config, doublet):
     with pytest.raises(bs.MinimaNotFound):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bicscatter as bs
 from bicscatter import numerics
@@ -198,6 +200,24 @@ def test_winding_evaluates_level_by_level():
     assert calls[0].size == 4 * 65
     assert 1 < len(calls) <= numerics._MAX_DEPTH + 1
 
+
+
+_edge = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(_edge, min_size=2, max_size=2, unique=True),
+       ys=st.lists(_edge, min_size=2, max_size=2, unique=True))
+@example(xs=[0.9, 1.1], ys=[-1.5e-3, -1e-4])
+@example(xs=[-1.0, 2.0], ys=[-0.5, 0.5])
+def test_winding_edge_samples_are_those_of_linspace(xs, ys):
+    # one arange-times-step product gives np.linspace's bits on every edge
+    rect = bs.ComplexRectangle(min(xs), max(xs), min(ys), max(ys))
+    c = rect.corners
+    want = np.array([np.linspace(a, b, numerics._INITIAL_SEGMENTS + 1)
+                     for a, b in zip(c, c[1:] + c[:1])])
+    got = numerics._edge_samples(rect)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 # -------------------------------------------------------------- quadrature
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -483,18 +484,19 @@ def test_w1_certificate_refuses_what_its_grid_cannot_prove():
 
 
 def test_config_evaluates_w1_only_at_zero_and_a(params, monkeypatch):
-    points = []
+    # two scalar calls: W1 at r = 0, and W1 with W1' at r = a
+    calls = []
     w1 = scattering._w1
 
     def counting(p, r, order):
-        points.append(np.asarray(r).tolist())
+        calls.append((np.asarray(r).tolist(), order))
         return w1(p, r, order)
 
     monkeypatch.setattr(scattering, "_w1", counting)
     for a in (1e2, 5000.0, 1e6, 1e12):
-        points.clear()
+        calls.clear()
         bs.TruncatedConfig(params=params, a=a)
-        assert points == [[0.0, a]]
+        assert calls == [(0.0, 0), (a, 1)]
 
 
 @pytest.mark.parametrize("end,outward", [(S_MIN, 0.0), (S_MAX, math.inf)])
@@ -574,6 +576,110 @@ def test_dg_scalar_skips_numpy_arrays(config, k):
     assert d == k * b_sum * c - a_diff * s
     assert g == k * b_diff * s + a_sum * c
 
+
+def _same_bits(x, y):
+    """x and y hold the same float64 or complex128 values, bit for bit."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0),
+       x=st.floats(min_value=-20.0, max_value=20.0), y=st.floats(min_value=-3.0, max_value=0.0))
+def test_unrolled_horner_is_horner(alpha, q, log_a, x, y):
+    # _pq and _dg write Horner's rule out: darboux._horner's operations in
+    # its order, so the same bits for a real scalar, a complex scalar and arrays
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=10.0**log_a)
+    q, a, bd = config.params.q, config.a, config._boundary_data
+    k_re = q + x / a
+    grid = q + np.linspace(-20.0, 20.0, 41) / a
+    for k in (k_re, complex(k_re, y / a), grid, grid + 1j * y / a):
+        e2 = k * k - q * q
+        for polys in (bd.g, bd.g_prime):
+            a_p, b_p, a_q, b_q = (darboux._horner(c, e2) for c in polys)
+            got = scattering._pq(config, polys, k)
+            assert _same_bits(got[0], 1j * a_p + k * b_p)
+            assert _same_bits(got[1], 1j * a_q + k * b_q)
+        b_sum, a_diff, b_diff, a_sum = (darboux._horner(c, e2) for c in bd.dg)
+        s, c = np.sin(k * a), np.cos(k * a)
+        d, g = scattering._dg(config, k)
+        assert _same_bits(d, k * b_sum * c - a_diff * s)
+        assert _same_bits(g, k * b_diff * s + a_sum * c)
+
+
+def _g_polynomial_magnitudes(at_0, at_a, w1_a, q, a):
+    """The formulas of ``_g_polynomials`` with every input replaced by its
+    absolute value and every difference by a sum: coefficient by coefficient,
+    the sum of the magnitudes of the terms, to which the rounding of any
+    order of summation is proportional."""
+    def padded(c):
+        return np.concatenate([np.abs(c), np.zeros(5 - len(c))])
+
+    def mul(c1, c2):
+        return np.convolve(c1, c2)[:5]
+
+    def e2_derivative(c):
+        return np.append(c[1:] * np.arange(1.0, 5.0), 0.0)
+
+    u0, v0 = (padded(c) for c in at_0)
+    (ua, va), (ua_r, va_r) = ((padded(c) for c in rows) for rows in at_a)
+    w, w_r = abs(w1_a[0]), abs(w1_a[1])
+    k2 = padded([q * q, 1.0])
+    x, y = va_r * w + va * w_r, ua_r * w + ua * w_r
+    x_plus, y_plus = x + 2.0 * w * ua, y + 2.0 * w * mul(k2, va)
+    a_p = 0.5 * (mul(u0, y) + mul(k2, mul(v0, x)))
+    b_p = 0.5 * (mul(u0, x) + mul(v0, y))
+    a_q = 0.5 * (mul(u0, y_plus) + mul(k2, mul(v0, x_plus)))
+    b_q = 0.5 * (mul(u0, x_plus) + mul(v0, y_plus))
+    g_prime = (b_p + 2.0 * mul(k2, e2_derivative(b_p)), 2.0 * e2_derivative(a_p),
+               b_q + 2.0 * mul(k2, e2_derivative(b_q)) + 2.0 * a * a_q,
+               2.0 * e2_derivative(a_q) + 2.0 * a * b_q)
+    return ((a_p, b_p, a_q, b_q), g_prime, (b_p + b_q, a_p + a_q, b_p + b_q, a_p + a_q),
+            np.array([b_p, a_p, b_q + b_p, a_q + a_p]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0))
+@example(alpha=1.865927809385139, q=0.6401951898946958, log_a=3.9468147965929883)
+@example(alpha=0.8429534370741294, q=0.34073022595214075, log_a=4.05914271782859)
+def test_g_polynomials_match_the_convolve_form(alpha, q, log_a, g_polynomials_convolve):
+    # the list products sum in another order than np.convolve: every
+    # coefficient stays within 8 eps of the magnitude of its terms (about
+    # 2 eps is seen). Against the largest coefficient of the polynomial the
+    # change reaches 12 to 17 eps where a coefficient cancels (the examples)
+    params = bs.PotentialParams.bic(alpha=alpha, q=q)
+    a = 10.0**log_a
+    at_0, at_a, _, w1_a = scattering._boundary_values(params, a)
+    got = scattering._g_polynomials(at_0, at_a, w1_a, q, a)
+    want = g_polynomials_convolve(at_0, [np.array(c) for c in at_a], w1_a, q, a)
+    bound = _g_polynomial_magnitudes(at_0, at_a, w1_a, q, a)
+    eps = np.finfo(float).eps
+    assert isinstance(got[3], np.ndarray) and got[3].shape == (4, 5)
+    for polys, refs, mags in zip(got, want, bound):
+        assert len(polys) == len(refs) == 4
+        for c, ref, mag in zip(polys, refs, mags):
+            assert len(c) == 5
+            assert np.all(np.abs(np.asarray(c) - ref) <= 8.0 * eps * mag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=12.0))
+@example(alpha=1.0, q=1.0, log_a=2.0)
+@example(alpha=1.0, q=1.0, log_a=12.0)
+def test_boundary_values_are_those_of_the_array_evaluation(alpha, q, log_a):
+    # u, v/k and W1 at the two scalar radii, bit for bit what an evaluation
+    # on the array [0, a] gives (the exact zeros at r = 0 included)
+    params = bs.PotentialParams.bic(alpha=alpha, q=q)
+    a = 10.0**log_a
+    uv, uv_r = jost._uv_coefficients(params, [0.0, a], 1)
+    w1, w1_r = _w1(params, [0.0, a], 1)
+    at_0, at_a, w1_0, w1_a = scattering._boundary_values(params, a)
+    assert _same_bits(at_0, uv[..., 0])
+    assert _same_bits(at_a, [uv[..., 1], uv_r[..., 1]])
+    assert _same_bits([w1_0, *w1_a], [w1[0], w1[1], w1_r[1]])
+    bd = bs.TruncatedConfig(params=params, a=a)._boundary_data
+    assert bd.at_0 == at_0 and (bd.w1_0, bd.w1_a) == (w1_0, w1_a[0])
+    assert all(type(v) is float for v in (bd.w1_0, bd.w1_a, *bd.at_0[0], *bd.at_0[1]))
 
 def _random_cuts(n, seed):
     """Split indices of range(n) into pieces of random sizes: 1 to a few
@@ -1100,6 +1206,21 @@ def test_no_minimum_in_the_noise_where_d_g_vanish_exactly_at_q(exact_zero_config
     x = [(m - q) * a / math.pi for m in marks.minima]
     assert x == pytest.approx(expected, abs=1e-4)
 
+
+
+def test_cross_section_refuses_where_d_g_vanish_exactly(exact_zero_config):
+    # d(q) = g(q) = 0 exactly: sin^2 delta is 0/0 at q, which is refused by
+    # name where it would be NaN; the point beside it and the default-grid
+    # paths, which drop q by the noise floor, still give numbers
+    config = exact_zero_config
+    q, a = config.params.q, config.a
+    for k in ([q, q + 1e-3], q, np.array([[q + 1e-3], [q]])):
+        with pytest.raises(bs.DegenerateNormalizer, match=rf"k = {re.escape(repr(q))} "):
+            bs.cross_section(config, k)
+    assert np.isfinite(bs.cross_section(config, q + 1e-3))
+    window = (q - 3 * math.pi / a, q + 3 * math.pi / a)
+    assert len(bs.sigma_landmarks(config, *window).minima) == 2
+    assert abs(bs.phase_jump(config, *window)) > math.pi
 
 def test_minima_not_found_in_barren_window(config):
     with pytest.raises(bs.MinimaNotFound):
