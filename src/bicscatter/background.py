@@ -22,6 +22,7 @@ deviation, never by the individual coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -29,11 +30,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SingularFitSystem, ValidationError
-from .numerics import _BLOCK, _grid_count
+from .numerics import _grid_count
 from .resonances import Resonance
 from .scattering import (TruncatedConfig, _blockwise, _ka_rotation, _noise_floor,
-                         _num_den, _principal_phase, _rotated, _sigma, _sigma_minima,
-                         _sin2)
+                         _principal_phase, _rotated, _scan, _sigma, _sigma_minima, _sin2,
+                         _window_points)
 
 __all__ = [
     "Doublet",
@@ -238,13 +239,17 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     |sigma_model - sigma_exact| / (4 pi / k^2).
 
     Default grid: the inter-minima span widened by a quarter on each side
-    (where the factorization is meant to hold), step pi/(640 a), without
-    the points near the removable point k = q where d and g are rounding
-    noise (the rule of ``scattering.sigma_landmarks``).
+    (where the factorization is meant to hold), step pi/(640 a), that is
+    the points of np.arange over it, without the points near the removable
+    point k = q where d and g are rounding noise (the rule of
+    ``scattering.sigma_landmarks``).
 
-    One pass over ``_BLOCK``-point blocks, each through the exact and the
-    model kernel (``scattering._num_den``, ``_model_num_den``), keeps only
-    the block maxima, so no grid-sized array is allocated.
+    The default grid and a given one are streamed alike (``scattering._scan``,
+    with the default grid's points made a block at a time, and a given
+    grid's blocks checked finite before they are evaluated): each block
+    goes through the exact and the model kernel (``scattering._num_den``,
+    ``_model_num_den``) and only its maximum is kept, so no grid-sized
+    array is allocated.
 
     Raises
     ------
@@ -261,34 +266,30 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     if k_grid is None:
         m1, m2 = fit.fit_report["minima"]
         span = m2 - m1
-        lo, hi, dk = m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * config.a)
-        _grid_count(lo, hi, dk)
-        k_grid = np.arange(lo, hi, dk)
-        floor = _noise_floor(config)
+        lo, dk = m1 - 0.25 * span, math.pi / (640.0 * config.a)
+        n, floor = _grid_count(lo, m2 + 0.25 * span, dk), _noise_floor(config)
+        points = functools.partial(_window_points, lo, dk)
     else:
         k_grid = np.asarray(k_grid, dtype=float).ravel()
-        floor = None
-    deviation = np.max([_block_deviation(config, fit, k_grid[start:start + _BLOCK], floor)
-                        for start in range(0, k_grid.size, _BLOCK)], initial=-math.inf)
+        n, floor, points = k_grid.size, None, lambda start, stop: k_grid[start:stop]
+    deviation = np.max([_block_deviation(fit, *b, floor) for b in _scan(config, n, points)],
+                       initial=-math.inf)
     if deviation == -math.inf:
         raise ValidationError("empty k grid (none given, or none clear of the "
                               "rounding noise at k = q)")
     return float(deviation)
 
 
-def _block_deviation(config: TruncatedConfig, fit: BackgroundFit, k, floor):
-    """``hadamard_residual`` on one block: the maximum deviation over the
-    points where num^2 + den^2 = d^2 + g^2 exceeds ``floor``^2 (all of a
-    given grid's block for None, refused if not finite or where d = g = 0),
-    or -inf if none."""
-    if floor is None and not np.isfinite(k).all():
-        raise ValidationError("k_grid must be finite")
-    num, den = _num_den(config, k)
+def _block_deviation(fit: BackgroundFit, k, num, den, floor):
+    """``hadamard_residual`` on one block of points k, given the exact
+    kernel's num and den there (``scattering._num_den``, overwritten): the
+    maximum deviation over the points where num^2 + den^2 = d^2 + g^2
+    exceeds ``floor``^2 (all of a given grid's block for None, refused
+    where d = g = 0), or -inf if none."""
     exact = _sin2(num, den, k if floor is None else None)  # den becomes num^2 + den^2
     if floor is not None:
         keep = den > floor * floor
         k, exact = k[keep], exact[keep]
-    del num, den
     model = _sin2(*_model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, k))
     model -= exact
     return np.max(np.abs(model, out=model), initial=-math.inf)

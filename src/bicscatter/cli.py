@@ -30,7 +30,7 @@ from .background import Doublet, fit_lambda, hadamard_residual, model_phase_and_
 from .darboux import PotentialParams, _sign_changes, _w1, potential_v4
 from .errors import NumericalError, ValidationError
 from .jost import bound_state
-from .numerics import ComplexRectangle, _grid_count
+from .numerics import ComplexRectangle, _grid_count, _unwrap_grid
 from .resonances import (
     default_search_box,
     doublet_of,
@@ -41,7 +41,6 @@ from .resonances import (
 from .scattering import (
     TruncatedConfig,
     _checked_grid,
-    _unwrap_principal,
     cross_section,
     phase_shift,
 )
@@ -365,7 +364,7 @@ def cmd_phase_shift(s: argparse.Namespace) -> None:
     config = TruncatedConfig(params=params, a=a)
     k = _checked_grid(_k_grid(s, params.q))
     raw = phase_shift(config, k)
-    unwrapped = _unwrap_principal(lambda start, stop: raw[start:stop], k)
+    unwrapped = _unwrap_grid(lambda start, stop: raw[start:stop], k)
     ramp_removed = unwrapped + k * a
     meta = _metadata(
         s, "phase-shift", params, cutoff=a,

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -275,6 +275,31 @@ def test_shape_deviation_far_field_reported(config, fit):
     # deviation there is just recorded as finite
     dev = bs.hadamard_residual(config, fit, np.array([1.5, 1.50001]))
     assert np.isfinite(dev) and dev >= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(min_value=0.3, max_value=3.0), q=st.floats(min_value=0.3, max_value=3.0),
+       log_a=st.floats(min_value=2.0, max_value=6.0))
+def test_default_residual_grid_is_arange(alpha, q, log_a):
+    """The default grid, streamed from the window's own points, gives the
+    residual of np.arange(lo, hi, pi/(640 a)) evaluated whole through
+    ``_block_deviation``, bit for bit, or is refused where that is empty."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=10.0**log_a)
+    try:
+        fit = bs.fit_lambda(config, bs.Doublet.from_resonances(
+            *bs.doublet_of(bs.find_resonances(config), q)))
+    except bs.BicscatterError:
+        assume(False)
+    m1, m2 = fit.fit_report["minima"]
+    span = m2 - m1
+    grid = np.arange(m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * config.a))
+    want = background._block_deviation(fit, grid, *scattering._num_den(config, grid),
+                                       scattering._noise_floor(config))
+    if want == -math.inf:
+        with pytest.raises(bs.ValidationError):
+            bs.hadamard_residual(config, fit)
+    else:
+        assert bs.hadamard_residual(config, fit) == want
 
 
 def test_shape_deviation_refuses_an_empty_grid(config, fit):

@@ -1243,6 +1243,47 @@ def test_unwrap_ambiguity_on_coarse_grid(config):
         bs.phase_shift_unwrapped(config, k)
 
 
+def test_unwrap_ambiguity_does_not_depend_on_the_blocking(config):
+    # steps 11, 12 and 13 are too large, 0.474, 0.493 and 0.474 pi: the
+    # refusal names step 11, the first in grid order, whatever the block
+    # size; it used to name the largest step of the first block holding one
+    k = np.arange(0.995, 1.005, 4e-4)
+    k = k[np.abs(k - 1.0) > 1e-5]
+    messages = set()
+    for block in (scattering._BLOCK, 7, 2):
+        with mock.patch.object(scattering, "_BLOCK", block):
+            with pytest.raises(bs.UnwrapAmbiguity) as refusal:
+                bs.phase_shift_unwrapped(config, k)
+        messages.add(str(refusal.value))
+    assert len(messages) == 1
+
+
+def test_unwrap_ambiguity_names_the_first_step_that_is_too_large():
+    # two steps too large in one block, the smaller first: 0.46 pi from
+    # k = 1 to 2, then 0.48 pi (-0.52 pi plus one period) from 4 to 5
+    raw = np.array([0.0, 0.46, 0.46, 0.46, -0.06]) * math.pi
+    k = np.arange(1.0, 6.0)
+    with pytest.raises(bs.UnwrapAmbiguity,
+                       match=r"step 1\.445 rad between k = 1 and 2;"):
+        scattering._unwrap_grid(lambda start, stop: raw[start:stop], k)
+
+
+def test_unwrap_phase_and_phase_shift_unwrapped_share_one_loop(config):
+    # the same principal sequence gives the same bits through the public
+    # unwrap and through the grid route of phase_shift_unwrapped and the CLI,
+    # on a phase sampled across 2.5 blocks and on a random walk with jumps
+    k = np.linspace(0.995, 1.005, 5 * scattering._BLOCK // 2)
+    k = k[np.abs(k - 1.0) > cli.Q_EXCLUSION]
+    raw = bs.phase_shift(config, k)
+    assert np.array_equal(bs.phase_shift_unwrapped(config, k), bs.unwrap_phase(raw, math.pi))
+    rng = np.random.default_rng(5)
+    walk = np.cumsum(rng.uniform(-0.44, 0.44, k.size) * math.pi)
+    folded = walk - math.pi * np.round(walk / math.pi)
+    assert np.array_equal(
+        scattering._unwrap_grid(lambda start, stop: folded[start:stop], k),
+        bs.unwrap_phase(folded))
+
+
 def test_unwrapped_requires_increasing_grid(config):
     with pytest.raises(bs.ValidationError):
         bs.phase_shift_unwrapped(config, np.array([1.002, 1.001, 1.003]))
@@ -1327,19 +1368,53 @@ def test_phase_jump_is_two_pi_at_large_cutoffs(alpha, q, log_a, shift):
     assert abs(jump / math.pi + 1.9696) <= 5e-3
 
 
-def test_phase_jump_evaluates_each_window_point_once(config):
-    # the floor test and the phase come from one pass of the kernel; the
-    # phase used to be evaluated again on the points the floor kept
+def _kernel_points(fn):
+    """The points fn() passes through ``scattering._num_den``, in order."""
     seen, kernel = [], scattering._num_den
 
     def counted(config, k):
         seen.append(np.array(k))
         return kernel(config, k)
 
-    dk = math.pi / (64.0 * config.a)
     with mock.patch.object(scattering, "_num_den", counted):
-        bs.phase_jump(config, 0.99, 1.01)
-    assert np.array_equal(np.concatenate(seen), np.arange(0.99, 1.01 + dk, dk))
+        fn()
+    return np.concatenate(seen)
+
+
+def test_phase_jump_evaluates_each_window_point_once(config):
+    # the floor test and the phase come from one pass of the kernel; the
+    # phase used to be evaluated again on the points the floor kept. On a
+    # window of 3.5 blocks the point shared by two blocks is evaluated once
+    for dk in (math.pi / (64.0 * config.a), 0.02 / (3.5 * scattering._BLOCK)):
+        points = _kernel_points(lambda: bs.phase_jump(config, 0.99, 1.01, dk))
+        assert np.array_equal(points, np.arange(0.99, 1.01 + dk, dk))
+
+
+def test_sigma_landmarks_evaluates_each_window_point_once(config):
+    # consecutive blocks share their end point, which used to be evaluated
+    # by both
+    dk = 0.01 / (3.5 * scattering._BLOCK)
+    points = _kernel_points(lambda: bs.sigma_landmarks(config, 0.995, 1.005, dk))
+    assert np.array_equal(points, np.arange(0.995, 1.005 + dk, dk))
+
+
+def test_phase_jump_peak_memory_is_bounded(config):
+    # a 10^6-point window is streamed a block at a time, as in
+    # sigma_landmarks: no grid-sized array (8 MB) is held; a whole-grid
+    # pass held 65 MB
+    jump, peak = _peak_bytes(lambda: bs.phase_jump(config, 0.995, 1.005, dk=1e-8))
+    assert jump == pytest.approx(-6.041336, abs=1e-6)
+    assert peak < 0.4 * 8 * 10**6
+
+
+def test_phase_jump_refuses_a_window_inside_the_noise_floor(config):
+    # every point of q +- 1e-9 is rounding at a = 5000: the refusal names
+    # the window and the floor, not a grid the caller never passed
+    q = config.params.q
+    k_lo, k_hi = q - 1e-9, q + 1e-9
+    with pytest.raises(bs.ValidationError, match=re.escape(f"[{k_lo!r}, {k_hi!r}]")) as refusal:
+        bs.phase_jump(config, k_lo, k_hi)
+    assert "rounding floor" in str(refusal.value) and "k_grid" not in str(refusal.value)
 
 
 def _two_pass_phase_jump(config, k_lo, k_hi):
@@ -1356,21 +1431,22 @@ def _two_pass_phase_jump(config, k_lo, k_hi):
 def _jump_or_refusal(jump, config, k_lo, k_hi):
     try:
         return jump(config, k_lo, k_hi)
-    except bs.UnwrapAmbiguity:
-        return bs.UnwrapAmbiguity
+    except bs.UnwrapAmbiguity as exc:
+        return bs.UnwrapAmbiguity, str(exc)
 
 
 @settings(max_examples=60, deadline=None)
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0),
-       cells=st.floats(min_value=1.0, max_value=300.0),
+       cells=st.floats(min_value=1.0, max_value=1000.0),
        shift=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 # grid point 1279 lands exactly on k = q, where d and g are rounding
 @example(alpha=1.0, q=1.0, log_a=6.0, cells=20.0, shift=0.9999985604062519)
 def test_phase_jump_matches_the_two_pass_route_over_the_envelope(alpha, q, log_a, cells,
                                                                   shift):
     """One kernel pass gives the jump of the two-pass route bit for bit, or
-    both refuse, on windows q +- cells pi/a shifted by a fraction of dk:
-    up to 300 cells, where the window spans three blocks."""
+    both refuse with the same message, on windows q +- cells pi/a shifted
+    by a fraction of dk: up to 1000 cells, where the window spans eight
+    blocks."""
     a = 10.0**log_a
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
     offset = shift * (math.pi / (64.0 * a))
