@@ -32,9 +32,8 @@ import numpy as np
 from .errors import SingularFitSystem, ValidationError
 from .numerics import _grid_count
 from .resonances import Resonance
-from .scattering import (TruncatedConfig, _blockwise, _ka_rotation, _noise_floor,
-                         _principal_phase, _rotated, _scan, _sigma, _sigma_minima, _sin2,
-                         _window_points)
+from .scattering import (TruncatedConfig, _blockwise, _ka_rotation, _masked, _principal_phase,
+                         _rotated, _scan, _sigma, _sigma_minima, _sin2, _window_points)
 
 __all__ = [
     "Doublet",
@@ -83,9 +82,6 @@ class BackgroundFit:
     doublet: Doublet
     a: float
     fit_report: dict
-
-    def lam(self, k):
-        return self.lambda0 + self.lambda1 * np.asarray(k)
 
 
 def yz(doublet: Doublet, k):
@@ -240,9 +236,10 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
 
     Default grid: the inter-minima span widened by a quarter on each side
     (where the factorization is meant to hold), step pi/(640 a), that is
-    the points of np.arange over it, without the points near the removable
-    point k = q where d and g are rounding noise (the rule of
-    ``scattering.sigma_landmarks``).
+    the points of np.arange over it, of which only those in the window's
+    noise mask are evaluated (``scattering._masked``, the one rule of
+    ``scattering.sigma_landmarks`` and ``scattering.phase_jump``): it drops
+    the band around the removable point k = q where d and g are rounding.
 
     The default grid and a given one are streamed alike (``scattering._scan``,
     with the default grid's points made a block at a time, and a given
@@ -254,9 +251,11 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     Raises
     ------
     ValidationError
-        If the fit was made at another cutoff, a given grid is empty or not
-        finite, or the default grid is empty after the noise filter or would
-        hold more than ``numerics._MAX_GRID_POINTS`` points.
+        If the fit was made at another cutoff, or a given grid is empty
+        ("empty k grid") or not finite, or no point of the default grid is
+        in the noise mask (the refusal names the window and the floor, as
+        ``scattering.phase_jump``'s does) or it would hold more than
+        ``numerics._MAX_GRID_POINTS`` points.
     DegenerateNormalizer
         If a given grid holds a point where d = g = 0, where the exact
         sin^2 delta is 0/0 (``scattering._sin2``).
@@ -266,29 +265,29 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     if k_grid is None:
         m1, m2 = fit.fit_report["minima"]
         span = m2 - m1
-        lo, dk = m1 - 0.25 * span, math.pi / (640.0 * config.a)
-        n, floor = _grid_count(lo, m2 + 0.25 * span, dk), _noise_floor(config)
-        points = functools.partial(_window_points, lo, dk)
+        lo, hi, dk = m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * config.a)
+        floor, blocks = _masked(config, _scan(config, _grid_count(lo, hi, dk),
+                                              functools.partial(_window_points, lo, dk)))
     else:
         k_grid = np.asarray(k_grid, dtype=float).ravel()
-        n, floor, points = k_grid.size, None, lambda start, stop: k_grid[start:stop]
-    deviation = np.max([_block_deviation(fit, *b, floor) for b in _scan(config, n, points)],
-                       initial=-math.inf)
+        if not k_grid.size:
+            raise ValidationError("empty k grid")
+        blocks = ((*b, None) for b in _scan(config, k_grid.size, lambda i, j: k_grid[i:j]))
+    deviation = np.max([_block_deviation(fit, *b) for b in blocks], initial=-math.inf)
     if deviation == -math.inf:
-        raise ValidationError("empty k grid (none given, or none clear of the "
-                              "rounding noise at k = q)")
+        raise ValidationError(f"no point of the default grid on [{lo!r}, {hi!r}) clears the "
+                              f"rounding floor {floor:.3e} of hypot(d, g) at k = q")
     return float(deviation)
 
 
-def _block_deviation(fit: BackgroundFit, k, num, den, floor):
+def _block_deviation(fit: BackgroundFit, k, num, den, keep):
     """``hadamard_residual`` on one block of points k, given the exact
     kernel's num and den there (``scattering._num_den``, overwritten): the
-    maximum deviation over the points where num^2 + den^2 = d^2 + g^2
-    exceeds ``floor``^2 (all of a given grid's block for None, refused
+    maximum deviation over the points in the mask ``keep``
+    (``scattering._masked``; all of a given grid's block for None, refused
     where d = g = 0), or -inf if none."""
-    exact = _sin2(num, den, k if floor is None else None)  # den becomes num^2 + den^2
-    if floor is not None:
-        keep = den > floor * floor
+    exact = _sin2(num, den, k if keep is None else None)
+    if keep is not None:
         k, exact = k[keep], exact[keep]
     model = _sin2(*_model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, k))
     model -= exact

@@ -266,16 +266,16 @@ def find_resonances(
     dedupe = _DEDUPE_SPACINGS * math.pi / config.a
 
     count = winding_count(lambda k: g(k) / (k - q) ** _DEFLATION_ORDER, search_box)
-    roots: List[complex] = []
+    roots: List[Tuple[complex, complex]] = []  # (z, G(z)) as Newton returned them
     failures = 0
     for seed in _limit_seeds(config, search_box):
         try:
-            z, _, _ = newton_complex(g, g_prime, seed)
+            z, gz, _ = newton_complex(g, g_prime, seed)
         except (NoConvergence, ZeroDerivative):
             failures += 1
             continue
-        if search_box.contains(z) and all(abs(z - r) > dedupe for r in roots):
-            roots.append(z)
+        if search_box.contains(z) and all(abs(z - r) > dedupe for r, _ in roots):
+            roots.append((z, gz))
 
     if count != len(roots):
         if failures and count > len(roots):
@@ -288,8 +288,8 @@ def find_resonances(
         )
 
     boundary_scale = np.max(np.abs(g(np.array(search_box.corners))))
-    roots.sort(key=lambda z: z.real)
-    return [Resonance(complex(z), float(abs(g(z)) / boundary_scale)) for z in roots]
+    roots.sort(key=lambda root: root[0].real)
+    return [Resonance(complex(z), float(abs(gz) / boundary_scale)) for z, gz in roots]
 
 
 def doublet_of(resonances: Sequence[Resonance], q: float) -> Tuple[Resonance, Resonance]:

@@ -293,8 +293,10 @@ def test_default_residual_grid_is_arange(alpha, q, log_a):
     m1, m2 = fit.fit_report["minima"]
     span = m2 - m1
     grid = np.arange(m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * config.a))
-    want = background._block_deviation(fit, grid, *scattering._num_den(config, grid),
-                                       scattering._noise_floor(config))
+    num, den = scattering._num_den(config, grid)
+    floor = scattering._noise_floor(config)
+    want = background._block_deviation(fit, grid, num, den,
+                                       num * num + den * den > floor * floor)
     if want == -math.inf:
         with pytest.raises(bs.ValidationError):
             bs.hadamard_residual(config, fit)
@@ -303,12 +305,17 @@ def test_default_residual_grid_is_arange(alpha, q, log_a):
 
 
 def test_shape_deviation_refuses_an_empty_grid(config, fit):
-    with pytest.raises(bs.ValidationError):
+    with pytest.raises(bs.ValidationError, match="^empty k grid$"):
         bs.hadamard_residual(config, fit, np.array([]))
-    # the default grid, emptied by the noise filter around k = q
-    with mock.patch("bicscatter.background._noise_floor", return_value=math.inf):
-        with pytest.raises(bs.ValidationError):
+    # the default grid, emptied by the noise mask around k = q: the refusal
+    # names the window and the floor, not a grid the caller never passed
+    m1, m2 = fit.fit_report["minima"]
+    lo, hi = m1 - 0.25 * (m2 - m1), m2 + 0.25 * (m2 - m1)
+    with mock.patch("bicscatter.scattering._noise_floor", return_value=math.inf):
+        with pytest.raises(bs.ValidationError,
+                           match=re.escape(f"[{lo!r}, {hi!r})")) as refusal:
             bs.hadamard_residual(config, fit)
+    assert "rounding floor inf" in str(refusal.value) and "k grid" not in str(refusal.value)
 
 
 @pytest.mark.parametrize("k", [[1.0005, math.nan], [math.inf, 1.0]])

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bicscatter as bs
-from bicscatter import cli, darboux, jost, scattering
+from bicscatter import background, cli, darboux, jost, scattering
 from bicscatter.darboux import _w1, _w1_table
 from bicscatter.scattering import S_MAX, S_MIN
 
@@ -1453,3 +1453,86 @@ def test_phase_jump_matches_the_two_pass_route_over_the_envelope(alpha, q, log_a
     window = (q - cells * math.pi / a + offset, q + cells * math.pi / a + offset)
     assert (_jump_or_refusal(bs.phase_jump, config, *window)
             == _jump_or_refusal(_two_pass_phase_jump, config, *window))
+
+
+def _recorded(owner, name, record):
+    """A patch of owner.name that calls record(*args) and then the original."""
+    original = getattr(owner, name)
+
+    def recording(*args):
+        record(*args)
+        return original(*args)
+
+    return mock.patch.object(owner, name, recording)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0))
+@example(alpha=2.403293061183309, q=1.0302044633075347, log_a=math.log10(329.77842326039297))
+@example(alpha=1.5, q=0.45525854299933427, log_a=2.00001)
+def test_one_noise_mask_keeps_what_the_three_former_rules_kept(alpha, q, log_a):
+    """On one window, about q +- 15 pi/a in steps of pi/(640 a) (two
+    blocks), the points ``phase_jump`` unwraps, the brackets
+    ``sigma_landmarks`` accepts and the default-grid points
+    ``hadamard_residual`` evaluates are exactly those that the rule each
+    of them used to apply on its own keeps. The references are those
+    rules, on one kernel pass over the whole window."""
+    a = 10.0**log_a
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    m1, m2 = q - 10.0 * math.pi / a, q + 10.0 * math.pi / a
+    span = m2 - m1
+    lo, hi, dk = m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * a)
+    k = scattering._window_points(lo, dk, 0, scattering._window_size(lo, hi, dk))
+    num, den = scattering._num_den(config, k)
+    floor = scattering._noise_floor(config)
+
+    # phase_jump's rule: num^2 + den^2 above floor^2
+    want_unwrapped = k[num * num + den * den > floor * floor]
+    # the sigma minima's rule: a sign change is dropped if it holds q or
+    # hypot(num, den) is at or below the floor at either end
+    want_brackets = [
+        [(float(k[i]), float(k[i + 1]), float(f[i]), float(f[i + 1]))
+         for i in np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
+         if not (k[i] <= q <= k[i + 1] or math.hypot(num[i], den[i]) <= floor
+                 or math.hypot(num[i + 1], den[i + 1]) <= floor)]
+        for f in (num, den)]
+    # the deviation grid's rule: den above floor^2 once _sin2 has made it
+    # num^2 + den^2, on np.arange(lo, hi, dk)
+    grid = np.arange(lo, hi, dk)
+    assert np.array_equal(grid, k[:grid.size])
+    sum_sq = den[:grid.size].copy()
+    scattering._sin2(num[:grid.size].copy(), sum_sq)
+    want_evaluated = grid[sum_sq > floor * floor]
+
+    unwrapped, brackets, evaluated = [], {}, []
+    original_unwrap = scattering._unwrap
+
+    def unwrap(blocks, *args):
+        # the blocks come as a generator, which can be read only once
+        blocks = list(blocks)
+        unwrapped.extend(points for points, _, _ in blocks)
+        return original_unwrap(iter(blocks), *args)
+
+    with mock.patch.object(scattering, "_unwrap", unwrap):
+        try:
+            bs.phase_jump(config, lo, hi, dk)
+        except bs.UnwrapAmbiguity:
+            pass  # after every block was recorded (at small a the window reaches k <= 0)
+    with _recorded(scattering, "_refined",
+                   lambda _, found, part, *keep: brackets.setdefault(part, list(found))):
+        try:
+            bs.sigma_landmarks(config, lo, hi, dk)
+        except (bs.MinimaNotFound, bs.NoConvergence):
+            pass  # the brackets of the numerator were recorded first
+    doublet = bs.Doublet(k1=q - 1.0 / a, half_width1=0.1 / a, k2=q + 1.0 / a, half_width2=0.1 / a)
+    fit = bs.BackgroundFit(lambda0=0.0, lambda1=0.0, doublet=doublet, a=a,
+                           fit_report={"minima": [m1, m2]})
+    with _recorded(background, "_model_num_den",
+                   lambda _d, _a, _l0, _l1, kk: evaluated.append(np.array(kk))):
+        bs.hadamard_residual(config, fit)
+
+    # a block after the first is led by the point the previous one ended on
+    assert np.array_equal(np.unique(np.concatenate(unwrapped)), want_unwrapped)
+    assert brackets[0] == want_brackets[0]
+    assert brackets.get(1, want_brackets[1]) == want_brackets[1]
+    assert np.array_equal(np.unique(np.concatenate(evaluated)), want_evaluated)
