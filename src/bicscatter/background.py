@@ -150,6 +150,9 @@ def fit_lambda(
     pinned exactly (depths there are zero by construction). Both come in
     closed form (``_pinned_line``, ``_condition_number``), within the
     condition number times a few eps of np.linalg.solve and np.linalg.cond.
+    The reported residuals, |sin delta_model| at the two minima, come from
+    the same pinning terms in builtin floats, not from ``_model_num_den``'s
+    matrix product, so no bit of them depends on the BLAS kernel.
 
     ``window`` defaults to [k1 - 10*G1, k2 + 10*G2]; ``minima`` overrides
     the exact-minima search (used by round-trip tests).
@@ -193,8 +196,14 @@ def fit_lambda(
     if not math.isfinite(cond):
         raise SingularFitSystem("fit Jacobian is singular (zero-width doublet)")
 
-    num, den = _model_num_den(doublet, a, lam0, lam1, np.array([m1, m2]))
-    residuals = list(np.abs(num) / np.hypot(num, den))
+    # the model's num and den at each minimum from its pinning terms, with
+    # lam = lam0 + lam1 m: (Y - lam Z) sin ma + (lam Y + Z) cos ma and
+    # (Y - lam Z) cos ma - (lam Y + Z) sin ma
+    residuals = []
+    for m, (num, den) in zip((m1, m2), zero_terms):
+        lam = lam0 + lam1 * m
+        num, den = float(num + lam * den), float(den - lam * num)
+        residuals.append(abs(num) / math.hypot(num, den))
     return BackgroundFit(
         lambda0=lam0,
         lambda1=lam1,

@@ -16,6 +16,7 @@ print a machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -32,6 +33,7 @@ from .errors import NumericalError, ValidationError
 from .jost import bound_state
 from .numerics import ComplexRectangle, _grid_count, _unwrap_grid
 from .resonances import (
+    Resonance,
     default_search_box,
     doublet_of,
     find_resonances,
@@ -87,7 +89,7 @@ _OPTIONS: Dict[str, _Option] = {
     "a-list": _Option(str, None, "comma-separated cutoffs"),
 }
 # the options every command takes
-_COMMON = ("alpha", "beta", "q", "bic", "cutoff", "config", "out", "reproducible")
+_COMMON = ("alpha", "beta", "q", "bic", "config", "out", "reproducible")
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -159,20 +161,31 @@ def _params_at_beta(s: argparse.Namespace, beta: float,
     return params
 
 
-def _metadata(s: argparse.Namespace, command: str, params: PotentialParams,
-              extra: Optional[dict] = None, cutoff: Optional[float] = None) -> dict:
+def _config(s: argparse.Namespace) -> TruncatedConfig:
+    """The truncated problem at the parameters and the cutoff of s."""
+    return TruncatedConfig(params=_build_params(s), a=s.cutoff)
+
+
+def _doublet(config: TruncatedConfig) -> Tuple[Resonance, Resonance]:
+    """The resonance doublet of the default search box."""
+    return doublet_of(find_resonances(config), config.params.q)
+
+
+def _metadata(s: argparse.Namespace, params: PotentialParams, **extra) -> dict:
+    """The metadata of the command s.command: its parameters, the cutoff
+    where the command takes one, then ``extra``, then the timestamp unless
+    --reproducible."""
     meta = {
-        "command": command,
+        "command": s.command,
         "version": __version__,
         "alpha": params.alpha,
         "beta": params.beta,
         "q": params.q,
         "bic_mode": params.bic_mode,
     }
-    if cutoff is not None:
-        meta["cutoff"] = cutoff
-    if extra:
-        meta.update(extra)
+    if "cutoff" in vars(s):
+        meta["cutoff"] = s.cutoff
+    meta.update(extra)
     if not s.reproducible:
         meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
@@ -224,7 +237,9 @@ Q_EXCLUSION = 1e-5
 
 def _k_grid(s: argparse.Namespace, q: float) -> np.ndarray:
     """The k rows on [k-min, k-max] (by default [0.995 q, 1.005 q]) outside
-    |k - q| <= Q_EXCLUSION; ValidationError if fewer than two are left."""
+    |k - q| <= Q_EXCLUSION; ValidationError if fewer than two are left, or
+    if they are not strictly increasing (``scattering._checked_grid``), as
+    where dk is below the spacing of floats at k."""
     k_min = 0.995 * q if s.k_min is None else s.k_min
     k_max = 1.005 * q if s.k_max is None else s.k_max
     dk = s.dk
@@ -238,14 +253,19 @@ def _k_grid(s: argparse.Namespace, q: float) -> np.ndarray:
             f"the k grid keeps {grid.size} row(s) outside |k - q| <= {Q_EXCLUSION:g} "
             f"(excluded_near_q); need at least 2"
         )
-    return grid
+    return _checked_grid(grid)
 
 
-def _floats_csv(raw: str, key: str) -> List[float]:
+def _floats_csv(raw: str, key: str, form: Optional[str] = None) -> List[float]:
+    """The comma-separated numbers of raw; given a form such as "k_lo,k_hi",
+    exactly as many as it names."""
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        vals = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"{key}: expected comma-separated numbers: {exc}") from exc
+    if form is not None and len(vals) != len(form.split(",")):
+        raise ValidationError(f"{key} must be {form}")
+    return vals
 
 
 # ---------------------------------------------------------------- commands
@@ -260,10 +280,8 @@ def cmd_w1(s: argparse.Namespace) -> None:
     r = _r_grid(s)
     for params in all_params:
         w1 = _w1(params, r, 0)[0]
-        meta = _metadata(
-            s, "w1", params,
-            extra={"diagnostic": params.diagnostic, "sign_changes": _sign_changes(w1).size},
-        )
+        meta = _metadata(s, params, diagnostic=params.diagnostic,
+                         sign_changes=_sign_changes(w1).size)
         path = s.out
         if len(betas) > 1:
             stem, dot, ext = s.out.rpartition(".")
@@ -280,16 +298,13 @@ def cmd_potential(s: argparse.Namespace) -> None:
     v = potential_v4(params, r)
     psi = bound_state(params)
     psi_sq = psi(r) ** 2
-    meta = _metadata(s, "potential", params, extra={"psi_b_norm": psi.norm})
+    meta = _metadata(s, params, psi_b_norm=psi.norm)
     _write_csv(s.out, meta, ["r", "v4", "psi_b_sq"], [r, v, psi_sq])
 
 
 def _resonance_box(s: argparse.Namespace, config: TruncatedConfig) -> ComplexRectangle:
     if s.box:
-        vals = _floats_csv(s.box, "box")
-        if len(vals) != 4:
-            raise ValidationError("box must be re_min,re_max,im_min,im_max")
-        return ComplexRectangle(*vals)
+        return ComplexRectangle(*_floats_csv(s.box, "box", "re_min,re_max,im_min,im_max"))
     if s.wide_box:
         q = config.params.q
         return ComplexRectangle(q - 0.01, q + 0.01, -0.001, -1e-5)
@@ -297,26 +312,20 @@ def _resonance_box(s: argparse.Namespace, config: TruncatedConfig) -> ComplexRec
 
 
 def cmd_resonances(s: argparse.Namespace) -> None:
-    params = _build_params(s)
-    a = s.cutoff
-    config = TruncatedConfig(params=params, a=a)
+    config = _config(s)
+    params = config.params
     box = _resonance_box(s, config)
     found = find_resonances(config, box)
     doublet = set()
     if len(found) >= 2:
         doublet = {id(r) for r in doublet_of(found, params.q)}
     payload = {
-        "meta": _metadata(s, "resonances", params, cutoff=a),
-        "a": a,
+        "meta": _metadata(s, params),
+        "a": config.a,
         "alpha": params.alpha,
         "beta": params.beta,
         "q": params.q,
-        "box": {
-            "re_min": box.re_min,
-            "re_max": box.re_max,
-            "im_min": box.im_min,
-            "im_max": box.im_max,
-        },
+        "box": dataclasses.asdict(box),
         "winding_count": len(found),
         "roots": [
             {
@@ -333,43 +342,33 @@ def cmd_resonances(s: argparse.Namespace) -> None:
 
 
 def cmd_gamow(s: argparse.Namespace) -> None:
-    params = _build_params(s)
-    a = s.cutoff
     index = s.root_index
     if index not in (0, 1):
         raise ValidationError("root-index must be 0 or 1 (doublet member)")
-    config = TruncatedConfig(params=params, a=a)
-    pair = doublet_of(find_resonances(config), params.q)
-    state = gamow_state(config, pair[index])
+    config = _config(s)
+    state = gamow_state(config, _doublet(config)[index])
     r = _r_grid(s)
     psi_sq = np.abs(state(r)) ** 2
-    v = potential_v4(params, r)
+    v = potential_v4(config.params, r)
     meta = _metadata(
-        s, "gamow", params, cutoff=a,
-        extra={
-            "root_index": index,
-            "k_re": state.resonance.k_re,
-            "half_width": state.resonance.half_width,
-            "n_squared_re": state.N_squared.real,
-            "n_squared_im": state.N_squared.imag,
-            "sqrt_branch": "principal",
-        },
+        s, config.params,
+        root_index=index,
+        k_re=state.resonance.k_re,
+        half_width=state.resonance.half_width,
+        n_squared_re=state.N_squared.real,
+        n_squared_im=state.N_squared.imag,
+        sqrt_branch="principal",
     )
     _write_csv(s.out, meta, ["r", "psi_n_sq", "v4"], [r, psi_sq, v])
 
 
 def cmd_phase_shift(s: argparse.Namespace) -> None:
-    params = _build_params(s)
-    a = s.cutoff
-    config = TruncatedConfig(params=params, a=a)
-    k = _checked_grid(_k_grid(s, params.q))
+    config = _config(s)
+    k = _k_grid(s, config.params.q)
     raw = phase_shift(config, k)
     unwrapped = _unwrap_grid(lambda start, stop: raw[start:stop], k)
-    ramp_removed = unwrapped + k * a
-    meta = _metadata(
-        s, "phase-shift", params, cutoff=a,
-        extra={"excluded_near_q": Q_EXCLUSION},
-    )
+    ramp_removed = unwrapped + k * config.a
+    meta = _metadata(s, config.params, excluded_near_q=Q_EXCLUSION)
     _write_csv(
         s.out,
         meta,
@@ -379,13 +378,11 @@ def cmd_phase_shift(s: argparse.Namespace) -> None:
 
 
 def cmd_cross_section(s: argparse.Namespace) -> None:
-    params = _build_params(s)
-    a = s.cutoff
     mode = s.mode
     if mode not in ("exact", "model", "both"):
         raise ValidationError(f"mode must be exact, model, or both, got {mode!r}")
-    config = TruncatedConfig(params=params, a=a)
-    k = _k_grid(s, params.q)
+    config = _config(s)
+    k = _k_grid(s, config.params.q)
     header: List[str] = ["k"]
     columns: List[np.ndarray] = [k]
     extra: dict = {"mode": mode, "excluded_near_q": Q_EXCLUSION}
@@ -393,8 +390,7 @@ def cmd_cross_section(s: argparse.Namespace) -> None:
         header.append("sigma_exact")
         columns.append(cross_section(config, k))
     if mode in ("model", "both"):
-        pair = doublet_of(find_resonances(config), params.q)
-        fit = fit_lambda(config, Doublet.from_resonances(*pair))
+        fit = fit_lambda(config, Doublet.from_resonances(*_doublet(config)))
         _, sigma_model = model_phase_and_sigma(fit, k)
         header.append("sigma_model")
         columns.append(sigma_model)
@@ -403,28 +399,19 @@ def cmd_cross_section(s: argparse.Namespace) -> None:
             lambda1=fit.lambda1,
             max_deviation=hadamard_residual(config, fit),
         )
-    meta = _metadata(s, "cross-section", params, cutoff=a, extra=extra)
+    meta = _metadata(s, config.params, **extra)
     _write_csv(s.out, meta, header, columns)
 
 
 def cmd_fit_background(s: argparse.Namespace) -> None:
-    params = _build_params(s)
-    a = s.cutoff
-    config = TruncatedConfig(params=params, a=a)
-    pair = doublet_of(find_resonances(config), params.q)
-    window = None
-    if s.window:
-        vals = _floats_csv(s.window, "window")
-        if len(vals) != 2:
-            raise ValidationError("window must be k_lo,k_hi")
-        window = (vals[0], vals[1])
+    config = _config(s)
+    pair = _doublet(config)
+    window = tuple(_floats_csv(s.window, "window", "k_lo,k_hi")) if s.window else None
     fit = fit_lambda(config, Doublet.from_resonances(*pair), window=window)
     payload = {
-        "meta": _metadata(
-            s, "fit-background", params, cutoff=a,
-            extra={"mu_identifiability": "mu(k) cancels from delta and sigma; "
-                                         "only lambda0, lambda1 are estimated"},
-        ),
+        "meta": _metadata(s, config.params,
+                          mu_identifiability="mu(k) cancels from delta and sigma; "
+                                             "only lambda0, lambda1 are estimated"),
         "lambda0": fit.lambda0,
         "lambda1": fit.lambda1,
         "minima": fit.fit_report["minima"],
@@ -442,7 +429,7 @@ def cmd_sweep_cutoff(s: argparse.Namespace) -> None:
         raise ValidationError("sweep-cutoff requires --a-list (comma-separated cutoffs)")
     a_values = _floats_csv(s.a_list, "a-list")
     result = sweep_cutoff(params, a_values)
-    lines = [{"meta": _metadata(s, "sweep-cutoff", params, extra={"a_list": a_values})}]
+    lines = [{"meta": _metadata(s, params, a_list=a_values)}]
     for row in result.rows:
         lines.append(
             {
@@ -468,22 +455,23 @@ class _Command(NamedTuple):
 
 _GRID_R = ("r-max", "dr")
 _GRID_K = ("k-min", "k-max", "dk")
+# the commands that build a TruncatedConfig (_config) take the cutoff
 _COMMANDS: Dict[str, _Command] = {
     "w1": _Command(cmd_w1, "W1(r) curves (one file per beta)", "w1.csv",
                    (*_GRID_R, "beta-list")),
     "potential": _Command(cmd_potential, "V(r) and normalized |psi_B|^2", "potential.csv",
                           _GRID_R),
     "resonances": _Command(cmd_resonances, "certified zero census in a complex-k box",
-                           "resonances.json", ("wide-box", "box")),
+                           "resonances.json", ("cutoff", "wide-box", "box")),
     "gamow": _Command(cmd_gamow, "normalized resonance eigenfunction profile", "gamow.csv",
-                      ("root-index", *_GRID_R)),
+                      ("cutoff", "root-index", *_GRID_R)),
     "phase-shift": _Command(cmd_phase_shift, "phase shift across the doublet window",
-                            "phase_shift.csv", _GRID_K),
+                            "phase_shift.csv", ("cutoff", *_GRID_K)),
     "cross-section": _Command(cmd_cross_section, "exact and model cross sections",
-                              "cross_section.csv", (*_GRID_K, "mode")),
+                              "cross_section.csv", ("cutoff", *_GRID_K, "mode")),
     "fit-background": _Command(cmd_fit_background,
                                "fit lambda0 + lambda1*k to the exact minima",
-                               "fit_background.json", ("window",)),
+                               "fit_background.json", ("cutoff", "window")),
     "sweep-cutoff": _Command(cmd_sweep_cutoff, "doublet trajectory over a list of cutoffs",
                              "sweep_cutoff.jsonl", ("a-list",)),
 }

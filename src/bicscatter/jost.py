@@ -102,6 +102,14 @@ def _uv_table(params: PotentialParams, pd: PhaseData, ndim: int):
 
     with 3 p sin^2 2theta = 1.5 p (1 - cos 4theta): terms of frequency 0, 2
     and 4 in theta.
+
+    Each coefficient is formed as the sum, over the rows of ``basis``, of
+    its weight times that row, in row order, rather than by a matrix
+    product: every weight row holds at most two nonzero entries, so each
+    coefficient sums at most two rounded products, in a fixed order. A BLAS
+    product fuses multiply-adds on some kernels (OpenBLAS's SkylakeX) and
+    not on others (Sandybridge), and those bits would reach the census
+    roots and the Gamow N^2.
     """
     q = params.q
     qq = q * q
@@ -138,7 +146,7 @@ def _uv_table(params: PotentialParams, pd: PhaseData, ndim: int):
         for j, row in enumerate(pair):
             for b, x in row.items():
                 weights[i, j, b] = x
-    c = (weights @ basis).reshape((-1, 2, 3) + (1,) * ndim)
+    c = (weights[..., None] * basis).sum(axis=2).reshape((-1, 2, 3) + (1,) * ndim)
     return [(0.0, 0.0, list(c[:5]), []), (2.0, 0.0, list(c[5:9]), list(c[9:13])),
             (4.0, 0.0, [c[13]], [c[14]])]
 

@@ -761,11 +761,16 @@ def _window_scan(config: TruncatedConfig, k_lo: float, k_hi: float, dk: Optional
     """(floor, blocks of (k, num, den, keep)): the window k_lo, k_lo + dk,
     ... through k_hi (``_window_points``), dk defaulting to pi/(64 a),
     scanned (``_scan``) and masked (``_masked``) once ``_window_size`` has
-    checked it."""
+    checked it. A window that reaches k <= 0 is refused: the phase is odd
+    in k and steps there, so neither its jump nor the sigma landmarks of
+    such a window are those of the scattering problem."""
     if dk is None:
         dk = math.pi / (64.0 * config.a)
-    return _masked(config, _scan(config, _window_size(k_lo, k_hi, dk),
-                                 functools.partial(_window_points, k_lo, dk)))
+    n = _window_size(k_lo, k_hi, dk)
+    if not k_lo > 0:
+        raise ValidationError(f"the window [{k_lo!r}, {k_hi!r}] reaches k <= 0; "
+                              "real-axis windows need k_lo > 0")
+    return _masked(config, _scan(config, n, functools.partial(_window_points, k_lo, dk)))
 
 
 @dataclass(frozen=True)
@@ -786,7 +791,9 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     minima minima[0] and minima[-1] (there delta_a = pi/2 mod pi, so sigma
     touches 4 pi / k^2). Both are bracketed on a dk grid and refined by
     Newton on their exact k-derivatives (``_num_den_dk``), kept inside the bracket
-    (``numerics._bracketed_newton``): each stops within about
+    (``numerics._bracketed_newton``) and started from ``_num_den_dk`` at
+    its ends, so that no bit of the BLAS kernel behind the grid's values
+    reaches a landmark (``_refined``): each stops within about
     1e-14 + 4 eps k of the zero of the computed function, unless that
     function is rounding noise over a wider band around it. Only
     denominator brackets that reach into (minima[0], minima[-1]) are
@@ -812,8 +819,8 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     Raises
     ------
     ValidationError
-        If the window is not finite with k_lo < k_hi, dk is not finite and
-        positive, or the grid would hold more than
+        If the window is not finite with 0 < k_lo < k_hi, dk is not finite
+        and positive, or the grid would hold more than
         ``numerics._MAX_GRID_POINTS`` points.
     MinimaNotFound
         If fewer than two numerator zeros survive on the window.
@@ -839,7 +846,7 @@ def _sigma_minima(config: TruncatedConfig, k_lo: float, k_hi: float,
     callers that need no peak; window checks and refusals as there."""
     q = config.params.q
     # sign changes of num and of den with both ends in the mask that do not
-    # hold q, as (lo, hi, f(lo), f(hi))
+    # hold q, as (lo, hi)
     brackets: Tuple[list, list] = ([], [])
     _, blocks = _window_scan(config, k_lo, k_hi, dk)
     for k, num, den, keep in blocks:
@@ -848,7 +855,7 @@ def _sigma_minima(config: TruncatedConfig, k_lo: float, k_hi: float,
             for i in np.flatnonzero(sign[:-1] != sign[1:]):
                 lo, hi = float(k[i]), float(k[i + 1])
                 if keep[i] and keep[i + 1] and not lo <= q <= hi:
-                    found.append((lo, hi, float(f[i]), float(f[i + 1])))
+                    found.append((lo, hi))
     minima = _refined(config, brackets[0], 0)
     if len(minima) < 2:
         raise MinimaNotFound(
@@ -861,10 +868,18 @@ def _sigma_minima(config: TruncatedConfig, k_lo: float, k_hi: float,
 def _refined(config: TruncatedConfig, brackets: list, part: int,
              keep_lo: float = -math.inf, keep_hi: float = math.inf) -> List[float]:
     """The zeros of num (part 0) or den (part 1) refined by
-    ``_bracketed_newton`` in those of ``brackets`` that reach into
-    (keep_lo, keep_hi)."""
-    return [_bracketed_newton(lambda kk: _num_den_dk(config, kk)[part], *bracket)
-            for bracket in brackets if bracket[1] > keep_lo and bracket[0] < keep_hi]
+    ``_bracketed_newton`` in those of the (lo, hi) ``brackets`` that reach
+    into (keep_lo, keep_hi).
+
+    Newton starts from the values of ``_num_den_dk`` at the two ends, not
+    from the grid's: those come from ``_num_den``'s matrix product, whose
+    bits depend on the BLAS kernel (a fused multiply-add or not), and a
+    secant start that moves by an ulp can move the zero found by one."""
+    def f(kk):
+        return _num_den_dk(config, kk)[part]
+
+    return [_bracketed_newton(f, lo, hi, f(lo)[0], f(hi)[0])
+            for lo, hi in brackets if hi > keep_lo and lo < keep_hi]
 
 
 def phase_jump(config: TruncatedConfig, k_lo: float, k_hi: float,

@@ -191,6 +191,23 @@ def test_gamow_bad_root_index(tmp_path, capsys, monkeypatch):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+def test_cutoff_is_an_option_of_the_commands_that_read_one(tmp_path, capsys):
+    # the five commands that build the truncated problem take --cutoff and
+    # write it into their metadata; the others refuse the flag
+    takes = {name for name, command in cli._COMMANDS.items() if "cutoff" in command.options}
+    assert takes == {"resonances", "gamow", "phase-shift", "cross-section", "fit-background"}
+    assert "cutoff" not in cli._COMMON
+    out = tmp_path / "w1.csv"
+    with pytest.raises(SystemExit):
+        main(["w1", "--bic", "--cutoff", "100", "--out", str(out)])
+    assert "unrecognized arguments: --cutoff" in capsys.readouterr().err
+    assert not out.exists()
+    # gamow still checks the root index before the cutoff
+    assert main(["gamow", "--bic", "--root-index", "2", "--cutoff", "-1",
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    assert "root-index" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_phase_shift_run(tmp_path):
     out = tmp_path / "ps.csv"
     assert main(["phase-shift", "--bic", "--k-min", "0.9995", "--k-max", "1.0005",
@@ -468,7 +485,10 @@ def test_k_window_inside_the_exclusion_exits_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("argv", [["potential", "--bic", "--r-max", "nan"],
                                   ["potential", "--bic", "--r-max", "inf"],
                                   ["phase-shift", "--bic", "--dk", "nan"],
-                                  ["phase-shift", "--bic", "--k-max", "inf"]])
+                                  ["phase-shift", "--bic", "--k-max", "inf"],
+                                  # a dk below the spacing of floats repeats k rows
+                                  ["cross-section", "--bic", "--k-min", "0.999",
+                                   "--k-max", "0.99900000000001", "--dk", "1e-19"]])
 def test_non_finite_grid_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"

@@ -1,5 +1,9 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -555,3 +559,53 @@ def test_sweep_rows_are_independent_censuses(params):
         config = bs.TruncatedConfig(params=params, a=row.a)
         assert (row.first, row.second) == bs.doublet_of(bs.find_resonances(config), params.q)
     assert sw.gamma_monotone
+
+
+# (alpha, q, a) where OpenBLAS's default and Sandybridge (no FMA) kernels
+# gave different roots, N^2, lambda, sigma minima or peak before every
+# scalar result was formed outside BLAS
+_KERNEL_DRAWS = [
+    (0.9619524990007192, 0.9432132463845742, 211.1470729120281),
+    (0.3378731083294536, 0.6216414037480721, 644.1100348663869),
+    (0.7163967833846048, 0.5985204959282986, 127.59541397008634),
+    (1.7027607359570034, 0.5654414858997512, 667705.6716796495),
+]
+
+_SCALAR_RESULTS = """
+import json, sys
+import bicscatter as bs
+for alpha, q, a in json.loads(sys.argv[1]):
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    found = bs.find_resonances(config)
+    pair = bs.doublet_of(found, q)
+    fit = bs.fit_lambda(config, bs.Doublet.from_resonances(*pair))
+    marks = bs.sigma_landmarks(config, *fit.fit_report["window"])
+    print(repr([[r.k_complex for r in found], [r.residual for r in found],
+                [bs.gamow_state(config, r).N_squared for r in pair],
+                fit.lambda0, fit.lambda1, fit.fit_report["condition_number"],
+                fit.fit_report["residuals"], marks.minima, marks.peak]))
+"""
+
+
+def _child_env(**extra):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bs.__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env.update(extra, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    return env
+
+
+def test_scalar_results_do_not_depend_on_the_blas_kernel():
+    # one child on the default kernel and one on Sandybridge: the census,
+    # both N^2, the fit and the landmarks over the fit window come out with
+    # the same reprs, as they take no bit from a BLAS product
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                           text=True, env=_child_env(OPENBLAS_VERBOSE="2",
+                                                     OPENBLAS_CORETYPE="Sandybridge"))
+    if "Core: Sandybridge" not in probe.stderr:
+        pytest.skip("numpy's BLAS ignores OPENBLAS_CORETYPE")
+    results = [subprocess.run([sys.executable, "-c", _SCALAR_RESULTS, json.dumps(_KERNEL_DRAWS)],
+                              capture_output=True, text=True, check=True, timeout=300,
+                              env=_child_env(**kernel)).stdout.splitlines()
+               for kernel in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})]
+    assert len(results[0]) == len(_KERNEL_DRAWS)
+    assert results[0] == results[1]

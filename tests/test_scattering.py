@@ -692,13 +692,17 @@ def _random_cuts(n, seed):
 def _full_grid_landmarks(config, k_lo, k_hi, dk, cuts=()):
     """``sigma_landmarks`` as a scan of the whole grid at once: num and den
     on all of np.arange(k_lo, k_hi + dk, dk), here evaluated on the pieces
-    split at ``cuts``, then the same bracket filters and refinement."""
+    split at ``cuts``, then the same bracket filters and refinement, which
+    starts from ``_num_den_dk`` at the bracket ends."""
     grid = np.arange(k_lo, k_hi + dk, dk)
     num, den = (np.concatenate(f) for f in zip(*(
         scattering._num_den(config, piece) for piece in np.split(grid, cuts))))
     q, floor = config.params.q, scattering._noise_floor(config)
 
     def refine(f, part, keep_lo=-math.inf, keep_hi=math.inf):
+        def exact(kk):
+            return scattering._num_den_dk(config, kk)[part]
+
         roots = []
         for i in np.nonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))[0]:
             lo, hi = float(grid[i]), float(grid[i + 1])
@@ -706,9 +710,7 @@ def _full_grid_landmarks(config, k_lo, k_hi, dk, cuts=()):
                     or math.hypot(num[i], den[i]) <= floor
                     or math.hypot(num[i + 1], den[i + 1]) <= floor):
                 continue
-            roots.append(scattering._bracketed_newton(
-                lambda kk: scattering._num_den_dk(config, kk)[part],
-                lo, hi, float(f[i]), float(f[i + 1])))
+            roots.append(scattering._bracketed_newton(exact, lo, hi, exact(lo)[0], exact(hi)[0]))
         return roots
 
     minima = refine(num, 0)
@@ -1417,6 +1419,18 @@ def test_phase_jump_refuses_a_window_inside_the_noise_floor(config):
     assert "rounding floor" in str(refusal.value) and "k_grid" not in str(refusal.value)
 
 
+def test_windows_that_reach_k_zero_are_refused():
+    # the phase is odd in k and steps at k = 0: such a window gave a jump
+    # of -2.37 and sigma "minima" at k = +-0.0247 with no refusal
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=1.5, q=0.45526), a=100.0)
+    with pytest.raises(bs.ValidationError, match=re.escape("[-0.0001, 0.0001] reaches k <= 0")):
+        bs.phase_jump(config, -1e-4, 1e-4, 1e-8)
+    with pytest.raises(bs.ValidationError, match=re.escape("[-0.05, 0.05] reaches k <= 0")):
+        bs.sigma_landmarks(config, -0.05, 0.05)
+    with pytest.raises(bs.ValidationError, match="reaches k <= 0"):
+        bs.sigma_landmarks(config, 0.0, 0.05)
+
+
 def _two_pass_phase_jump(config, k_lo, k_hi):
     """``phase_jump`` as two passes: the floor mask from num and den on the
     whole window, then ``phase_shift_unwrapped`` on the points it keeps."""
@@ -1446,11 +1460,15 @@ def test_phase_jump_matches_the_two_pass_route_over_the_envelope(alpha, q, log_a
     """One kernel pass gives the jump of the two-pass route bit for bit, or
     both refuse with the same message, on windows q +- cells pi/a shifted
     by a fraction of dk: up to 1000 cells, where the window spans eight
-    blocks."""
+    blocks. A window that reaches k <= 0 (at small q a) is refused."""
     a = 10.0**log_a
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
     offset = shift * (math.pi / (64.0 * a))
     window = (q - cells * math.pi / a + offset, q + cells * math.pi / a + offset)
+    if window[0] <= 0:
+        with pytest.raises(bs.ValidationError, match="reaches k <= 0"):
+            bs.phase_jump(config, *window)
+        return
     assert (_jump_or_refusal(bs.phase_jump, config, *window)
             == _jump_or_refusal(_two_pass_phase_jump, config, *window))
 
@@ -1476,7 +1494,9 @@ def test_one_noise_mask_keeps_what_the_three_former_rules_kept(alpha, q, log_a):
     ``sigma_landmarks`` accepts and the default-grid points
     ``hadamard_residual`` evaluates are exactly those that the rule each
     of them used to apply on its own keeps. The references are those
-    rules, on one kernel pass over the whole window."""
+    rules, on one kernel pass over the whole window. Where the window
+    reaches k <= 0 (at small q a), ``phase_jump`` and ``sigma_landmarks``
+    refuse it and only the default-grid points are compared."""
     a = 10.0**log_a
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
     m1, m2 = q - 10.0 * math.pi / a, q + 10.0 * math.pi / a
@@ -1491,7 +1511,7 @@ def test_one_noise_mask_keeps_what_the_three_former_rules_kept(alpha, q, log_a):
     # the sigma minima's rule: a sign change is dropped if it holds q or
     # hypot(num, den) is at or below the floor at either end
     want_brackets = [
-        [(float(k[i]), float(k[i + 1]), float(f[i]), float(f[i + 1]))
+        [(float(k[i]), float(k[i + 1]))
          for i in np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
          if not (k[i] <= q <= k[i + 1] or math.hypot(num[i], den[i]) <= floor
                  or math.hypot(num[i + 1], den[i + 1]) <= floor)]
@@ -1513,26 +1533,27 @@ def test_one_noise_mask_keeps_what_the_three_former_rules_kept(alpha, q, log_a):
         unwrapped.extend(points for points, _, _ in blocks)
         return original_unwrap(iter(blocks), *args)
 
-    with mock.patch.object(scattering, "_unwrap", unwrap):
-        try:
-            bs.phase_jump(config, lo, hi, dk)
-        except bs.UnwrapAmbiguity:
-            pass  # after every block was recorded (at small a the window reaches k <= 0)
-    with _recorded(scattering, "_refined",
-                   lambda _, found, part, *keep: brackets.setdefault(part, list(found))):
-        try:
-            bs.sigma_landmarks(config, lo, hi, dk)
-        except (bs.MinimaNotFound, bs.NoConvergence):
-            pass  # the brackets of the numerator were recorded first
     doublet = bs.Doublet(k1=q - 1.0 / a, half_width1=0.1 / a, k2=q + 1.0 / a, half_width2=0.1 / a)
     fit = bs.BackgroundFit(lambda0=0.0, lambda1=0.0, doublet=doublet, a=a,
                            fit_report={"minima": [m1, m2]})
     with _recorded(background, "_model_num_den",
                    lambda _d, _a, _l0, _l1, kk: evaluated.append(np.array(kk))):
         bs.hadamard_residual(config, fit)
-
-    # a block after the first is led by the point the previous one ended on
-    assert np.array_equal(np.unique(np.concatenate(unwrapped)), want_unwrapped)
-    assert brackets[0] == want_brackets[0]
-    assert brackets.get(1, want_brackets[1]) == want_brackets[1]
+    if lo <= 0:
+        for landmark in (bs.phase_jump, bs.sigma_landmarks):
+            with pytest.raises(bs.ValidationError, match="reaches k <= 0"):
+                landmark(config, lo, hi, dk)
+    else:
+        with mock.patch.object(scattering, "_unwrap", unwrap):
+            bs.phase_jump(config, lo, hi, dk)
+        with _recorded(scattering, "_refined",
+                       lambda _, found, part, *keep: brackets.setdefault(part, list(found))):
+            try:
+                bs.sigma_landmarks(config, lo, hi, dk)
+            except (bs.MinimaNotFound, bs.NoConvergence):
+                pass  # the brackets of the numerator were recorded first
+        # a block after the first is led by the point the previous one ended on
+        assert np.array_equal(np.unique(np.concatenate(unwrapped)), want_unwrapped)
+        assert brackets[0] == want_brackets[0]
+        assert brackets.get(1, want_brackets[1]) == want_brackets[1]
     assert np.array_equal(np.unique(np.concatenate(evaluated)), want_evaluated)
