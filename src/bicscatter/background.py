@@ -22,18 +22,18 @@ deviation, never by the individual coefficients.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import SingularFitSystem, ValidationError
-from .numerics import _grid_count
+from .jost import _checked_k
 from .resonances import Resonance
-from .scattering import (TruncatedConfig, _blockwise, _ka_rotation, _masked, _principal_phase,
-                         _rotated, _scan, _sigma, _sigma_minima, _sin2, _window_points)
+from .scattering import (TruncatedConfig, _blockwise, _checked_real_axis, _ka_rotation,
+                         _principal_phase, _rotated, _scan, _sigma, _sigma_minima, _sin2,
+                         _window_scan)
 
 __all__ = [
     "Doublet",
@@ -85,7 +85,9 @@ class BackgroundFit:
 
 
 def yz(doublet: Doublet, k):
-    """The resonance quadratics (Y, Z) at k (vectorized)."""
+    """The resonance quadratics (Y, Z) at k (vectorized); ValidationError
+    where k is not finite."""
+    _checked_k(k)
     k = np.asarray(k, dtype=float)
     g1 = 2.0 * doublet.half_width1
     g2 = 2.0 * doublet.half_width2
@@ -124,8 +126,10 @@ def model_phase_and_sigma(fit: BackgroundFit, k):
     """(delta_model, sigma_model) at k; identical branch handling to the
     exact pipeline (principal arctan phase, branch-free sin^2 for sigma).
     Evaluated in blocks through ``_model_num_den``, like
-    ``scattering.cross_section``."""
+    ``scattering.cross_section``, and refused as it is (ValidationError)
+    where a point is not finite and positive."""
     def block(kk):
+        _checked_real_axis(kk)
         num, den = _model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, kk)
         phase = _principal_phase(num, den)  # before _sigma overwrites num, den
         return phase, _sigma(kk, num, den)
@@ -137,7 +141,6 @@ def fit_lambda(
     config: TruncatedConfig,
     doublet: Doublet,
     window: Optional[Tuple[float, float]] = None,
-    minima: Optional[Sequence[float]] = None,
 ) -> BackgroundFit:
     """Pin the model's transmission zeros to the exact minima.
 
@@ -154,8 +157,8 @@ def fit_lambda(
     the same pinning terms in builtin floats, not from ``_model_num_den``'s
     matrix product, so no bit of them depends on the BLAS kernel.
 
-    ``window`` defaults to [k1 - 10*G1, k2 + 10*G2]; ``minima`` overrides
-    the exact-minima search (used by round-trip tests).
+    ``window`` defaults to [k1 - 10*G1, k2 + 10*G2], and the minima pinned
+    are the outermost that ``scattering.sigma_landmarks`` finds on it.
 
     Raises
     ------
@@ -170,13 +173,8 @@ def fit_lambda(
             doublet.k1 - 20.0 * doublet.half_width1,
             doublet.k2 + 20.0 * doublet.half_width2,
         )
-    if minima is None:
-        found, _ = _sigma_minima(config, window[0], window[1])
-        m1, m2 = found[0], found[-1]
-    else:
-        if len(minima) != 2:
-            raise ValidationError("minima override must supply exactly two positions")
-        m1, m2 = sorted(float(m) for m in minima)
+    found, _ = _sigma_minima(config, window[0], window[1])
+    m1, m2 = found[0], found[-1]
 
     a = config.a
     # (Y sin ma + Z cos ma, Y cos ma - Z sin ma) at each minimum; the second
@@ -243,28 +241,31 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     """Max |sin^2 delta_model - sin^2 delta_exact| over a k grid, which is
     |sigma_model - sigma_exact| / (4 pi / k^2).
 
-    Default grid: the inter-minima span widened by a quarter on each side
-    (where the factorization is meant to hold), step pi/(640 a), that is
-    the points of np.arange over it, of which only those in the window's
-    noise mask are evaluated (``scattering._masked``, the one rule of
-    ``scattering.sigma_landmarks`` and ``scattering.phase_jump``): it drops
-    the band around the removable point k = q where d and g are rounding.
+    Default grid: the window from a quarter of the inter-minima span below
+    the first minimum to a quarter above the second (where the
+    factorization is meant to hold), in steps of pi/(640 a), through its
+    end, that is the points of np.arange(lo, hi + dk, dk). It is a window
+    like those of ``scattering.sigma_landmarks`` and
+    ``scattering.phase_jump`` (``scattering._window_scan``): refused where
+    it reaches k <= 0 or holds too many points, and only its points in the
+    noise mask are evaluated, which drops the band around the removable
+    point k = q where d and g are rounding.
 
     The default grid and a given one are streamed alike (``scattering._scan``,
     with the default grid's points made a block at a time, and a given
-    grid's blocks checked finite before they are evaluated): each block
-    goes through the exact and the model kernel (``scattering._num_den``,
-    ``_model_num_den``) and only its maximum is kept, so no grid-sized
-    array is allocated.
+    grid's blocks refused before they are evaluated where a point is not
+    finite and positive): each block goes through the exact and the model
+    kernel (``scattering._num_den``, ``_model_num_den``) and only its
+    maximum is kept, so no grid-sized array is allocated.
 
     Raises
     ------
     ValidationError
         If the fit was made at another cutoff, or a given grid is empty
-        ("empty k grid") or not finite, or no point of the default grid is
-        in the noise mask (the refusal names the window and the floor, as
-        ``scattering.phase_jump``'s does) or it would hold more than
-        ``numerics._MAX_GRID_POINTS`` points.
+        ("empty k grid") or holds a point that is not finite and positive,
+        or the default grid fails the window checks or has no point in the
+        noise mask (the refusal names the window and the floor, as
+        ``scattering.phase_jump``'s does).
     DegenerateNormalizer
         If a given grid holds a point where d = g = 0, where the exact
         sin^2 delta is 0/0 (``scattering._sin2``).
@@ -274,9 +275,8 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     if k_grid is None:
         m1, m2 = fit.fit_report["minima"]
         span = m2 - m1
-        lo, hi, dk = m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * config.a)
-        floor, blocks = _masked(config, _scan(config, _grid_count(lo, hi, dk),
-                                              functools.partial(_window_points, lo, dk)))
+        lo, hi = m1 - 0.25 * span, m2 + 0.25 * span
+        floor, blocks = _window_scan(config, lo, hi, math.pi / (640.0 * config.a))
     else:
         k_grid = np.asarray(k_grid, dtype=float).ravel()
         if not k_grid.size:
@@ -284,7 +284,7 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
         blocks = ((*b, None) for b in _scan(config, k_grid.size, lambda i, j: k_grid[i:j]))
     deviation = np.max([_block_deviation(fit, *b) for b in blocks], initial=-math.inf)
     if deviation == -math.inf:
-        raise ValidationError(f"no point of the default grid on [{lo!r}, {hi!r}) clears the "
+        raise ValidationError(f"no point of the window [{lo!r}, {hi!r}] clears the "
                               f"rounding floor {floor:.3e} of hypot(d, g) at k = q")
     return float(deviation)
 
@@ -293,7 +293,7 @@ def _block_deviation(fit: BackgroundFit, k, num, den, keep):
     """``hadamard_residual`` on one block of points k, given the exact
     kernel's num and den there (``scattering._num_den``, overwritten): the
     maximum deviation over the points in the mask ``keep``
-    (``scattering._masked``; all of a given grid's block for None, refused
+    (``scattering._window_scan``; all of a given grid's block for None, refused
     where d = g = 0), or -inf if none."""
     exact = _sin2(num, den, k if keep is None else None)
     if keep is not None:

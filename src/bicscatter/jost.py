@@ -18,6 +18,7 @@ verbatim; the resonance machinery depends on that.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -176,15 +177,27 @@ def _uv_at(c, k, e2):
     return _horner(c[0], e2), k * _horner(c[1], e2)
 
 
+def _checked_k(k):
+    """ValidationError unless the wave number k (real or complex), or every
+    point of an array k, is finite: the closed forms would give NaN or inf.
+    A float or complex scalar (numpy's included) is checked by cmath, at a
+    tenth of numpy's cost on one point."""
+    if not (cmath.isfinite(k) if isinstance(k, (float, complex)) else np.isfinite(k).all()):
+        bad = np.ravel(k)[np.argmin(np.isfinite(np.ravel(k)))].item()
+        raise ValidationError(f"wave number k = {bad!r} is not finite")
+
+
 def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
     """Evaluate u(k, r), v(k, r) and their analytic r-derivatives.
 
     k enters only through e2 = k^2 - q^2 and, in v, an overall factor k:
     u = U0 + U1 e2 + U2 e2^2 and v = k (V0 + V1 e2), with coefficients in r
     from ``_uv_coefficients``. Broadcasting over both k and r works; complex
-    k is evaluated verbatim; r must be nonnegative and finite.
+    k is evaluated verbatim; k must be finite (``_checked_k``), r
+    nonnegative and finite.
     """
     k = np.asarray(k)
+    _checked_k(k)
     e2 = k * k - params.q * params.q
     c, c_r = _uv_coefficients(params, r, 1)
     return UVBundle(*_uv_at(c, k, e2), *_uv_at(c_r, k, e2))
@@ -196,7 +209,8 @@ def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostVa
     Raises
     ------
     ValidationError
-        If r is negative, or W1 is not finite at r (``darboux.w1_bundle``).
+        If k is not finite (``uv_bundle``), r is negative, or W1 is not
+        finite at r (``darboux.w1_bundle``).
     NearSpectralSingularity
         If ``normalized`` and |k^2 - q^2| < 1e-8: the normalization factor
         1/(k^2 - q^2)^2 has a double pole there. Re-call with
@@ -237,9 +251,10 @@ class BoundState:
     norm: float
 
     def raw(self, r):
-        """Closed-form amplitude 24 q^2 X(r) / W1(r); vanishes at r = 0.
-        Takes what ``potential_v4`` takes, with the same ValidationError
-        where r is negative or W1 is not finite."""
+        """Closed-form amplitude 24 q^2 X(r) / W1(r), exactly 0 at r = 0,
+        where X vanishes and its closed form cancels to rounding. Takes what
+        ``potential_v4`` takes, with the same ValidationError where r is
+        negative or W1 is not finite."""
         r = np.asarray(r, dtype=float)
         w1 = _w1(self.params, r, 0)[0]
         q = self.params.q
@@ -250,7 +265,7 @@ class BoundState:
             + (q * ga + q**2 * self.phase.gamma1) * np.sin(th)
             + np.sin(th) ** 2 * np.cos(th)
         )
-        return 24.0 * q**2 * x / w1
+        return np.where(r == 0.0, 0.0, 24.0 * q**2 * x / w1)[()]
 
     def __call__(self, r):
         return self.raw(r) / self.norm

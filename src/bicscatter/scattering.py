@@ -30,7 +30,7 @@ import numpy as np
 
 from .darboux import PotentialParams, _is_real, _overflow_checked, _w1, phase_data
 from .errors import DegenerateNormalizer, MinimaNotFound, ValidationError
-from .jost import _uv_at, _uv_closed_form, _uv_table, uv_bundle
+from .jost import _checked_k, _uv_at, _uv_closed_form, _uv_table, uv_bundle
 from .numerics import _BLOCK, _bracketed_newton, _grid_count, _unwrap, _unwrap_grid
 
 __all__ = [
@@ -74,7 +74,8 @@ S_MAX = 1e2
 class _BoundaryData:
     """What d, g, G and G' need of the closed forms: the e2-coefficients of
     u and v/k at r = 0 (see ``jost._uv_coefficients``), W1(0), W1(a), and
-    the polynomials of ``_g_polynomials``.
+    the polynomials of ``_g_polynomials``: G's four (``g``), from which d
+    and g are read too, those of -i G' and the real-axis ``rows``.
 
     Every number is a builtin float, so a scalar k runs on Python float and
     complex arithmetic, at a fraction of numpy's per-scalar cost, while an
@@ -94,7 +95,6 @@ class _BoundaryData:
     w1_a: float
     g: tuple
     g_prime: tuple
-    dg: tuple
     rows: np.ndarray
 
 
@@ -130,8 +130,8 @@ def _e2_derivative(c):
 
 
 def _g_polynomials(at_0, at_a, w1_a, q: float, a: float):
-    """(g, g_prime, dg, rows): four groups of four real polynomials in
-    e2 = k^2 - q^2 of degree at most 4, the first three as lists of 5
+    """(g, g_prime, rows): three groups of four real polynomials in
+    e2 = k^2 - q^2 of degree at most 4, the first two as lists of 5
     builtin floats.
 
     Write u = U, v = kV at r = 0 and v = k V_a at r = a, all polynomials in
@@ -152,12 +152,12 @@ def _g_polynomials(at_0, at_a, w1_a, q: float, a: float):
         aQ = (U Y+ + k^2 V X+) / 2,   bQ = (U X+ - V Y+) / 2,
 
     with k^2 = e2 + q^2; g is (aP, bP, aQ, bQ), and rows is
-    (bP, aP, bQ - bP, aQ - aP) as an array. On the real axis
+    (bP, aP, bQ - bP, aQ - aP) as an array. As d + ig = e^{ika} G,
 
         d = k (bP + bQ) cos ka - (aP - aQ) sin ka,
-        g = k (bP - bQ) sin ka + (aP + aQ) cos ka,
+        g = k (bP - bQ) sin ka + (aP + aQ) cos ka
 
-    and dg is (bP + bQ, aP - aQ, bP - bQ, aP + aQ). With ' = d/dk and _e
+    (``_dg``, from the values of g's four polynomials). With ' = d/dk and _e
     the derivative in e2, (i a + k b)' = (b + 2k^2 b_e) + ik (2 a_e), so
 
         G' = P' + e^{-2ika} (Q' - 2ia Q),
@@ -192,11 +192,9 @@ def _g_polynomials(at_0, at_a, w1_a, q: float, a: float):
                [-(s + 2.0 * t) - two_a * u
                 for s, t, u in zip(b_q, _mul(k2, _e2_derivative(b_q)), a_q)],
                [2.0 * s - two_a * t for s, t in zip(_e2_derivative(a_q), b_q)])
-    dg = ([s + t for s, t in zip(b_p, b_q)], [s - t for s, t in zip(a_p, a_q)],
-          [s - t for s, t in zip(b_p, b_q)], [s + t for s, t in zip(a_p, a_q)])
     rows = np.array([b_p, a_p, [t - s for s, t in zip(b_p, b_q)],
                      [t - s for s, t in zip(a_p, a_q)]])
-    return (a_p, b_p, a_q, b_q), g_prime, dg, rows
+    return (a_p, b_p, a_q, b_q), g_prime, rows
 
 
 @dataclass(frozen=True)
@@ -281,9 +279,9 @@ def _h_of(u2, k, q):
     return k * (u2 * e2 * e2) ** 2
 
 
-def _pq(config: TruncatedConfig, polys, k):
-    """(i aP + k bP, i aQ + k bQ) at k, from the four polynomials
-    (aP, bP, aQ, bQ) in e2 = k^2 - q^2 of G or of -i G' (``_g_polynomials``).
+def _polys_at(config: TruncatedConfig, polys, k):
+    """(aP, bP, aQ, bQ) at k, the four polynomials in e2 = k^2 - q^2 of G
+    or of -i G' (``_g_polynomials``).
 
     Horner's rule written out for 5 coefficients: ``darboux._horner``'s
     operations in its order, so its bits, at half its cost on a scalar."""
@@ -291,10 +289,16 @@ def _pq(config: TruncatedConfig, polys, k):
     e = k * k - q * q
     ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4),
      (d0, d1, d2, d3, d4)) = polys
-    return (1j * ((((a4 * e + a3) * e + a2) * e + a1) * e + a0)
-            + k * ((((b4 * e + b3) * e + b2) * e + b1) * e + b0),
-            1j * ((((c4 * e + c3) * e + c2) * e + c1) * e + c0)
-            + k * ((((d4 * e + d3) * e + d2) * e + d1) * e + d0))
+    return (((((a4 * e + a3) * e + a2) * e + a1) * e + a0),
+            ((((b4 * e + b3) * e + b2) * e + b1) * e + b0),
+            ((((c4 * e + c3) * e + c2) * e + c1) * e + c0),
+            ((((d4 * e + d3) * e + d2) * e + d1) * e + d0))
+
+
+def _pq(config: TruncatedConfig, polys, k):
+    """(i aP + k bP, i aQ + k bQ) at k (``_polys_at``)."""
+    a_p, b_p, a_q, b_q = _polys_at(config, polys, k)
+    return 1j * a_p + k * b_p, 1j * a_q + k * b_q
 
 
 def _g(config: TruncatedConfig, k):
@@ -453,10 +457,12 @@ def regular_solution(config: TruncatedConfig, k, r):
     Raises
     ------
     ValidationError
-        If r is outside [0, a] or W1 is not finite there (r a NaN).
+        If k is not finite, or r is outside [0, a] or W1 is not finite
+        there (r a NaN).
     DegenerateNormalizer
         If |h(k)| < 1e-12 * max(1, |u(k,0)|^2 + |v(k,0)|^2).
     """
+    _checked_k(k)
     r = np.asarray(r)
     if np.any(r < 0) or np.any(r > config.a):
         raise ValidationError("regular solution is defined on 0 <= r <= a")
@@ -490,8 +496,14 @@ def dg(config: TruncatedConfig, k):
     A scalar k gives scalars, in Python arithmetic where k is a builtin; an
     array k is evaluated in blocks of ``_BLOCK`` points, so beyond the two
     outputs the peak memory is one block's temporaries, whatever the grid
-    size. Phases and cross sections do not go through d and g (see
-    ``_num_den``).
+    size. d and g are read from G's four polynomials (``_g_polynomials``),
+    the ones the resonance search evaluates. Phases and cross sections do
+    not go through d and g (see ``_num_den``).
+
+    Raises
+    ------
+    ValidationError
+        If k, or a point of an array k, is not finite.
     """
     if np.ndim(k) == 0:
         return _dg(config, k)
@@ -499,19 +511,14 @@ def dg(config: TruncatedConfig, k):
 
 
 def _dg(config: TruncatedConfig, k):
-    """(d, g) at k, unblocked, from the polynomials ``_BoundaryData.dg``
-    (see ``_g_polynomials``), by Horner's rule written out as in ``_pq``,
-    and np.sin, np.cos of ka."""
-    q = config.params.q
-    ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4),
-     (d0, d1, d2, d3, d4)) = config._boundary_data.dg
-    e = k * k - q * q
+    """(d, g) at k, unblocked, from the values of G's four polynomials
+    (``_polys_at``) as in ``_g_polynomials``, and np.sin, np.cos of ka;
+    ValidationError where k is not finite."""
+    _checked_k(k)
+    a_p, b_p, a_q, b_q = _polys_at(config, config._boundary_data.g, k)
     ka = k * config.a
     s, c = np.sin(ka), np.cos(ka)
-    return (k * ((((a4 * e + a3) * e + a2) * e + a1) * e + a0) * c
-            - ((((b4 * e + b3) * e + b2) * e + b1) * e + b0) * s,
-            k * ((((c4 * e + c3) * e + c2) * e + c1) * e + c0) * s
-            + ((((d4 * e + d3) * e + d2) * e + d1) * e + d0) * c)
+    return k * (b_p + b_q) * c - (a_p - a_q) * s, k * (b_p - b_q) * s + (a_p + a_q) * c
 
 
 def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
@@ -523,6 +530,9 @@ def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
 
     Raises
     ------
+    ValidationError
+        If k, or a point of an array k, is not finite (``dg``) or is 0,
+        where h(k) = 0 and the prefactor divides by it (``_jost_from_dg``).
     DegenerateNormalizer
         If F+- are rounding noise at k, or at a point of an array k
         (estimated relative rounding above 1e-6, ``_jost_from_dg``).
@@ -565,8 +575,12 @@ def _jost_from_dg(config: TruncatedConfig, k, d, g, extra=0.0):
     to 0.3), above 1 wherever N^2 was noise, and 1.5 to 400 times the error
     at doublets with a up to 1e8, where the phases dominate. At the first
     k = q + x/a it accepts (x = 0.06 to 0.3, seven configs, a = 5000 to
-    1e6) it read 0.5 to 2.8 times the 40-digit error of d + ig.
+    1e6) it read 0.5 to 2.8 times the 40-digit error of d + ig. k = 0,
+    where h = 0 leaves pref undefined, raises ValidationError.
     """
+    if (k == 0) if isinstance(k, (float, complex)) else not np.all(k):
+        raise ValidationError("F(+-k) are not formed at k = 0, where h(k) = 0 and the "
+                              "prefactor W1(0) / (h(k) W1(a)^2) divides by it")
     d_plus_ig, d_minus_ig = d + 1j * g, d - 1j * g
     rounding = _jost_rounding(config, k, d_plus_ig, d_minus_ig, extra)
     if not (rounding <= _JOST_RTOL).all():
@@ -578,6 +592,15 @@ def _jost_from_dg(config: TruncatedConfig, k, d, g, extra=0.0):
             pref * np.exp(-1j * k * config.a) * d_minus_ig)
 
 
+def _checked_real_axis(k: np.ndarray) -> None:
+    """ValidationError unless every point of the 1-d block k is finite and
+    positive, by one min and one max: the phase is odd in k and steps at
+    k = 0, and sigma = (4 pi / k^2) sin^2 delta is infinite there."""
+    if k.size and not (0 < k.min() and k.max() < math.inf):
+        bad = k[np.argmin((k > 0) & (k < math.inf))]
+        raise ValidationError(f"real-axis k = {float(bad)!r} is not finite and positive")
+
+
 def _num_den(config: TruncatedConfig, k: np.ndarray):
     """Numerator and denominator of tan(-delta_a) on one block of real k (a
     1-d array): sin^2 delta = num^2 / (num^2 + den^2).
@@ -585,8 +608,11 @@ def _num_den(config: TruncatedConfig, k: np.ndarray):
     den + i num = e^{ika} (d + ig) = e^{2ika} P + Q (``_g_polynomials``),
     so the block takes one matrix product of ``_BoundaryData.rows`` over the
     powers of e2 and one tangent of ka (``_rotated``), with no d, g or
-    second rotation on the way.
+    second rotation on the way. Every real-axis phase and cross section
+    passes through here, so this is where a block is refused unless each
+    of its points is finite and positive (``_checked_real_axis``).
     """
+    _checked_real_axis(k)
     q = config.params.q
     e2 = np.multiply(k, k, dtype=float)
     e2 -= q * q
@@ -675,28 +701,32 @@ def cross_section(config: TruncatedConfig, k):
 def scattering_point(config: TruncatedConfig, k: float) -> ScatteringPoint:
     """Bundle every real-axis quantity at one k (refused where ``jost_function`` is).
 
-    Its delta_a and sigma are formed from d and g (``dg``), not from the
-    tangent kernel of ``phase_shift`` and ``cross_section`` (``_num_den``),
-    so at the same k they can differ from those in the last bits. At
-    alpha = 1.3, q = 0.7, a = 5000, on the 1e-6 grid over [0.699, 0.701]
-    outside |k - q| <= 1e-5, 1389 of the 1962 sigma values it gives differ:
-    by at most 2.4e-13 relative where |k - q| > 3e-4, and by up to 1.8e-11
-    closer to q, where d and g are small and a sigma minimum lies.
+    delta_a and sigma are those of ``phase_shift`` and ``cross_section`` at
+    k, bit for bit: the point goes through their kernel (``_num_den``),
+    which pads a lone point to the product of a longer block. S is
+    F(k) / F(-k) = e^{-2ika} (d - ig) / (d + ig), from the F+- returned.
+
+    Raises
+    ------
+    ValidationError
+        If k is not finite and positive.
+    DegenerateNormalizer
+        Where ``jost_function`` raises it.
     """
     k = float(k)
+    block = np.array([k])
+    num, den = _num_den(config, block)
     d, g = dg(config, k)
     f_minus, f_plus = _jost_from_dg(config, k, d, g)
-    num, den = _ka_rotation(d, g, k * config.a)
-    s = np.exp(-2j * k * config.a) * (d - 1j * g) / (d + 1j * g)
     return ScatteringPoint(
         k=k,
         d=float(d),
         g=float(g),
         F_minus=complex(f_minus),
         F_plus=complex(f_plus),
-        S=complex(s),
-        delta_a=float(_principal_phase(num, den)),
-        sigma=float(_sigma(k, num, den)),
+        S=complex(f_plus / f_minus),
+        delta_a=float(_principal_phase(num, den)[0]),
+        sigma=float(_sigma(block, num, den)[0]),
     )
 
 
@@ -731,46 +761,41 @@ def _scan(config: TruncatedConfig, n: int, points):
     real-axis window (``_window_scan``) and of a given grid. Each block
     after the first is led by the previous block's last point and its num
     and den, so that brackets and steps across a block end are kept while
-    each point goes through ``_num_den`` once. A block that holds a point
-    that is not finite (only a given grid can) raises ValidationError
-    before it is evaluated."""
+    each point goes through ``_num_den`` once, which refuses a block with
+    a point that is not finite and positive (only a given grid can hold
+    one) before it is evaluated."""
     end = ((), ())
     for start in range(0, n, _BLOCK):
         k = points(max(start - 1, 0), min(start + _BLOCK, n))
-        if not np.isfinite(k).all():
-            raise ValidationError("k_grid must be finite")
         # the lead point, if any, is end's; the rest are new
         num, den = (np.concatenate((e, f)) for e, f in zip(end, _num_den(config, k[len(end[0]):])))
         end = [num[-1]], [den[-1]]  # copies: a consumer may overwrite num and den
         yield k, num, den
 
 
-def _masked(config: TruncatedConfig, blocks):
-    """(floor, masked): the noise floor of hypot(d, g) (``_noise_floor``,
-    read once, here) and the ``_scan`` stream ``blocks`` with each block's
-    mask appended, (k, num, den, keep). keep is num^2 + den^2 > floor^2,
-    taken before a consumer overwrites num and den: false where
-    num^2 + den^2 = d^2 + g^2 is rounding, in the band around k = q. It is
-    the one rule by which every real-axis window (``_window_scan``, and
-    ``background.hadamard_residual``'s default grid) drops that band."""
-    floor = _noise_floor(config)
-    return floor, ((k, num, den, num * num + den * den > floor * floor) for k, num, den in blocks)
-
-
 def _window_scan(config: TruncatedConfig, k_lo: float, k_hi: float, dk: Optional[float]):
     """(floor, blocks of (k, num, den, keep)): the window k_lo, k_lo + dk,
     ... through k_hi (``_window_points``), dk defaulting to pi/(64 a),
-    scanned (``_scan``) and masked (``_masked``) once ``_window_size`` has
-    checked it. A window that reaches k <= 0 is refused: the phase is odd
-    in k and steps there, so neither its jump nor the sigma landmarks of
-    such a window are those of the scattering problem."""
+    scanned (``_scan``) once ``_window_size`` has checked it. A window that
+    reaches k <= 0 is refused: the phase is odd in k and steps there, so
+    neither its jump, its sigma landmarks nor its model deviation are
+    those of the scattering problem.
+
+    keep is each block's noise mask, num^2 + den^2 > floor^2 with floor the
+    noise floor of hypot(d, g) (``_noise_floor``, read once per call), taken
+    before a consumer overwrites num and den: false where
+    num^2 + den^2 = d^2 + g^2 is rounding, in the band around k = q. It is
+    the one rule by which every window (of ``sigma_landmarks``,
+    ``phase_jump`` and ``background.hadamard_residual``) drops that band."""
     if dk is None:
         dk = math.pi / (64.0 * config.a)
     n = _window_size(k_lo, k_hi, dk)
     if not k_lo > 0:
         raise ValidationError(f"the window [{k_lo!r}, {k_hi!r}] reaches k <= 0; "
                               "real-axis windows need k_lo > 0")
-    return _masked(config, _scan(config, n, functools.partial(_window_points, k_lo, dk)))
+    floor = _noise_floor(config)
+    blocks = _scan(config, n, functools.partial(_window_points, k_lo, dk))
+    return floor, ((k, num, den, num * num + den * den > floor * floor) for k, num, den in blocks)
 
 
 @dataclass(frozen=True)
@@ -810,11 +835,11 @@ def sigma_landmarks(config: TruncatedConfig, k_lo: float, k_hi: float,
     d + ig also vanishes (removably, to fourth order) at the embedded-state
     wave number q, dragging both numerator and denominator through zero
     there. A bracket is discarded when it contains q, or when either end is
-    outside the window's noise mask (``_masked``, the mask of ``phase_jump``
-    and ``background.hadamard_residual``): there num^2 + den^2 = d^2 + g^2
-    is at or below the square of the floor, 1e3 times the largest
-    hypot(d, g) at q and q +- 1e-4/a, which is pure rounding, so a sign
-    change there is noise.
+    outside the window's noise mask (``_window_scan``, the mask of
+    ``phase_jump`` and ``background.hadamard_residual``): there
+    num^2 + den^2 = d^2 + g^2 is at or below the square of the floor, 1e3
+    times the largest hypot(d, g) at q and q +- 1e-4/a, which is pure
+    rounding, so a sign change there is noise.
 
     Raises
     ------
@@ -890,7 +915,7 @@ def phase_jump(config: TruncatedConfig, k_lo: float, k_hi: float,
     for the Breit-Wigner tails to complete) the magnitude approaches 2*pi:
     each resonance contributes a drop of pi. dk defaults to pi/(64 a), as
     in ``sigma_landmarks``. Only the grid points in the window's noise mask
-    (``_masked``, the one rule of ``sigma_landmarks`` and
+    (``_window_scan``, the one rule of ``sigma_landmarks`` and
     ``background.hadamard_residual``) are unwrapped: outside it
     hypot(num, den) = hypot(d, g) is at or below the noise floor
     (``_noise_floor``) and the sampled phase is rounding. Over the envelope

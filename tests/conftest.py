@@ -16,6 +16,7 @@ leading underscore.
 import functools
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 
@@ -191,8 +192,7 @@ def _g_polynomials_convolve(at_0, at_a, w1_a, q, a):
     g_prime = (-(b_p + 2.0 * mul(k2, e2_derivative(b_p))), 2.0 * e2_derivative(a_p),
                -(b_q + 2.0 * mul(k2, e2_derivative(b_q))) - 2.0 * a * a_q,
                2.0 * e2_derivative(a_q) - 2.0 * a * b_q)
-    return ((a_p, b_p, a_q, b_q), g_prime, (b_p + b_q, a_p - a_q, b_p - b_q, a_p + a_q),
-            np.array([b_p, a_p, b_q - b_p, a_q - a_p]))
+    return (a_p, b_p, a_q, b_q), g_prime, np.array([b_p, a_p, b_q - b_p, a_q - a_p])
 
 
 def _potential_v4_log(params, r):
@@ -262,6 +262,15 @@ def uv_reference():
 @pytest.fixture(scope="session")
 def uv_oracle():
     return _uv_oracle
+
+
+@pytest.fixture(scope="session")
+def pinned_minima():
+    """minima -> a patch under which ``fit_lambda`` pins the given minima
+    (in ascending order) in place of those its window scan finds
+    (``background._sigma_minima``)."""
+    return lambda minima: mock.patch("bicscatter.background._sigma_minima",
+                                     return_value=(list(minima), []))
 
 
 @pytest.fixture(scope="session")

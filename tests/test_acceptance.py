@@ -101,7 +101,7 @@ def test_criterion_5_cross_section_structure(config, landmarks):
           f"|phase jump| {abs(jump):.4f} = 2pi - {2*math.pi-abs(jump):.4f}")
 
 
-def test_criterion_6_background_fit(config, fit, landmarks):
+def test_criterion_6_background_fit(config, fit, landmarks, pinned_minima):
     from scipy.optimize import brentq
 
     lam_at_1 = fit.lambda0 + fit.lambda1
@@ -129,7 +129,8 @@ def test_criterion_6_background_fit(config, fit, landmarks):
             ((y - lam * z) * math.sin(k * fit.a) + (lam * y + z) * math.cos(k * fit.a))[0]
         ))(*bs.yz(fit.doublet, np.asarray([k])), lam0 + lam1 * k))
         minima.append(brentq(f, m - 2e-4, m + 2e-4, xtol=1e-15))
-    refit = bs.fit_lambda(config, fit.doublet, minima=minima)
+    with pinned_minima(minima):
+        refit = bs.fit_lambda(config, fit.doublet)
     assert refit.lambda0 == pytest.approx(lam0, rel=1e-2)
     assert refit.lambda1 == pytest.approx(lam1, rel=1e-2)
     print(f"\n[PASS] criterion 6: lambda(1) = {lam_at_1:.6f} (target -0.8236 +/- 10%), "

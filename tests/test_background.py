@@ -88,7 +88,7 @@ def test_reference_background_reproduces_minima(config, doublet, landmarks):
         assert abs(root - m) < 1e-4
 
 
-def test_fit_round_trip_reference_values(config, doublet, landmarks):
+def test_fit_round_trip_reference_values(config, doublet, landmarks, pinned_minima):
     # minima generated from the reference coefficients, refit: recovers
     # them to machine-level despite the condition number
     lam0, lam1 = 1311.3931, -1312.2167
@@ -96,12 +96,13 @@ def test_fit_round_trip_reference_values(config, doublet, landmarks):
     for m in landmarks.minima:
         f = lambda k: float(_model_num_den(doublet, config.a, lam0, lam1, k)[0])
         minima.append(brentq(f, m - 2e-4, m + 2e-4, xtol=1e-15))
-    refit = bs.fit_lambda(config, doublet, minima=minima)
+    with pinned_minima(minima):
+        refit = bs.fit_lambda(config, doublet)
     assert refit.lambda0 == pytest.approx(lam0, rel=1e-2)
     assert refit.lambda1 == pytest.approx(lam1, rel=1e-2)
 
 
-def test_fit_round_trip_synthetic_well_conditioned(params):
+def test_fit_round_trip_synthetic_well_conditioned(params, pinned_minima):
     """Wide synthetic doublet at small cutoff: zeros are far apart, the
     system is well conditioned, and the round trip is tight."""
     cfg = bs.TruncatedConfig(params=params, a=7.0)
@@ -115,23 +116,25 @@ def test_fit_round_trip_synthetic_well_conditioned(params):
                ks[i], ks[i + 1], xtol=1e-15)
         for i in idx
     ]
-    refit = bs.fit_lambda(cfg, d, minima=zeros)
+    with pinned_minima(zeros):
+        refit = bs.fit_lambda(cfg, d)
     assert refit.lambda0 == pytest.approx(lam0, rel=1e-6)
     assert refit.lambda1 == pytest.approx(lam1, rel=1e-6)
     assert refit.fit_report["condition_number"] < 1e4
 
 
-def test_singular_fit_system(config):
+def test_singular_fit_system(config, pinned_minima):
     # zero-width doublet evaluated at its own poles: the linear system for
     # lambda degenerates
     d = bs.Doublet(k1=0.999, half_width1=0.0, k2=1.001, half_width2=0.0)
-    with pytest.raises(bs.SingularFitSystem):
-        bs.fit_lambda(config, d, minima=[0.999, 1.001])
+    with pinned_minima([0.999, 1.001]), pytest.raises(bs.SingularFitSystem):
+        bs.fit_lambda(config, d)
 
 
-def test_fit_refuses_two_equal_minima(config, doublet):
-    with pytest.raises(bs.SingularFitSystem, match="both minima"):
-        bs.fit_lambda(config, doublet, minima=[1.0003, 1.0003])
+def test_fit_refuses_two_equal_minima(config, doublet, pinned_minima):
+    with pinned_minima([1.0003, 1.0003]), pytest.raises(bs.SingularFitSystem,
+                                                        match="both minima"):
+        bs.fit_lambda(config, doublet)
 
 
 
@@ -282,8 +285,9 @@ def test_shape_deviation_far_field_reported(config, fit):
        log_a=st.floats(min_value=2.0, max_value=6.0))
 def test_default_residual_grid_is_arange(alpha, q, log_a):
     """The default grid, streamed from the window's own points, gives the
-    residual of np.arange(lo, hi, pi/(640 a)) evaluated whole through
-    ``_block_deviation``, bit for bit, or is refused where that is empty."""
+    residual of np.arange(lo, hi + dk, dk), dk = pi/(640 a), evaluated whole
+    through ``_block_deviation``, bit for bit, or is refused where that is
+    empty or reaches k <= 0 (at small q a)."""
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=10.0**log_a)
     try:
         fit = bs.fit_lambda(config, bs.Doublet.from_resonances(
@@ -292,7 +296,12 @@ def test_default_residual_grid_is_arange(alpha, q, log_a):
         assume(False)
     m1, m2 = fit.fit_report["minima"]
     span = m2 - m1
-    grid = np.arange(m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * config.a))
+    dk = math.pi / (640.0 * config.a)
+    grid = np.arange(m1 - 0.25 * span, m2 + 0.25 * span + dk, dk)
+    if grid[0] <= 0:
+        with pytest.raises(bs.ValidationError, match="reaches k <= 0"):
+            bs.hadamard_residual(config, fit)
+        return
     num, den = scattering._num_den(config, grid)
     floor = scattering._noise_floor(config)
     want = background._block_deviation(fit, grid, num, den,
@@ -313,9 +322,18 @@ def test_shape_deviation_refuses_an_empty_grid(config, fit):
     lo, hi = m1 - 0.25 * (m2 - m1), m2 + 0.25 * (m2 - m1)
     with mock.patch("bicscatter.scattering._noise_floor", return_value=math.inf):
         with pytest.raises(bs.ValidationError,
-                           match=re.escape(f"[{lo!r}, {hi!r})")) as refusal:
+                           match=re.escape(f"[{lo!r}, {hi!r}]")) as refusal:
             bs.hadamard_residual(config, fit)
     assert "rounding floor inf" in str(refusal.value) and "k grid" not in str(refusal.value)
+
+
+def test_default_grid_that_reaches_k_zero_is_refused(config, doublet, pinned_minima):
+    # minima at 0.001 and 1.0003 put the default grid over [-0.249, 1.25],
+    # across k = 0, where the phase steps; that returned 0.99999
+    with pinned_minima([0.001, 1.0003]):
+        fit = bs.fit_lambda(config, doublet)
+    with pytest.raises(bs.ValidationError, match="reaches k <= 0"):
+        bs.hadamard_residual(config, fit)
 
 
 @pytest.mark.parametrize("k", [[1.0005, math.nan], [math.inf, 1.0]])

@@ -174,6 +174,16 @@ def test_bound_state_zero_at_origin(psi_b):
     assert abs(float(psi_b(0.0))) < 1e-14
 
 
+@pytest.mark.parametrize("alpha,q", [(1.0, 1.0), (0.5, 2.0), (1.3, 0.7)])
+def test_bound_state_is_exactly_zero_at_the_origin(alpha, q):
+    # the closed form cancels there to rounding (3.1e-16, 1.2e-15 and
+    # -1.4e-16 of raw at these parameters), as Phi's does at r = 0
+    psi = bs.bound_state(bs.PotentialParams.bic(alpha=alpha, q=q))
+    assert psi.raw(0.0) == 0.0 and psi(0.0) == 0.0
+    raw = psi.raw(np.array([0.0, 1.0]))
+    assert raw[0] == 0.0 and raw[1] != 0.0
+
+
 def test_bound_state_takes_a_list(psi_b):
     # as potential_v4 and w1_bundle do
     assert psi_b([0.5, 1.0]).tolist() == psi_b(np.array([0.5, 1.0])).tolist()

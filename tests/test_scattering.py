@@ -571,10 +571,10 @@ def test_dg_scalar_skips_numpy_arrays(config, k):
             acc = acc * e2 + ci
         return acc
 
-    b_sum, a_diff, b_diff, a_sum = (horner(c) for c in config._boundary_data.dg)
+    a_p, b_p, a_q, b_q = (horner(c) for c in config._boundary_data.g)
     s, c = np.sin(k * config.a), np.cos(k * config.a)
-    assert d == k * b_sum * c - a_diff * s
-    assert g == k * b_diff * s + a_sum * c
+    assert d == k * (b_p + b_q) * c - (a_p - a_q) * s
+    assert g == k * (b_p - b_q) * s + (a_p + a_q) * c
 
 
 def _same_bits(x, y):
@@ -587,8 +587,9 @@ def _same_bits(x, y):
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0),
        x=st.floats(min_value=-20.0, max_value=20.0), y=st.floats(min_value=-3.0, max_value=0.0))
 def test_unrolled_horner_is_horner(alpha, q, log_a, x, y):
-    # _pq and _dg write Horner's rule out: darboux._horner's operations in
-    # its order, so the same bits for a real scalar, a complex scalar and arrays
+    # _polys_at writes Horner's rule out for _pq and _dg: darboux._horner's
+    # operations in its order, so the same bits for a real scalar, a complex
+    # scalar and arrays
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=10.0**log_a)
     q, a, bd = config.params.q, config.a, config._boundary_data
     k_re = q + x / a
@@ -600,11 +601,11 @@ def test_unrolled_horner_is_horner(alpha, q, log_a, x, y):
             got = scattering._pq(config, polys, k)
             assert _same_bits(got[0], 1j * a_p + k * b_p)
             assert _same_bits(got[1], 1j * a_q + k * b_q)
-        b_sum, a_diff, b_diff, a_sum = (darboux._horner(c, e2) for c in bd.dg)
+        a_p, b_p, a_q, b_q = (darboux._horner(c, e2) for c in bd.g)
         s, c = np.sin(k * a), np.cos(k * a)
         d, g = scattering._dg(config, k)
-        assert _same_bits(d, k * b_sum * c - a_diff * s)
-        assert _same_bits(g, k * b_diff * s + a_sum * c)
+        assert _same_bits(d, k * (b_p + b_q) * c - (a_p - a_q) * s)
+        assert _same_bits(g, k * (b_p - b_q) * s + (a_p + a_q) * c)
 
 
 def _g_polynomial_magnitudes(at_0, at_a, w1_a, q, a):
@@ -634,8 +635,7 @@ def _g_polynomial_magnitudes(at_0, at_a, w1_a, q, a):
     g_prime = (b_p + 2.0 * mul(k2, e2_derivative(b_p)), 2.0 * e2_derivative(a_p),
                b_q + 2.0 * mul(k2, e2_derivative(b_q)) + 2.0 * a * a_q,
                2.0 * e2_derivative(a_q) + 2.0 * a * b_q)
-    return ((a_p, b_p, a_q, b_q), g_prime, (b_p + b_q, a_p + a_q, b_p + b_q, a_p + a_q),
-            np.array([b_p, a_p, b_q + b_p, a_q + a_p]))
+    return (a_p, b_p, a_q, b_q), g_prime, np.array([b_p, a_p, b_q + b_p, a_q + a_p])
 
 
 @settings(max_examples=60, deadline=None)
@@ -654,7 +654,8 @@ def test_g_polynomials_match_the_convolve_form(alpha, q, log_a, g_polynomials_co
     want = g_polynomials_convolve(at_0, [np.array(c) for c in at_a], w1_a, q, a)
     bound = _g_polynomial_magnitudes(at_0, at_a, w1_a, q, a)
     eps = np.finfo(float).eps
-    assert isinstance(got[3], np.ndarray) and got[3].shape == (4, 5)
+    assert len(got) == len(want) == len(bound) == 3
+    assert isinstance(got[2], np.ndarray) and got[2].shape == (4, 5)
     for polys, refs, mags in zip(got, want, bound):
         assert len(polys) == len(refs) == 4
         for c, ref, mag in zip(polys, refs, mags):
@@ -877,10 +878,9 @@ def test_sin2_delta_against_oracle(config, dg_oracle):
     k = np.sort(q + np.geomspace(1e-7, 1e-2, 120) * rng.choice([-1.0, 1.0], 120))
     num, den = scattering._num_den(config, k)
     got = num**2 / (num**2 + den**2)
-    b_sum, a_diff, b_diff, a_sum = (polyval(k * k - q * q, c)
-                                    for c in config._boundary_data.dg)
+    a_p, b_p, a_q, b_q = (polyval(k * k - q * q, c) for c in config._boundary_data.g)
     s, c = np.sin(k * a), np.cos(k * a)
-    d, g = k * b_sum * c - a_diff * s, k * b_diff * s + a_sum * c
+    d, g = k * (b_p + b_q) * c - (a_p - a_q) * s, k * (b_p - b_q) * s + (a_p + a_q) * c
     num, den = d * s + g * c, d * c - g * s
     reference = num**2 / (num**2 + den**2)
     want = []
@@ -984,6 +984,90 @@ def test_sigma_matches_s_matrix_route(config):
         via_s = (math.pi / k**2) * abs(1.0 - pt.S) ** 2
         assert pt.sigma == pytest.approx(via_s, rel=1e-10)
         assert pt.sigma == pytest.approx((4 * math.pi / k**2) * math.sin(pt.delta_a) ** 2, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0),
+       x=st.floats(min_value=-20.0, max_value=20.0))
+def test_scattering_point_gives_the_array_functions_values(alpha, q, log_a, x):
+    """At k = q + x/a, scattering_point's delta_a and sigma are those of
+    phase_shift and cross_section bit for bit, at k alone and at k inside a
+    grid; near q it refuses where jost_function does."""
+    a = 10.0**log_a
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    k = q + x / a
+    try:
+        pt = bs.scattering_point(config, k)
+    except bs.DegenerateNormalizer:
+        with pytest.raises(bs.DegenerateNormalizer):
+            bs.jost_function(config, k)
+        return
+    grid = np.array([k - 1.0 / a, k, k + 1.0 / a])
+    for delta, sigma in ((bs.phase_shift(config, k), bs.cross_section(config, k)),
+                         (bs.phase_shift(config, grid)[1], bs.cross_section(config, grid)[1])):
+        assert pt.delta_a == delta and pt.sigma == sigma
+
+
+_BAD_K = {
+    "jost_function at 0": lambda c, fit: bs.jost_function(c, 0.0),
+    "jost_function at nan": lambda c, fit: bs.jost_function(c, math.nan),
+    "jost_function at inf in an array": lambda c, fit: bs.jost_function(
+        c, np.array([1.01, math.inf])),
+    "scattering_point at 0": lambda c, fit: bs.scattering_point(c, 0.0),
+    "scattering_point at -1": lambda c, fit: bs.scattering_point(c, -1.0),
+    "scattering_point at nan": lambda c, fit: bs.scattering_point(c, math.nan),
+    "gamow_state at nan": lambda c, fit: bs.gamow_state(
+        c, bs.Resonance(complex(math.nan, math.nan), 0.0)),
+    "dg at nan": lambda c, fit: bs.dg(c, math.nan),
+    "dg at complex inf": lambda c, fit: bs.dg(c, complex(math.inf, -1.0)),
+    "regular_solution at nan": lambda c, fit: bs.regular_solution(c, math.nan, 1.0),
+    "jost_value at nan": lambda c, fit: bs.jost_value(c.params, math.nan, 1.0),
+    "uv_bundle at inf": lambda c, fit: bs.uv_bundle(c.params, math.inf, 1.0),
+    "cross_section at nan": lambda c, fit: bs.cross_section(c, [math.nan, 1.001]),
+    "cross_section at 0": lambda c, fit: bs.cross_section(c, [0.0]),
+    "cross_section at -1.001": lambda c, fit: bs.cross_section(c, -1.001),
+    "phase_shift at -inf": lambda c, fit: bs.phase_shift(c, [1.001, -math.inf]),
+    "phase_shift_unwrapped below 0": lambda c, fit: bs.phase_shift_unwrapped(
+        c, [-1.001, -1.0009]),
+    "model_phase_and_sigma at 0": lambda c, fit: bs.model_phase_and_sigma(fit, [0.0, 1.001]),
+    "hadamard_residual at 0": lambda c, fit: bs.hadamard_residual(c, fit, [0.0, 1.0005]),
+    "yz at nan": lambda c, fit: bs.yz(fit.doublet, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", list(_BAD_K.values()), ids=list(_BAD_K))
+def test_a_bad_k_is_refused(config, fit, call):
+    # these raised ZeroDivisionError (h(0) = 0), DegenerateNormalizer (a
+    # NaN k) or a RuntimeWarning, or returned NaN, inf or, below k = 0, a
+    # cross section and a phase
+    with pytest.raises(bs.ValidationError, match="k = "):
+        call(config, fit)
+
+
+@pytest.mark.parametrize("alpha,q,a,worst", [
+    (1.0, 1.0, 5000.0, [7.2e-3, 9.2e-8, 1.7e-12, 4.3e-13, 4.4e-13]),
+    (0.5, 2.0, 1e5, [0.28, 3.9e-6, 9.6e-11, 1.3e-11, 1.4e-11]),
+    (1.3, 0.7, 5000.0, [0.082, 8.2e-7, 1.1e-11, 2.5e-13, 4.0e-13])])
+def test_dg_per_decade_against_oracle(alpha, q, a, worst, dg_oracle):
+    """d + ig, read from G's four polynomials, against 40 digits at 8
+    points per decade of |x|, x = (k - q) a, from 1e-2 to 1e3 on either
+    side of q. ``worst`` is the worst relative error per decade of d and g
+    from summed polynomials (bP + bQ, aP - aQ, ...), to two digits: from
+    the rounding noise next to q to the rounding of k a far out. Each
+    decade stays within twice it."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+    rng = np.random.default_rng(7)
+    x = np.geomspace(0.01, 1000.0, 41)[:-1] * rng.choice([-1.0, 1.0], 40)
+    k = q + x / a
+    d, g = bs.dg(config, k)
+    with mpmath.workdps(40):
+        want = np.array([complex(dd + 1j * gg)
+                         for dd, gg in (dg_oracle(config, float(kk)) for kk in k)])
+    err = np.abs(d + 1j * g - want) / np.abs(want)
+    decade = np.floor(np.log10(np.abs(x)))
+    assert np.array_equal(np.unique(decade), np.arange(-2.0, 3.0))
+    for b, bound in zip(range(-2, 3), worst):
+        assert err[decade == b].max() <= 2.0 * bound, b
 
 
 def test_phase_shift_principal_branch(config):
@@ -1494,14 +1578,24 @@ def test_one_noise_mask_keeps_what_the_three_former_rules_kept(alpha, q, log_a):
     ``sigma_landmarks`` accepts and the default-grid points
     ``hadamard_residual`` evaluates are exactly those that the rule each
     of them used to apply on its own keeps. The references are those
-    rules, on one kernel pass over the whole window. Where the window
-    reaches k <= 0 (at small q a), ``phase_jump`` and ``sigma_landmarks``
-    refuse it and only the default-grid points are compared."""
+    rules, on one kernel pass over the whole window, which is now the
+    default grid too, its end included. Where the window reaches k <= 0
+    (at small q a), all three refuse it."""
     a = 10.0**log_a
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
     m1, m2 = q - 10.0 * math.pi / a, q + 10.0 * math.pi / a
     span = m2 - m1
     lo, hi, dk = m1 - 0.25 * span, m2 + 0.25 * span, math.pi / (640.0 * a)
+    doublet = bs.Doublet(k1=q - 1.0 / a, half_width1=0.1 / a, k2=q + 1.0 / a, half_width2=0.1 / a)
+    fit = bs.BackgroundFit(lambda0=0.0, lambda1=0.0, doublet=doublet, a=a,
+                           fit_report={"minima": [m1, m2]})
+    if lo <= 0:
+        for landmark in (bs.phase_jump, bs.sigma_landmarks):
+            with pytest.raises(bs.ValidationError, match="reaches k <= 0"):
+                landmark(config, lo, hi, dk)
+        with pytest.raises(bs.ValidationError, match="reaches k <= 0"):
+            bs.hadamard_residual(config, fit)
+        return
     k = scattering._window_points(lo, dk, 0, scattering._window_size(lo, hi, dk))
     num, den = scattering._num_den(config, k)
     floor = scattering._noise_floor(config)
@@ -1517,12 +1611,10 @@ def test_one_noise_mask_keeps_what_the_three_former_rules_kept(alpha, q, log_a):
                  or math.hypot(num[i + 1], den[i + 1]) <= floor)]
         for f in (num, den)]
     # the deviation grid's rule: den above floor^2 once _sin2 has made it
-    # num^2 + den^2, on np.arange(lo, hi, dk)
-    grid = np.arange(lo, hi, dk)
-    assert np.array_equal(grid, k[:grid.size])
-    sum_sq = den[:grid.size].copy()
-    scattering._sin2(num[:grid.size].copy(), sum_sq)
-    want_evaluated = grid[sum_sq > floor * floor]
+    # num^2 + den^2, on the window
+    sum_sq = den.copy()
+    scattering._sin2(num.copy(), sum_sq)
+    want_evaluated = k[sum_sq > floor * floor]
 
     unwrapped, brackets, evaluated = [], {}, []
     original_unwrap = scattering._unwrap
@@ -1533,27 +1625,19 @@ def test_one_noise_mask_keeps_what_the_three_former_rules_kept(alpha, q, log_a):
         unwrapped.extend(points for points, _, _ in blocks)
         return original_unwrap(iter(blocks), *args)
 
-    doublet = bs.Doublet(k1=q - 1.0 / a, half_width1=0.1 / a, k2=q + 1.0 / a, half_width2=0.1 / a)
-    fit = bs.BackgroundFit(lambda0=0.0, lambda1=0.0, doublet=doublet, a=a,
-                           fit_report={"minima": [m1, m2]})
     with _recorded(background, "_model_num_den",
                    lambda _d, _a, _l0, _l1, kk: evaluated.append(np.array(kk))):
         bs.hadamard_residual(config, fit)
-    if lo <= 0:
-        for landmark in (bs.phase_jump, bs.sigma_landmarks):
-            with pytest.raises(bs.ValidationError, match="reaches k <= 0"):
-                landmark(config, lo, hi, dk)
-    else:
-        with mock.patch.object(scattering, "_unwrap", unwrap):
-            bs.phase_jump(config, lo, hi, dk)
-        with _recorded(scattering, "_refined",
-                       lambda _, found, part, *keep: brackets.setdefault(part, list(found))):
-            try:
-                bs.sigma_landmarks(config, lo, hi, dk)
-            except (bs.MinimaNotFound, bs.NoConvergence):
-                pass  # the brackets of the numerator were recorded first
-        # a block after the first is led by the point the previous one ended on
-        assert np.array_equal(np.unique(np.concatenate(unwrapped)), want_unwrapped)
-        assert brackets[0] == want_brackets[0]
-        assert brackets.get(1, want_brackets[1]) == want_brackets[1]
+    with mock.patch.object(scattering, "_unwrap", unwrap):
+        bs.phase_jump(config, lo, hi, dk)
+    with _recorded(scattering, "_refined",
+                   lambda _, found, part, *keep: brackets.setdefault(part, list(found))):
+        try:
+            bs.sigma_landmarks(config, lo, hi, dk)
+        except (bs.MinimaNotFound, bs.NoConvergence):
+            pass  # the brackets of the numerator were recorded first
+    # a block after the first is led by the point the previous one ended on
+    assert np.array_equal(np.unique(np.concatenate(unwrapped)), want_unwrapped)
+    assert brackets[0] == want_brackets[0]
+    assert brackets.get(1, want_brackets[1]) == want_brackets[1]
     assert np.array_equal(np.unique(np.concatenate(evaluated)), want_evaluated)
