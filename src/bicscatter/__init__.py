@@ -34,7 +34,6 @@ from .errors import (
     RootCountMismatch,
     SingularFitSystem,
     SingularPotential,
-    StrictModeViolation,
     UnwrapAmbiguity,
     ValidationError,
     ZeroDerivative,

@@ -32,8 +32,8 @@ from .errors import SingularFitSystem, ValidationError
 from .jost import _checked_k
 from .resonances import Resonance
 from .scattering import (TruncatedConfig, _blockwise, _checked_real_axis, _ka_rotation,
-                         _principal_phase, _rotated, _scan, _sigma, _sigma_minima, _sin2,
-                         _window_scan)
+                         _principal_phase, _real, _rotated, _scan, _sigma, _sigma_minima,
+                         _sin2, _window_scan)
 
 __all__ = [
     "Doublet",
@@ -85,10 +85,10 @@ class BackgroundFit:
 
 
 def yz(doublet: Doublet, k):
-    """The resonance quadratics (Y, Z) at k (vectorized); ValidationError
-    where k is not finite."""
+    """The resonance quadratics (Y, Z) at real k (vectorized); ValidationError
+    where k is not real (``scattering._real``) or not finite."""
+    k = np.asarray(_real(k), dtype=float)
     _checked_k(k)
-    k = np.asarray(k, dtype=float)
     g1 = 2.0 * doublet.half_width1
     g2 = 2.0 * doublet.half_width2
     y = (k - doublet.k1) * (k - doublet.k2) - g1 * g2 / 4.0
@@ -127,7 +127,7 @@ def model_phase_and_sigma(fit: BackgroundFit, k):
     exact pipeline (principal arctan phase, branch-free sin^2 for sigma).
     Evaluated in blocks through ``_model_num_den``, like
     ``scattering.cross_section``, and refused as it is (ValidationError)
-    where a point is not finite and positive."""
+    where k is not real or a point is not finite and positive."""
     def block(kk):
         _checked_real_axis(kk)
         num, den = _model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, kk)
@@ -262,7 +262,8 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     ------
     ValidationError
         If the fit was made at another cutoff, or a given grid is empty
-        ("empty k grid") or holds a point that is not finite and positive,
+        ("empty k grid"), is not real or holds a point that is not finite
+        and positive,
         or the default grid fails the window checks or has no point in the
         noise mask (the refusal names the window and the floor, as
         ``scattering.phase_jump``'s does).
@@ -278,7 +279,7 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
         lo, hi = m1 - 0.25 * span, m2 + 0.25 * span
         floor, blocks = _window_scan(config, lo, hi, math.pi / (640.0 * config.a))
     else:
-        k_grid = np.asarray(k_grid, dtype=float).ravel()
+        k_grid = np.asarray(_real(k_grid), dtype=float).ravel()
         if not k_grid.size:
             raise ValidationError("empty k grid")
         blocks = ((*b, None) for b in _scan(config, k_grid.size, lambda i, j: k_grid[i:j]))

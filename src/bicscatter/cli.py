@@ -149,11 +149,10 @@ def _build_params(s: argparse.Namespace) -> PotentialParams:
     return _params_at_beta(s, s.beta)
 
 
-def _params_at_beta(s: argparse.Namespace, beta: float,
-                    diagnostic: bool = False) -> PotentialParams:
+def _params_at_beta(s: argparse.Namespace, beta: float) -> PotentialParams:
     """PotentialParams at an explicit beta; --bic with a beta off the bic
     line is refused."""
-    params = PotentialParams(alpha=s.alpha, beta=beta, q=s.q, diagnostic=diagnostic)
+    params = PotentialParams(alpha=s.alpha, beta=beta, q=s.q)
     if s.bic and not params.bic_mode:
         raise ValidationError(
             f"--bic contradicts --beta {beta} (3*alpha*q = {3.0 * s.alpha * s.q})"
@@ -271,22 +270,30 @@ def _floats_csv(raw: str, key: str, form: Optional[str] = None) -> List[float]:
 # ---------------------------------------------------------------- commands
 
 
+def _beta_path(out: str, beta: float) -> str:
+    """The file of one beta of a --beta-list: out with _beta<beta> before
+    its extension (.csv if it has none)."""
+    stem, dot, ext = out.rpartition(".")
+    return f"{stem if dot else out}_beta{_fmt(beta)}.{ext if dot else 'csv'}"
+
+
 def cmd_w1(s: argparse.Namespace) -> None:
-    if s.beta_list:
+    if s.beta_list is not None:
         betas = _floats_csv(s.beta_list, "beta-list")
+        if not betas:
+            raise ValidationError(f"beta-list {s.beta_list!r} holds no beta")
     else:
         betas = [3.0 * s.alpha * s.q if s.beta is None else s.beta]
-    all_params = [_params_at_beta(s, beta, diagnostic=beta < 0) for beta in betas]
+    all_params = [_params_at_beta(s, beta) for beta in betas]
+    paths = [s.out] if len(betas) == 1 else [_beta_path(s.out, p.beta) for p in all_params]
+    if len(set(paths)) < len(paths):
+        raise ValidationError(f"beta-list {s.beta_list!r} names one file twice: betas equal "
+                              "to 12 significant digits share a file name")
     r = _r_grid(s)
-    for params in all_params:
+    for params, path in zip(all_params, paths):
         w1 = _w1(params, r, 0)[0]
-        meta = _metadata(s, params, diagnostic=params.diagnostic,
+        meta = _metadata(s, params, diagnostic=params.beta < 0,
                          sign_changes=_sign_changes(w1).size)
-        path = s.out
-        if len(betas) > 1:
-            stem, dot, ext = s.out.rpartition(".")
-            base = stem if dot else s.out
-            path = f"{base}_beta{_fmt(params.beta)}.{ext if dot else 'csv'}"
         _write_csv(path, meta, ["r", "w1"], [r, w1])
 
 

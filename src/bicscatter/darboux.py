@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPotential, StrictModeViolation, ValidationError
+from .errors import SingularPotential, ValidationError
 from .numerics import _grid_count
 
 __all__ = [
@@ -46,16 +46,17 @@ def _is_real(v) -> bool:
 class PotentialParams:
     """The (alpha, beta, q) triple defining the transformed potential.
 
-    ``diagnostic`` permits beta < 0, which produces a singular potential
-    (useful only for plotting the W1 sign structure); all scattering
-    machinery requires strict mode (beta > 0). Fields are stored as builtin
-    floats whatever real type they were given in.
+    Any nonzero beta is accepted, so that W1's sign structure can be
+    plotted at beta < 0 too, where W1 vanishes and the potential is
+    singular; what needs a regular potential refuses such a beta by its
+    values (``potential_v4``, ``jost.bound_state``,
+    ``scattering.TruncatedConfig``). Fields are stored as builtin floats
+    whatever real type they were given in.
     """
 
     alpha: float
     beta: float
     q: float
-    diagnostic: bool = False
 
     def __post_init__(self):
         for name in ("alpha", "beta", "q"):
@@ -67,11 +68,6 @@ class PotentialParams:
             raise ValidationError(f"q must be positive, got {self.q}")
         if self.beta == 0:
             raise ValidationError("beta must be nonzero")
-        if self.beta < 0 and not self.diagnostic:
-            raise StrictModeViolation(
-                "beta < 0 produces a singular potential; pass diagnostic=True "
-                "if that is intentional"
-            )
 
     @property
     def bic_mode(self) -> bool:

@@ -24,10 +24,6 @@ class NotBicMode(ValidationError):
     """Operation requires the bound-state parameter relation beta = 3*alpha*q."""
 
 
-class StrictModeViolation(ValidationError):
-    """beta <= 0 is only allowed in diagnostic mode."""
-
-
 # --- numerical family ----------------------------------------------------
 
 class SingularPotential(NumericalError):

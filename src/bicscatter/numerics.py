@@ -333,58 +333,54 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10,
     return total
 
 
-def unwrap_phase(values: np.ndarray, period: float = math.pi) -> np.ndarray:
-    """Make a sampled modulo-``period`` phase continuous.
+def unwrap_phase(values: np.ndarray) -> np.ndarray:
+    """Make a sampled modulo-pi phase, such as one extracted through a
+    tangent, continuous.
 
     Each step between neighbouring samples is counted as n = round(step /
-    period) whole periods (half to even), and each sample loses period
-    times the sum of the counts up to it, so every step ends up within
-    period/2; the first value is preserved. This is the loop of ``_unwrap``,
-    run over ``_BLOCK`` samples at a time (``_unwrap_grid``): the counts
-    are integers summed exactly with a carry, so the result does not
-    depend on the blocking and the only rounding per sample is that of
-    period * count and of the subtraction. Phases extracted through a
-    tangent need period pi. After one pass every step lies within
-    period/2, so a further pass with a longer period changes nothing.
-    Coarse sampling is diagnosed by the callers that know the grid
-    (``_unwrap``'s ``max_step``).
+    pi) whole periods (half to even), and each sample loses pi times the
+    sum of the counts up to it, so every step ends up within pi/2; the
+    first value is preserved. This is the loop of ``_unwrap``, run over
+    ``_BLOCK`` samples at a time (``_unwrap_grid``): the counts are
+    integers summed exactly with a carry, so the result does not depend on
+    the blocking and the only rounding per sample is that of pi * count
+    and of the subtraction. Coarse sampling is diagnosed by the callers
+    that know the grid (``_unwrap``'s ``max_step``).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValidationError("unwrap_phase needs a 1-d array of at least 2 samples")
-    if period <= 0:
-        raise ValidationError("period must be positive")
-    return _unwrap_grid(lambda i, j: values[i:j], range(values.size), period, max_step=None)
+    return _unwrap_grid(lambda i, j: values[i:j], range(values.size), max_step=None)
 
 
 # the phase shift's unwrap refuses an adjusted step above this many periods
 _MAX_STEP_FRACTION = 0.45
 
 
-def _unwrap_grid(samples, k, period=math.pi, max_step=_MAX_STEP_FRACTION) -> np.ndarray:
+def _unwrap_grid(samples, k, max_step=_MAX_STEP_FRACTION) -> np.ndarray:
     """``_unwrap`` along the grid k (a bare sequence passes its indices),
     ``_BLOCK`` points at a time, where samples(start, stop) gives the
     samples on k[start:stop]: beyond the output only one block of samples
-    is alive. The defaults are those of the phase shift
+    is alive. The default is that of the phase shift
     (``scattering.phase_shift_unwrapped``, the ``phase-shift`` command)."""
     out = np.empty(len(k))
     _unwrap(((k[start:start + _BLOCK], samples(start, start + _BLOCK), out[start:start + _BLOCK])
-             for start in range(0, len(k), _BLOCK)), period, max_step)
+             for start in range(0, len(k), _BLOCK)), max_step)
     return out
 
 
-def _unwrap(blocks, period: float = math.pi, max_step=_MAX_STEP_FRACTION):
-    """Unwrap modulo ``period`` a phase handed over in consecutive blocks:
-    the one loop behind every unwrap in the package.
+def _unwrap(blocks, max_step=_MAX_STEP_FRACTION):
+    """Unwrap modulo pi a phase handed over in consecutive blocks: the one
+    loop behind every unwrap in the package.
 
     Each block is a triple (k, part, out): the samples ``part``, none
     empty, at the abscissae ``k``, unwrapped into ``out`` (a fresh array if
     None). Each step, the one from the previous block's last sample into a
-    block included, is counted as n = round(step / period) whole periods;
-    the counts are whole-number floats, summed exactly (up to 2^53
-    periods) with a carry from block to block, and each sample loses period
-    times the count up to it. The adjusted step is read off the rounding,
-    |step / period - n| periods: the first one above ``max_step`` (0.45 by
+    block included, is counted as n = round(step / pi) whole periods; the
+    counts are whole-number floats, summed exactly (up to 2^53 periods)
+    with a carry from block to block, and each sample loses pi times the
+    count up to it. The adjusted step is read off the rounding,
+    |step / pi - n| periods: the first one above ``max_step`` (0.45 by
     default; None tests none) in sample order raises UnwrapAmbiguity
     naming its ends in k.
 
@@ -396,17 +392,17 @@ def _unwrap(blocks, period: float = math.pi, max_step=_MAX_STEP_FRACTION):
         excess = np.empty(part.size)
         excess[0] = 0.0 if prev is None else part[0] - prev
         np.subtract(part[1:], part[:-1], out=excess[1:])
-        excess /= period
+        excess /= math.pi
         count = np.rint(excess)
         excess -= count
         np.cumsum(count, out=count)
         count += carry
         carry = count[-1]
-        count *= period
+        count *= math.pi
         out = np.subtract(part, count, out=out)
         if max_step is not None and (np.abs(excess, out=excess) > max_step).any():
             i = int(np.argmax(excess > max_step))
-            raise UnwrapAmbiguity(f"unwrapped phase step {period * excess[i]:.3f} rad between "
+            raise UnwrapAmbiguity(f"unwrapped phase step {math.pi * excess[i]:.3f} rad between "
                                   f"k = {k[i - 1] if i else last[0]:.9g} and {k[i]:.9g}; "
                                   "refine the grid")
         first = first or (k[0], out[0])

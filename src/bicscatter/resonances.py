@@ -33,6 +33,7 @@ from .errors import (
     ZeroDerivative,
 )
 from .darboux import PotentialParams
+from .jost import _checked_k
 from .numerics import ComplexRectangle, newton_complex, winding_count
 from .scattering import (
     _EPS,
@@ -65,8 +66,9 @@ _LIMIT_MAX_ITER = 30
 # two polished roots closer than this many pi/a are the same zero (the
 # string's members are about pi/a apart)
 _DEDUPE_SPACINGS = 1e-3
-# gamow_state refuses a resonance whose residual is above this
-_RESIDUAL_RTOL = 1e-6
+# gamow_state refuses a k_n unless a |G(k_n) / G'(k_n)|, its distance from a
+# zero of G in units of 1/a, is at most this
+_ROOT_TOL = 1e-6
 # power of (k - q) that find_resonances divides out of G before counting.
 # G's zero at q has order exactly 4, but G ~ e2 x^4 at leading order in 1/a
 # (x = (k - q) a, see _limit_root) falls like x^5 down to |x| ~ a^-3, as the
@@ -106,17 +108,27 @@ def root_function(config: TruncatedConfig) -> Callable:
     G = P + e^{-2ika} Q with P and Q from four real polynomials in
     e2 = k^2 - q^2 built with the config (``scattering._g_polynomials``).
     Agrees with e^{-ika} (d + ig) computed naively wherever the latter is
-    finite. Broadcasts over k.
+    finite. Broadcasts over k; ValidationError where k, or a point of an
+    array k, is not finite (``jost._checked_k``).
     """
-    return lambda k: _g(config, k)
+    def g(k):
+        _checked_k(k)
+        return _g(config, k)
+
+    return g
 
 
 def root_derivative(config: TruncatedConfig) -> Callable:
     """G'(k) = P' + e^{-2ika} (Q' - 2ia Q), the exact k-derivative of
     ``root_function(config)``, from polynomials derived once from those of
-    G (``scattering._g_polynomials``). Broadcasts over k.
+    G (``scattering._g_polynomials``). Broadcasts over k, and refuses a k
+    that is not finite as ``root_function`` does.
     """
-    return lambda k: _g_prime(config, k)
+    def g_prime(k):
+        _checked_k(k)
+        return _g_prime(config, k)
+
+    return g_prime
 
 
 def _limit_root(n: int) -> complex:
@@ -126,7 +138,12 @@ def _limit_root(n: int) -> complex:
 
     by Newton from the large-|x| asymptote (n + 3/4) pi - (i/2) ln((n + 3/4) pi).
     The doublet is x_1 = (1.61637 - 0.27545i) pi. -conj(x_n) is a root too,
-    and x = 0 (the removable zero of d + ig at k = q, on the real axis).
+    and so is x = 0. At finite a that root is not on the real axis: it is
+    the simple zero k* = q + x*/a of d + ig just below it, with
+    x* = -3.95e-8 - 1.335e-6i at alpha = q = 1, a = 100 (60-digit
+    arithmetic) and Im k* falling like a^-4. It sits beside the zero of
+    order 4 of d + ig at k = q itself, which h (``scattering._h_of``)
+    cancels in F(-k): F(-q) is finite, while F(-k*) = 0.
 
     Derivation (``_limit_seeds`` maps x to k = q + x/a): with x fixed and
     a -> infinity, e2 = k^2 - q^2 = 2qx/a + x^2/a^2 and gamma(a) = a + gamma0,
@@ -200,15 +217,18 @@ def default_search_box(config: TruncatedConfig) -> ComplexRectangle:
     ``_limit_root``: the doublet at x/pi = +-1.61637 - 0.27545i and the next
     members at +-2.66382 - 0.34660i. The box is fixed in x. Its Re edges
     hold the doublet 0.48 pi inside and the next members 0.56 pi outside;
-    its Im edges stay clear of the removable zero at k = q and of the
+    its Im edges stay clear of the zeros at and beside k = q and of the
     doublet's O(1/a) offsets from the limit, which at qa = 30 put Im x at
-    -0.98 to -0.73 (Im x = -0.865 in the limit). The top edge passes
-    0.1/a below that zero, of order 4 but falling like x^5 there
-    (``_DEFLATION_ORDER``), yet costs no refinement: ``find_resonances``
-    counts the winding of G / (k - q)^5, which has no zero near the edge,
-    so the count resolves on the 4 x 65 initial samples of
-    ``winding_count`` over the envelope. The box reaches Re k <= 0, and is
-    refused, where q a <= 2.1 pi.
+    -0.98 to -0.73 (Im x = -0.865 in the limit). Those zeros are the one
+    of order 4 at q, which h cancels in F(-k), and the simple zero k* just
+    below the axis (``_limit_root``; Im x* = -1.3e-6 at alpha = q = 1,
+    a = 100, and smaller beyond). The top edge passes 0.1/a below q, so it
+    clears k* too. Seen from the edge, G falls like x^5, the zero of order
+    4 at q and k* together (``_DEFLATION_ORDER``), yet costs no refinement:
+    ``find_resonances`` counts the winding of G / (k - q)^5, which has no
+    zero near the edge, so the count resolves on the 4 x 65 initial samples
+    of ``winding_count`` over the envelope. The box reaches Re k <= 0, and
+    is refused, where q a <= 2.1 pi.
     """
     q = config.params.q
     a = config.a
@@ -232,14 +252,17 @@ def find_resonances(
     by other means; one reaching Re k <= 0 or holding k = q is refused
     before any search.
 
-    G has a removable zero of order 4 at k = q, on the real axis, which
-    falls like (k - q)^5 a little way off it (``_DEFLATION_ORDER``). The
-    winding is counted on H = G / (k - q)^5, which has a simple pole at q:
-    a box that leaves q outside its closed rectangle holds no zero or pole
-    of (k - q)^5 on or inside it, so by the argument principle H winds
-    exactly as often as G, and the certificate is the same theorem. H is
-    free of the near-zero beside the top edge that forced G's contour to
-    be refined there. A box holding q (on its top edge, at Im k = 0)
+    G has a zero of order 4 at k = q, on the real axis, which h cancels in
+    F(-k), and beside it the simple zero k* just below the axis
+    (``_limit_root``); a little way off, G falls like (k - q)^5
+    (``_DEFLATION_ORDER``). The winding is counted on H = G / (k - q)^5,
+    which has a simple pole at q: a box that leaves q outside its closed
+    rectangle holds no zero or pole of (k - q)^5 on or inside it, so by the
+    argument principle H winds exactly as often as G, and the certificate
+    is the same theorem. The default box leaves k* outside too
+    (``default_search_box``). H is free of the near-zero beside the top
+    edge that forced G's contour to be refined there. A box holding q (on
+    its top edge, at Im k = 0)
     would put a zero of G on the contour, where no winding number
     certifies anything. Seeds, roots and residuals are those of G.
 
@@ -335,25 +358,33 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance) -> GamowState:
     Evaluating the state keeps the |h| threshold of ``regular_solution``,
     whose numerator cancels to about h r.
 
+    The resonance's ``residual`` is not consulted: k_n itself must be a
+    zero of G, to a Newton step a |G / G'| of at most 1e-6 (that is, within
+    about 1e-6 / a of the zero), which the census roots meet with orders
+    of magnitude to spare. The test is a product, |G| a <= 1e-6 |G'|, so
+    that G' = 0 at a zero of G reaches the ZeroDerivative test.
+
     Raises
     ------
     ValidationError
-        If the resonance residual is above 1e-6 (not a certified root).
+        If k_n is not finite, or is not a zero of G to the step above.
     DegenerateNormalizer
         If the estimated relative rounding of N^2 is above 1e-6: k_n is so
-        close to q that d - ig and G' are rounding noise.
+        close to q that d - ig and G' are rounding noise. This is tested
+        first, so near q the refusal is this one whether or not k_n is a
+        root.
     ZeroDerivative
         If |dF(-k)/dk| at the root is negligible against F(k_n) — the zero
         would be higher-order and the state degenerate.
     """
-    if resonance.residual > _RESIDUAL_RTOL:
-        raise ValidationError(
-            f"resonance residual {resonance.residual:.3e} above {_RESIDUAL_RTOL:.0e}"
-        )
     kn = resonance.k_complex
     g_prime = root_derivative(config)(kn)
     g_prime_noise = max(abs(_g_prime(config, k)) for k in _near_q(config))
     _, f_plus = _jost_from_dg(config, kn, *dg(config, kn), g_prime_noise / abs(g_prime))
+    g_step = abs(_g(config, kn)) * config.a
+    if not g_step <= _ROOT_TOL * abs(g_prime):
+        raise ValidationError(f"k = {kn!r} is not a zero of G: |G| a = {g_step:.3e} is above "
+                              f"{_ROOT_TOL:.0e} |G'| = {_ROOT_TOL * abs(g_prime):.3e}")
     d_f_minus = _jost_prefactor(config, kn) * np.exp(2j * kn * config.a) * g_prime
     if abs(d_f_minus) * (1.0 + abs(kn)) < 1e-12 * abs(f_plus):
         raise ZeroDerivative(

@@ -228,8 +228,6 @@ class TruncatedConfig:
         if not (_is_real(self.a) and math.isfinite(self.a) and self.a > 0):
             raise ValidationError(f"cutoff a must be positive and finite, got {self.a!r}")
         object.__setattr__(self, "a", float(self.a))
-        if self.params.diagnostic:
-            raise ValidationError("scattering requires strict-mode parameters")
         if not self.params.bic_mode:
             raise ValidationError(
                 "truncated scattering is defined on the bic-mode potential "
@@ -592,10 +590,23 @@ def _jost_from_dg(config: TruncatedConfig, k, d, g, extra=0.0):
             pref * np.exp(-1j * k * config.a) * d_minus_ig)
 
 
+def _real(k) -> np.ndarray:
+    """k as an array, if its dtype is real (float or integer); ValidationError
+    otherwise: a cast to float would drop the imaginary part of a complex k,
+    and the real-axis kernels compare and multiply k as real. Every
+    real-axis entry converts its k through here."""
+    k = np.asarray(k)
+    if k.dtype.kind not in "fiu":
+        raise ValidationError(f"real-axis k must be real, got an array of dtype {k.dtype}")
+    return k
+
+
 def _checked_real_axis(k: np.ndarray) -> None:
-    """ValidationError unless every point of the 1-d block k is finite and
-    positive, by one min and one max: the phase is odd in k and steps at
-    k = 0, and sigma = (4 pi / k^2) sin^2 delta is infinite there."""
+    """ValidationError unless the 1-d block k is real (``_real``) and every
+    point of it is finite and positive, by one min and one max: the phase
+    is odd in k and steps at k = 0, and sigma = (4 pi / k^2) sin^2 delta is
+    infinite there."""
+    _real(k)
     if k.size and not (0 < k.min() and k.max() < math.inf):
         bad = k[np.argmin((k > 0) & (k < math.inf))]
         raise ValidationError(f"real-axis k = {float(bad)!r} is not finite and positive")
@@ -660,8 +671,9 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray) -> np.nda
     Raises
     ------
     ValidationError
-        If the grid is not 1-d, has fewer than two points, or any step is
-        not finite and positive (a NaN or an infinity in it included).
+        If the grid is not real, is not 1-d, has fewer than two points, or
+        any step is not finite and positive (a NaN or an infinity in it
+        included).
     UnwrapAmbiguity
         At the first adjusted step, in grid order, above 0.45 pi: the grid
         is too coarse to track the phase through the resonances (their
@@ -672,11 +684,11 @@ def phase_shift_unwrapped(config: TruncatedConfig, k_grid: np.ndarray) -> np.nda
 
 
 def _checked_grid(k_grid) -> np.ndarray:
-    """k_grid as a float array, if it is 1-d with at least two points, finite
-    and strictly increasing; ValidationError otherwise. A NaN fails the
+    """k_grid as a float array, if it is real (``_real``), 1-d with at least
+    two points, finite and strictly increasing; ValidationError otherwise. A NaN fails the
     step test (run ``_BLOCK`` steps at a time), and an increasing grid can
     hold an infinity only at an end."""
-    k_grid = np.asarray(k_grid, dtype=float)
+    k_grid = np.asarray(_real(k_grid), dtype=float)
     if (k_grid.ndim != 1 or k_grid.size < 2 or not np.isfinite(k_grid[[0, -1]]).all()
             or not all(np.all(np.diff(k_grid[start:start + _BLOCK + 1]) > 0)
                        for start in range(0, k_grid.size - 1, _BLOCK))):
@@ -709,11 +721,11 @@ def scattering_point(config: TruncatedConfig, k: float) -> ScatteringPoint:
     Raises
     ------
     ValidationError
-        If k is not finite and positive.
+        If k is not real, finite and positive.
     DegenerateNormalizer
         Where ``jost_function`` raises it.
     """
-    k = float(k)
+    k = float(_real(k))
     block = np.array([k])
     num, den = _num_den(config, block)
     d, g = dg(config, k)

@@ -336,6 +336,18 @@ def test_bic_contradicting_beta_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("beta_list,message", [
+    (",", "holds no beta"), ("", "holds no beta"),
+    ("3,3", "names one file twice"), ("-1,3,3.0000000000001", "names one file twice")])
+def test_w1_beta_list_without_distinct_files_exits_2(tmp_path, capsys, beta_list, message):
+    # an empty list exited 0 writing nothing, and betas whose file names
+    # coincide wrote one file twice, the last beta's rows over the first's
+    assert main(["w1", f"--beta-list={beta_list}", "--r-max", "1",
+                 "--out", str(tmp_path / "w.csv")]) == 2
+    assert message in json.loads(capsys.readouterr().err)["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("box,code", [("0.9,inf,-0.01,-0.001", 2),
                                       ("0.99,1.01,-inf,-1e-5", 2),
                                       ("0.999,1.001,-1e300,-1e-5", 3)])

@@ -159,17 +159,30 @@ def test_params_accept_numpy_scalars_and_reject_bools():
         bs.PotentialParams(alpha=1.0, beta=3.0, q=True)
 
 
-def test_negative_beta_needs_diagnostic_mode():
-    with pytest.raises(bs.StrictModeViolation):
-        bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0)
-    p = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True)
-    assert p.diagnostic
+def test_negative_beta_is_refused_where_a_regular_potential_is_needed():
+    # beta < 0 builds parameters (W1 can be plotted there), but V, the
+    # bound state and the truncated problem refuse them by their values
+    p = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0)
+    with pytest.raises(bs.SingularPotential):
+        bs.potential_v4(p, np.linspace(0.0, 30.0, 3001))
+    with pytest.raises(bs.NotBicMode):
+        bs.bound_state(p)
+    with pytest.raises(bs.ValidationError, match="bic-mode"):
+        bs.TruncatedConfig(params=p, a=100.0)
+    # on the bic line beta < 0 needs alpha < 0: N^2 < 0, alpha*q out of range
+    p = bs.PotentialParams.bic(alpha=-1.0)
+    assert p.beta == -3.0 and p.bic_mode
+    with pytest.raises(bs.ValidationError, match="not finite and positive"):
+        bs.bound_state(p)
+    with pytest.raises(bs.ValidationError, match="W1 > 0 is proven"):
+        bs.TruncatedConfig(params=p, a=100.0)
+    assert bs.PotentialParams(alpha=1.0, beta=3.0, q=1.0) == bs.PotentialParams.bic()
 
 
 def test_w1_sign_scan():
     """beta=-1 makes W1 cross zero (invalid potential); beta=5 keeps it
     positive. The scan returns sign-change brackets."""
-    bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True)
+    bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0)
     brackets = bs.scan_w1_sign(bad, 30.0)
     assert len(brackets) >= 1
     for lo, hi in brackets:
@@ -189,7 +202,7 @@ def test_w1_scan_refuses_unbounded_or_negative_ranges(r_max):
 
 def test_w1_coefficient_overflow_is_a_validation_error():
     # t**4 of the W1 table overflows at t = alpha*q - beta = 1e160
-    p = bs.PotentialParams(alpha=1.0, beta=-1e160, q=1.0, diagnostic=True)
+    p = bs.PotentialParams(alpha=1.0, beta=-1e160, q=1.0)
     with pytest.raises(bs.ValidationError, match="overflow at alpha=1.0, beta=-1e"):
         bs.w1_bundle(p, 1.0)
 
@@ -226,7 +239,7 @@ def test_radii_off_the_half_line_raise_validation_error(params, call):
 
 
 def test_singular_potential_raises():
-    bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True)
+    bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0)
     r = np.linspace(0.0, 30.0, 30001)
     with pytest.raises(bs.SingularPotential):
         bs.potential_v4(bad, r)

@@ -325,5 +325,3 @@ def test_unwrap_validation():
         bs.unwrap_phase(np.array([1.0]))
     with pytest.raises(bs.ValidationError):
         bs.unwrap_phase(np.ones((2, 2)))
-    with pytest.raises(bs.ValidationError):
-        bs.unwrap_phase(np.array([1.0, 2.0]), period=0.0)

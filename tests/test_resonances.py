@@ -450,10 +450,16 @@ def test_doublet_of_needs_two(doublet_pair):
         bs.doublet_of([doublet_pair[0]], 1.0)
 
 
-def test_gamow_state_rejects_uncertified_input(config):
-    coarse = bs.Resonance(k_complex=0.999 - 2e-4j, residual=1.0)
-    with pytest.raises(bs.ValidationError):
-        bs.gamow_state(config, coarse)
+def test_gamow_state_rejects_uncertified_input(config, doublet_pair):
+    """A k_n that is not a zero of G is refused whatever its residual says:
+    the doublet's first member moved by 1e-5, its certified residual kept,
+    gave N^2 = -4.4166e9 + 1.9872e9i (-4.4193e9 + 1.9833e9i at the root)
+    with no error."""
+    root = doublet_pair[0]
+    for res in (bs.Resonance(k_complex=0.999 - 2e-4j, residual=1.0),
+                bs.Resonance(k_complex=root.k_complex + 1e-5, residual=root.residual)):
+        with pytest.raises(bs.ValidationError, match="not a zero of G"):
+            bs.gamow_state(config, res)
 
 
 @pytest.fixture(scope="module")

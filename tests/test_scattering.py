@@ -29,7 +29,7 @@ def test_config_validation(params):
         bs.TruncatedConfig(params=bs.PotentialParams(alpha=1.0, beta=5.0, q=1.0), a=100.0)
     with pytest.raises(bs.ValidationError):
         bs.TruncatedConfig(
-            params=bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True),
+            params=bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0),
             a=100.0,
         )
 
@@ -465,7 +465,7 @@ def test_bic_mode_is_read_from_beta(log_alpha, log_q, log_a):
 def test_w1_certificate_finds_the_diagnostic_crossing():
     """beta = -1 makes W1 cross zero; the certificate reports it within one
     grid step of the first sign-change bracket of the plain scan."""
-    bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0, diagnostic=True)
+    bad = bs.PotentialParams(alpha=1.0, beta=-1.0, q=1.0)
     lo, hi = bs.scan_w1_sign(bad, 30.0)[0]
     x_star, _, m2 = _w1_bounds(_w1_table(bad))
     where = _cell_certificate(bad, x_star, [0.0], m2)
@@ -745,7 +745,7 @@ def test_blocked_grid_matches_sub_block_slices(config, fit, name):
         k = k[np.abs(k - 1.0) > cli.Q_EXCLUSION]
         raw = np.concatenate([bs.phase_shift(config, piece) for piece in np.split(k, cuts)])
         assert np.array_equal(bs.phase_shift_unwrapped(config, k),
-                              bs.unwrap_phase(raw, math.pi))
+                              bs.unwrap_phase(raw))
         return
     fn = {"model_phase_and_sigma": lambda k: bs.model_phase_and_sigma(fit, k),
           "hadamard_residual": lambda k: bs.hadamard_residual(config, fit, k)}.get(
@@ -1032,16 +1032,42 @@ _BAD_K = {
     "model_phase_and_sigma at 0": lambda c, fit: bs.model_phase_and_sigma(fit, [0.0, 1.001]),
     "hadamard_residual at 0": lambda c, fit: bs.hadamard_residual(c, fit, [0.0, 1.0005]),
     "yz at nan": lambda c, fit: bs.yz(fit.doublet, math.nan),
+    "root_function at nan": lambda c, fit: bs.root_function(c)(math.nan),
+    "root_function at nan in an array": lambda c, fit: bs.root_function(c)(
+        np.array([1.0 - 1e-4j, math.nan])),
+    "root_derivative at inf - 1j": lambda c, fit: bs.root_derivative(c)(
+        complex(math.inf, -1.0)),
 }
 
 
 @pytest.mark.parametrize("call", list(_BAD_K.values()), ids=list(_BAD_K))
 def test_a_bad_k_is_refused(config, fit, call):
     # these raised ZeroDivisionError (h(0) = 0), DegenerateNormalizer (a
-    # NaN k) or a RuntimeWarning, or returned NaN, inf or, below k = 0, a
-    # cross section and a phase
+    # NaN k) or a RuntimeWarning, or returned NaN (the root function and
+    # its derivative: (nan+nanj)), inf or, below k = 0, a cross section
+    # and a phase
     with pytest.raises(bs.ValidationError, match="k = "):
         call(config, fit)
+
+
+_COMPLEX_K = {
+    "phase_shift": lambda c, fit, k: bs.phase_shift(c, k),
+    "phase_shift_unwrapped": lambda c, fit, k: bs.phase_shift_unwrapped(c, k),
+    "cross_section": lambda c, fit, k: bs.cross_section(c, k),
+    "scattering_point": lambda c, fit, k: bs.scattering_point(c, k[0]),
+    "model_phase_and_sigma": lambda c, fit, k: bs.model_phase_and_sigma(fit, k),
+    "hadamard_residual": lambda c, fit, k: bs.hadamard_residual(c, fit, k),
+    "yz": lambda c, fit, k: bs.yz(fit.doublet, k),
+}
+
+
+@pytest.mark.parametrize("call", list(_COMPLEX_K.values()), ids=list(_COMPLEX_K))
+def test_complex_k_on_the_real_axis_is_refused(config, fit, call):
+    # phase_shift_unwrapped and hadamard_residual dropped Im k with only a
+    # ComplexWarning (hadamard_residual returned the value at the real
+    # parts); the others raised a bare TypeError
+    with pytest.raises(bs.ValidationError, match="must be real"):
+        call(config, fit, np.array([1.0003 + 0.2j, 1.0004 + 0.3j]))
 
 
 @pytest.mark.parametrize("alpha,q,a,worst", [
@@ -1361,7 +1387,7 @@ def test_unwrap_phase_and_phase_shift_unwrapped_share_one_loop(config):
     k = np.linspace(0.995, 1.005, 5 * scattering._BLOCK // 2)
     k = k[np.abs(k - 1.0) > cli.Q_EXCLUSION]
     raw = bs.phase_shift(config, k)
-    assert np.array_equal(bs.phase_shift_unwrapped(config, k), bs.unwrap_phase(raw, math.pi))
+    assert np.array_equal(bs.phase_shift_unwrapped(config, k), bs.unwrap_phase(raw))
     rng = np.random.default_rng(5)
     walk = np.cumsum(rng.uniform(-0.44, 0.44, k.size) * math.pi)
     folded = walk - math.pi * np.round(walk / math.pi)
