@@ -29,6 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import SingularFitSystem, ValidationError
+from .darboux import _checked_finite
 from .jost import _checked_k
 from .resonances import Resonance
 from .scattering import (TruncatedConfig, _blockwise, _checked_real_axis, _ka_rotation,
@@ -108,7 +109,8 @@ def _model_num_den(doublet: Doublet, a: float, lam0: float, lam1: float, k: np.n
 
     (hw = half-width), and the block is the kernel of the exact phase,
     ``scattering._rotated``, on [1, kappa, kappa^2, kappa^3] with
-    half-angle ka/2 and no second term.
+    half-angle ka/2 and no second term. ValidationError where num or den
+    is not finite (``darboux._checked_finite``).
     """
     c = 0.5 * (doublet.k1 + doublet.k2)
     h = 0.5 * (doublet.k2 - doublet.k1)
@@ -119,7 +121,8 @@ def _model_num_den(doublet: Doublet, a: float, lam0: float, lam1: float, k: np.n
     y_lz = [y0 - l0 * z0, -(l0 * z1 + lam1 * z0), 1.0 - lam1 * z1, 0.0]
     ly_z = [l0 * y0 + z0, lam1 * y0 + z1, l0, lam1]
     coeffs = np.array([y_lz, ly_z, [-v for v in y_lz], [-v for v in ly_z]])
-    return _rotated(coeffs, np.subtract(k, c), np.multiply(k, 0.5 * a))
+    return _checked_finite("the model's num, den are",
+                           _rotated(coeffs, np.subtract(k, c), np.multiply(k, 0.5 * a)), k=k)
 
 
 def model_phase_and_sigma(fit: BackgroundFit, k):
@@ -127,7 +130,8 @@ def model_phase_and_sigma(fit: BackgroundFit, k):
     exact pipeline (principal arctan phase, branch-free sin^2 for sigma).
     Evaluated in blocks through ``_model_num_den``, like
     ``scattering.cross_section``, and refused as it is (ValidationError)
-    where k is not real or a point is not finite and positive."""
+    where k is not real, a point is not finite and positive, or the model's
+    num, den or sigma is not finite there."""
     def block(kk):
         _checked_real_axis(kk)
         num, den = _model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, kk)
@@ -263,7 +267,8 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     ValidationError
         If the fit was made at another cutoff, or a given grid is empty
         ("empty k grid"), is not real or holds a point that is not finite
-        and positive,
+        and positive, or a point where num^2 + den^2 of the exact or the
+        model phase is not finite (``scattering._sin2``),
         or the default grid fails the window checks or has no point in the
         noise mask (the refusal names the window and the floor, as
         ``scattering.phase_jump``'s does).
@@ -294,11 +299,12 @@ def _block_deviation(fit: BackgroundFit, k, num, den, keep):
     """``hadamard_residual`` on one block of points k, given the exact
     kernel's num and den there (``scattering._num_den``, overwritten): the
     maximum deviation over the points in the mask ``keep``
-    (``scattering._window_scan``; all of a given grid's block for None, refused
-    where d = g = 0), or -inf if none."""
-    exact = _sin2(num, den, k if keep is None else None)
+    (``scattering._window_scan``; all of a given grid's block for None,
+    refused where d = g = 0), or -inf if none. A point where num^2 + den^2
+    of either phase overflows is refused (``scattering._sin2``)."""
     if keep is not None:
-        k, exact = k[keep], exact[keep]
-    model = _sin2(*_model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, k))
+        k, num, den = k[keep], num[keep], den[keep]
+    exact = _sin2(num, den, k)
+    model = _sin2(*_model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, k), k)
     model -= exact
     return np.max(np.abs(model, out=model), initial=-math.inf)

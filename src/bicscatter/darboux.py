@@ -13,6 +13,7 @@ carries exact analytic r-derivatives.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -87,22 +88,13 @@ class PotentialParams:
 class PhaseData:
     """Base phase shift delta(q) and its first three q-derivatives.
 
-    gamma0, gamma1, gamma2 are d delta/dq, d2 delta/dq2, d3 delta/dq3. The
-    evaluators theta(r) = q*r + delta and gamma(r) = r + gamma0 are the two
-    combinations in which r enters every closed form below.
+    gamma0, gamma1, gamma2 are d delta/dq, d2 delta/dq2, d3 delta/dq3.
     """
 
     delta: float
     gamma0: float
     gamma1: float
     gamma2: float
-    q: float
-
-    def theta(self, r):
-        return self.q * r + self.delta
-
-    def gamma(self, r):
-        return r + self.gamma0
 
 
 @dataclass(frozen=True)
@@ -153,7 +145,6 @@ def _phase_data(params: PotentialParams) -> PhaseData:
         gamma0=params.alpha / d,
         gamma1=-2.0 * params.alpha**2 * t / d**2,
         gamma2=-2.0 * params.alpha**3 * (1.0 - 3.0 * t * t) / d**3,
-        q=params.q,
     )
 
 
@@ -315,6 +306,25 @@ def w1_bundle(params: PotentialParams, r) -> W1Bundle:
     return W1Bundle(*_w1(params, r, 2))
 
 
+def _checked_finite(what: str, values, **at):
+    """values, unless a point of one of them (None aside) is not finite:
+    ValidationError then, naming ``what`` and the first such point by its
+    coordinates ``at``, broadcast against the value. The one check of a k
+    that is not finite (``jost._checked_k``) and of a result that is not:
+    finite inputs give one where a closed form overflows, as e2 = k^2 - q^2
+    at large |k|, e^{-ika} above the real axis and W1^2 at large q r do. A
+    float or complex scalar (numpy's included) is checked by cmath, at a
+    tenth of numpy's cost on one point."""
+    for v in values:
+        if v is not None and not (cmath.isfinite(v) if isinstance(v, (float, complex))
+                                  else np.isfinite(v).all()):
+            i = np.argmin(np.isfinite(v).ravel())
+            where = ", ".join(f"{name} = {np.broadcast_to(x, np.shape(v)).flat[i].item()!r}"
+                              for name, x in at.items())
+            raise ValidationError(f"{what} not finite at {where}")
+    return values
+
+
 def potential_v4(params: PotentialParams, r):
     """The transformed potential V(r) = -2 d^2/dr^2 ln W1, computed as
     -2 (W1'' W1 - W1'^2) / W1^2.
@@ -342,12 +352,8 @@ def potential_v4(params: PotentialParams, r):
         raise SingularPotential(f"W1 changes sign between samples near r = {bad:.6g}")
     with np.errstate(over="ignore", invalid="ignore"):
         v = -2.0 * (b.w1_rr * b.w1 - b.w1_r**2) / b.w1**2
-    if not np.isfinite(v).all():
-        raise ValidationError(
-            f"V is not finite for r in [{float(r.min())!r}, {float(r.max())!r}] at "
-            f"alpha={params.alpha!r}, beta={params.beta!r}, q={params.q!r}: W1^2 overflows"
-        )
-    return v
+    return _checked_finite(f"V at alpha={params.alpha!r}, beta={params.beta!r}, q={params.q!r} "
+                           "is", (v,), r=r)[0]
 
 
 def _sign_changes(w: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ verbatim; the resonance machinery depends on that.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,6 +27,7 @@ import numpy as np
 from .darboux import (
     PhaseData,
     PotentialParams,
+    _checked_finite,
     _closed_form,
     _horner,
     _overflow_checked,
@@ -174,12 +174,8 @@ def _uv_at(c, k, e2):
 
 def _checked_k(k):
     """ValidationError unless the wave number k (real or complex), or every
-    point of an array k, is finite: the closed forms would give NaN or inf.
-    A float or complex scalar (numpy's included) is checked by cmath, at a
-    tenth of numpy's cost on one point."""
-    if not (cmath.isfinite(k) if isinstance(k, (float, complex)) else np.isfinite(k).all()):
-        bad = np.ravel(k)[np.argmin(np.isfinite(np.ravel(k)))].item()
-        raise ValidationError(f"wave number k = {bad!r} is not finite")
+    point of an array k, is finite: the closed forms would give NaN or inf."""
+    _checked_finite("the wave number is", (k,), k=k)
 
 
 def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
@@ -189,13 +185,15 @@ def uv_bundle(params: PotentialParams, k, r) -> UVBundle:
     u = U0 + U1 e2 + U2 e2^2 and v = k (V0 + V1 e2), with coefficients in r
     from ``_uv_coefficients``. Broadcasting over both k and r works; complex
     k is evaluated verbatim; k must be finite (``_checked_k``), r
-    nonnegative and finite.
+    nonnegative and finite, and ValidationError is raised where u, v or a
+    derivative overflows (``darboux._checked_finite``).
     """
     k = np.asarray(k)
     _checked_k(k)
     e2 = k * k - params.q * params.q
     c, c_r = _uv_coefficients(params, r, 1)
-    return UVBundle(*_uv_at(c, k, e2), *_uv_at(c_r, k, e2))
+    return UVBundle(*_checked_finite("u, v are", (*_uv_at(c, k, e2), *_uv_at(c_r, k, e2)),
+                                     k=k, r=r))
 
 
 def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostValue:
@@ -204,8 +202,10 @@ def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostVa
     Raises
     ------
     ValidationError
-        If k is not finite (``uv_bundle``), r is negative, or W1 is not
-        finite at r (``darboux.w1_bundle``).
+        If k is not finite (``uv_bundle``), r is negative, W1 is not
+        finite at r (``darboux.w1_bundle``), or a value returned is not
+        (``darboux._checked_finite``): f+-_r divide by W1^2, which
+        overflows from q r of about 1e38 on.
     NearSpectralSingularity
         If ``normalized`` and (k^2 - q^2)^2 is 0: at k = +-q, where the
         normalization factor 1/(k^2 - q^2)^2 has a double pole, or so close
@@ -227,15 +227,16 @@ def jost_value(params: PotentialParams, k, r, normalized: bool = True) -> JostVa
     f_minus_r = ((b.u_r - 1j * b.v_r - 1j * k * um) * w1 - um * w1_r) * em / w1**2
     F_plus = F_minus = None
     if normalized:
-        e2_sq = ((k - params.q) * (k + params.q)) ** 2
+        e2_sq = np.square((k - params.q) * (k + params.q))
         if np.any(e2_sq == 0):
             raise NearSpectralSingularity(
                 "(k^2 - q^2)^2 is 0: flux normalization has a double pole at k = +-q "
                 "(request normalized=False for f+-)"
             )
-        F_plus = f_plus / e2_sq
-        F_minus = f_minus / e2_sq
-    return JostValue(f_plus, f_minus, f_plus_r, f_minus_r, F_plus, F_minus)
+        F_plus, F_minus = f_plus / e2_sq, f_minus / e2_sq
+    return JostValue(*_checked_finite("f+-, their r-derivatives or F+- are",
+                                      (f_plus, f_minus, f_plus_r, f_minus_r, F_plus, F_minus),
+                                      k=k, r=r))
 
 
 @dataclass(frozen=True)
@@ -254,17 +255,24 @@ class BoundState:
         """Closed-form amplitude 24 q^2 X(r) / W1(r), exactly 0 at r = 0,
         where X vanishes and its closed form cancels to rounding. Takes what
         ``potential_v4`` takes, with the same ValidationError where r is
-        negative or W1 is not finite."""
+        negative or W1 is not finite.
+
+        With gamma = r + gamma0 and theta = q r + delta,
+
+            X = -2 q^2 gamma^2 cos theta + (q gamma + q^2 gamma1) sin theta
+                + sin^2 theta cos theta,
+
+        and sin^2 theta cos theta = (cos theta - cos 3 theta) / 4, so X is a
+        ``darboux._closed_form`` table of two terms, of frequency 1 and 3 in
+        theta, evaluated like W1 and u, v.
+        """
         r = np.asarray(r, dtype=float)
         w1 = _w1(self.params, r, 0)[0]
-        q = self.params.q
-        th = self.phase.theta(r)
-        ga = self.phase.gamma(r)
-        x = (
-            -2.0 * q**2 * ga**2 * np.cos(th)
-            + (q * ga + q**2 * self.phase.gamma1) * np.sin(th)
-            + np.sin(th) ** 2 * np.cos(th)
-        )
+        q, ph = self.params.q, self.phase
+        table = [(1.0, 0.0, [0.25, 0.0, -2.0 * q * q], [q * q * ph.gamma1, q, 0.0]),
+                 (3.0, 0.0, [-0.25], [0.0])]
+        at = float(r) if r.ndim == 0 else r
+        (x,) = _closed_form(table, at + ph.gamma0, q * at + ph.delta, 1.0, q, 0)
         return np.where(r == 0.0, 0.0, 24.0 * q**2 * x / w1)[()]
 
     def __call__(self, r):

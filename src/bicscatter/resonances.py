@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroDerivative,
 )
-from .darboux import PotentialParams
+from .darboux import PotentialParams, _checked_finite
 from .jost import _checked_k
 from .numerics import ComplexRectangle, newton_complex, winding_count
 from .scattering import (
@@ -81,9 +81,11 @@ _DEFLATION_ORDER = 5
 class Resonance:
     """One zero k_n = k_re - i Gamma/2 of the truncated Jost function.
 
-    ``residual`` is |d + ig| at the root scaled by the magnitude of the
-    same function on the search-box boundary (the raw value is meaningless:
-    d and g grow like a^11 with the cutoff).
+    ``residual`` is |G| = |e^{-ika} (d + ig)| at the root, as Newton
+    returned it, over the largest |G| at the search box's four corners (the
+    raw value is meaningless: d and g grow like a^11 with the cutoff).
+    It is not a ratio of |d + ig|: |G| = e^{a Im k} |d + ig|, and at the
+    doublet that factor is about 0.42.
     """
 
     k_complex: complex
@@ -109,11 +111,15 @@ def root_function(config: TruncatedConfig) -> Callable:
     e2 = k^2 - q^2 built with the config (``scattering._g_polynomials``).
     Agrees with e^{-ika} (d + ig) computed naively wherever the latter is
     finite. Broadcasts over k; ValidationError where k, or a point of an
-    array k, is not finite (``jost._checked_k``).
+    array k, is not finite (``jost._checked_k``), or where G is not
+    (``darboux._checked_finite``): above the real axis, where e^{-2ika} Q
+    overflows (from a Im k of about 320 at alpha = q = 1, a = 5000), and
+    where |k| is so large that the polynomials in e2 overflow (from about
+    4e30 there).
     """
     def g(k):
         _checked_k(k)
-        return _g(config, k)
+        return _checked_finite("G is", (_g(config, k),), k=k)[0]
 
     return g
 
@@ -121,12 +127,12 @@ def root_function(config: TruncatedConfig) -> Callable:
 def root_derivative(config: TruncatedConfig) -> Callable:
     """G'(k) = P' + e^{-2ika} (Q' - 2ia Q), the exact k-derivative of
     ``root_function(config)``, from polynomials derived once from those of
-    G (``scattering._g_polynomials``). Broadcasts over k, and refuses a k
-    that is not finite as ``root_function`` does.
+    G (``scattering._g_polynomials``). Broadcasts over k, and refuses a k,
+    or a G', that is not finite as ``root_function`` does.
     """
     def g_prime(k):
         _checked_k(k)
-        return _g_prime(config, k)
+        return _checked_finite("G' is", (_g_prime(config, k),), k=k)[0]
 
     return g_prime
 
@@ -269,7 +275,11 @@ def find_resonances(
     Raises
     ------
     ValidationError
-        The box reaches Im k > 0 or Re k <= 0, or holds k = q.
+        The box reaches Im k > 0 or Re k <= 0, or holds k = q; or G is not
+        finite at a contour sample (``root_function``). A box so deep or so
+        far out that G overflows meets this refusal at the first such
+        sample of the winding count's first call, before the count's own
+        test for a value that is not finite (``numerics.winding_count``).
     RootCountMismatch
         Winding number differs from the number of converged distinct roots.
     NoConvergence
@@ -367,7 +377,8 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance) -> GamowState:
     Raises
     ------
     ValidationError
-        If k_n is not finite, or is not a zero of G to the step above.
+        If k_n is not finite, or is not a zero of G to the step above, or
+        N^2 is not finite.
     DegenerateNormalizer
         If the estimated relative rounding of N^2 is above 1e-6: k_n is so
         close to q that d - ig and G' are rounding noise. This is tested
@@ -390,7 +401,7 @@ def gamow_state(config: TruncatedConfig, resonance: Resonance) -> GamowState:
         raise ZeroDerivative(
             f"|dF(-k)/dk| = {abs(d_f_minus):.3e} at k = {kn!r}: higher-order zero"
         )
-    n_squared = f_plus * d_f_minus / (4j * kn**2)
+    (n_squared,) = _checked_finite("N^2 is", (f_plus * d_f_minus / (4j * kn**2),), k=kn)
     return GamowState(resonance=resonance, N_squared=complex(n_squared), config=config)
 
 

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .darboux import PotentialParams, _is_real, _overflow_checked, _w1, phase_data
+from .darboux import PotentialParams, _checked_finite, _is_real, _overflow_checked, _w1, phase_data
 from .errors import DegenerateNormalizer, MinimaNotFound, ValidationError
 from .jost import _checked_k, _uv_at, _uv_closed_form, _uv_table, uv_bundle
 from .numerics import _BLOCK, _bracketed_newton, _grid_count, _unwrap, _unwrap_grid
@@ -217,7 +217,10 @@ class TruncatedConfig:
     evaluation on the array [0, a], and the polynomials are formed in
     builtin floats. The data is derived from (params, a) and takes no part
     in equality, hashing or repr; ``dataclasses.replace`` recomputes it for
-    the new cutoff.
+    the new cutoff. Construction is refused (ValidationError) when a number
+    stored is not finite: the products that build u, v and the polynomials
+    can overflow with no OverflowError, as at (alpha, q, a) =
+    (1e-30, 1e30, 1e-20), where alpha*q = 1.
     """
 
     params: PotentialParams
@@ -240,8 +243,13 @@ class TruncatedConfig:
                 "W1 > 0 is proven"
             )
         at_0, at_a, w1_0, w1_a = _boundary_values(self.params, self.a)
-        object.__setattr__(self, "_boundary_data", _BoundaryData(
-            at_0, w1_0, w1_a[0], *_g_polynomials(at_0, at_a, w1_a, self.params.q, self.a)))
+        bd = _BoundaryData(at_0, w1_0, w1_a[0],
+                           *_g_polynomials(at_0, at_a, w1_a, self.params.q, self.a))
+        # rows, (bP, aP, bQ - bP, aQ - aP), is finite only where G's four are
+        if not all(np.isfinite(x).all() for x in (at_0, bd.rows, bd.g_prime, w1_0, w1_a)):
+            raise ValidationError(f"boundary data at alpha*q = {s!r}, q = {self.params.q!r}, "
+                                  f"a = {self.a!r} overflow: u, v, W1 or G's polynomials")
+        object.__setattr__(self, "_boundary_data", bd)
 
 
 @dataclass(frozen=True)
@@ -274,7 +282,8 @@ def _h_of(u2, k, q):
     a = 5000 doublet and grows like a^4.
     """
     e2 = (k - q) * (k + q)
-    return k * (u2 * e2 * e2) ** 2
+    t = u2 * e2 * e2
+    return k * (t * t)
 
 
 def _polys_at(config: TruncatedConfig, polys, k):
@@ -421,15 +430,19 @@ def _principal_phase(num, den):
     return -(raw - math.pi * np.round(raw / math.pi))
 
 
-def _sin2(num, den, k=None):
-    """sin^2 delta = num^2 / (num^2 + den^2) with no arctan, overwriting
-    num and den when they are arrays (den becomes num^2 + den^2). Given the
-    points' k, a point where num^2 + den^2 = 0 (d = g = 0 for the exact
-    phase, as at k = q for some parameters) raises DegenerateNormalizer."""
+def _sin2(num, den, k):
+    """sin^2 delta = num^2 / (num^2 + den^2) with no arctan at the points
+    k, overwriting num and den when they are arrays (den becomes
+    num^2 + den^2). ValidationError at a point where num^2 + den^2 is not
+    finite (``darboux._checked_finite``), as where it overflows;
+    DegenerateNormalizer at one where it is 0 (d = g = 0 for the exact
+    phase, as at k = q for some parameters). Both are read off one min and
+    one max of num^2 + den^2, which cost what a test for zeros alone did."""
     num *= num
     den *= den
     den += num
-    if k is not None and not np.all(den):
+    if den.size and not 0.0 < den.min() <= den.max() < math.inf:
+        _checked_finite("num^2 + den^2 of tan delta is", (den,), k=k)
         at = float(np.ravel(k)[np.argmin(np.ravel(den))])
         raise DegenerateNormalizer(f"sin^2 delta at k = {at!r} is 0/0: the numerator and "
                                    "denominator of tan delta vanish there (for the exact "
@@ -439,9 +452,10 @@ def _sin2(num, den, k=None):
 
 
 def _sigma(k, num, den):
-    """(4 pi / k^2) sin^2 delta; overwrites num and den and refuses a point
-    where both vanish (see ``_sin2``)."""
-    return (4.0 * math.pi / np.asarray(k) ** 2) * _sin2(num, den, k)
+    """(4 pi / k^2) sin^2 delta; overwrites num and den, refuses a point as
+    ``_sin2`` does and one where 4 pi / k^2 overflows (ValidationError)."""
+    return _checked_finite("sigma is", ((4.0 * math.pi / np.asarray(k) ** 2)
+                                        * _sin2(num, den, k),), k=k)[0]
 
 
 def regular_solution(config: TruncatedConfig, k, r):
@@ -456,7 +470,7 @@ def regular_solution(config: TruncatedConfig, k, r):
     ------
     ValidationError
         If k is not finite, or r is outside [0, a] or W1 is not finite
-        there (r a NaN).
+        there (r a NaN), or Phi or Phi' is not finite.
     DegenerateNormalizer
         If |h(k)| < 1e-12 * max(1, |u(k,0)|^2 + |v(k,0)|^2).
     """
@@ -481,7 +495,7 @@ def regular_solution(config: TruncatedConfig, k, r):
     cv = b.v_r * w1 - b.v * w1_r + k * b.u * w1
     ph = np.where(r == 0.0, 0.0, (w10 / (h * w1)) * (b.u * a1 + b.v * a2))[()]
     ph_r = (w10 / (h * w1**2)) * (cu * a1 + cv * a2)
-    return ph, ph_r
+    return _checked_finite("Phi, Phi' are", (ph, ph_r), k=k, r=r)
 
 
 def dg(config: TruncatedConfig, k):
@@ -501,7 +515,9 @@ def dg(config: TruncatedConfig, k):
     Raises
     ------
     ValidationError
-        If k, or a point of an array k, is not finite.
+        If k, or a point of an array k, is not finite, or d or g is not
+        there: at large |k| (from about 4e30 at alpha = q = 1, a = 5000) or
+        above the real axis (from a Im k of about 640 there).
     """
     if np.ndim(k) == 0:
         return _dg(config, k)
@@ -511,12 +527,13 @@ def dg(config: TruncatedConfig, k):
 def _dg(config: TruncatedConfig, k):
     """(d, g) at k, unblocked, from the values of G's four polynomials
     (``_polys_at``) as in ``_g_polynomials``, and np.sin, np.cos of ka;
-    ValidationError where k is not finite."""
+    ValidationError where k, d or g is not finite."""
     _checked_k(k)
     a_p, b_p, a_q, b_q = _polys_at(config, config._boundary_data.g, k)
     ka = k * config.a
     s, c = np.sin(ka), np.cos(ka)
-    return k * (b_p + b_q) * c - (a_p - a_q) * s, k * (b_p - b_q) * s + (a_p + a_q) * c
+    return _checked_finite("d, g are", (k * (b_p + b_q) * c - (a_p - a_q) * s,
+                                        k * (b_p - b_q) * s + (a_p + a_q) * c), k=k)
 
 
 def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
@@ -530,7 +547,9 @@ def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
     ------
     ValidationError
         If k, or a point of an array k, is not finite (``dg``) or is 0,
-        where h(k) = 0 and the prefactor divides by it (``_jost_from_dg``).
+        where h(k) = 0 and the prefactor divides by it (``_jost_from_dg``),
+        or where h(k) W1(a)^2 underflows to 0 (``_jost_prefactor``), or
+        F+- are not finite.
     DegenerateNormalizer
         If F+- are rounding noise at k, or at a point of an array k
         (estimated relative rounding above 1e-6, ``_jost_from_dg``).
@@ -541,11 +560,17 @@ def jost_function(config: TruncatedConfig, k) -> Tuple[complex, complex]:
 def _jost_prefactor(config: TruncatedConfig, k):
     """W1(0) / (h(k) W1(a)^2), the zero-free factor of F(-k) / (e^{ika} (d + ig)).
 
-    Not guarded: h is the exact closed form, and what the prefactor
-    multiplies decides the accuracy.
+    Not guarded for accuracy: h is the exact closed form, and what the
+    prefactor multiplies decides it. ValidationError where h(k) W1(a)^2
+    underflows to 0 in builtin floats; in numpy's, pref is then infinite
+    and ``_jost_from_dg`` refuses the F+- it gives.
     """
     bd = config._boundary_data
-    return bd.w1_0 / (_h_of(bd.at_0[0][2], k, config.params.q) * bd.w1_a**2)
+    try:
+        return bd.w1_0 / (_h_of(bd.at_0[0][2], k, config.params.q) * bd.w1_a**2)
+    except ZeroDivisionError as exc:  # builtin floats; numpy's division gives inf
+        raise ValidationError(f"F(+-k) are not formed at k = {k!r}, where h(k) W1(a)^2 "
+                              "underflows to 0") from exc
 
 
 def _jost_rounding(config: TruncatedConfig, k, d_plus_ig, d_minus_ig, extra=0.0):
@@ -574,7 +599,9 @@ def _jost_from_dg(config: TruncatedConfig, k, d, g, extra=0.0):
     at doublets with a up to 1e8, where the phases dominate. At the first
     k = q + x/a it accepts (x = 0.06 to 0.3, seven configs, a = 5000 to
     1e6) it read 0.5 to 2.8 times the 40-digit error of d + ig. k = 0,
-    where h = 0 leaves pref undefined, raises ValidationError.
+    where h = 0 leaves pref undefined, raises ValidationError, and so do a
+    pref whose denominator underflows (``_jost_prefactor``) and F+- that
+    are not finite.
     """
     if (k == 0) if isinstance(k, (float, complex)) else not np.all(k):
         raise ValidationError("F(+-k) are not formed at k = 0, where h(k) = 0 and the "
@@ -586,8 +613,8 @@ def _jost_from_dg(config: TruncatedConfig, k, d, g, extra=0.0):
         raise DegenerateNormalizer(f"F(+-k) at k = {np.ravel(k)[i].item()!r} is resolved only "
                                    f"to {np.ravel(rounding)[i]:.1e} relative: d +- ig are noise")
     pref = _jost_prefactor(config, k)
-    return (pref * np.exp(1j * k * config.a) * d_plus_ig,
-            pref * np.exp(-1j * k * config.a) * d_minus_ig)
+    return _checked_finite("F(+-k) are", (pref * np.exp(1j * k * config.a) * d_plus_ig,
+                                          pref * np.exp(-1j * k * config.a) * d_minus_ig), k=k)
 
 
 def _real(k) -> np.ndarray:
@@ -621,13 +648,16 @@ def _num_den(config: TruncatedConfig, k: np.ndarray):
     powers of e2 and one tangent of ka (``_rotated``), with no d, g or
     second rotation on the way. Every real-axis phase and cross section
     passes through here, so this is where a block is refused unless each
-    of its points is finite and positive (``_checked_real_axis``).
+    of its points is finite and positive (``_checked_real_axis``), and
+    where it is refused if num or den is not finite at one of them
+    (``darboux._checked_finite``, one pass over each).
     """
     _checked_real_axis(k)
     q = config.params.q
     e2 = np.multiply(k, k, dtype=float)
     e2 -= q * q
-    return _rotated(config._boundary_data.rows, e2, np.multiply(k, config.a), k)
+    num_den = _rotated(config._boundary_data.rows, e2, np.multiply(k, config.a), k)
+    return _checked_finite("num, den of tan delta are", num_den, k=k)
 
 
 def _num_den_dk(config: TruncatedConfig, k: float):
@@ -656,7 +686,10 @@ def phase_shift(config: TruncatedConfig, k):
 
     The underlying arctan is branch-ambiguous mod pi; use
     ``phase_shift_unwrapped`` for a continuous curve on a grid. Evaluated
-    in blocks of ``_BLOCK`` points through ``_num_den``.
+    in blocks of ``_BLOCK`` points through ``_num_den``, which refuses
+    (ValidationError) a point that is not finite and positive, or where
+    num or den of tan delta is not finite (from k of about 4e30 at
+    alpha = q = 1, a = 5000).
     """
     return _blockwise(lambda kk: (_principal_phase(*_num_den(config, kk)),), k)[0]
 
@@ -704,6 +737,12 @@ def cross_section(config: TruncatedConfig, k):
 
     Raises
     ------
+    ValidationError
+        At a point that is not finite and positive, or where num or den of
+        tan delta (``_num_den``), num^2 + den^2 (``_sin2``) or 4 pi / k^2
+        is not finite. num^2 + den^2 overflows well before num and den do:
+        at alpha = q = 1 from k of about 3e13 at a = 5000, and at k = 1.3
+        from a of about 7e18.
     DegenerateNormalizer
         At a point where d = g = 0 (``_sin2``), where sin^2 delta is 0/0.
     """

@@ -146,8 +146,8 @@ def _w1_generic(params, r):
     r = np.asarray(r, dtype=float)
     pd = bs.phase_data(params)
     q = params.q
-    th = pd.theta(r)
-    qg = q * pd.gamma(r)
+    th = q * r + pd.delta
+    qg = q * (r + pd.gamma0)
     qg1 = q * q * pd.gamma1
     qg2 = q**3 * pd.gamma2
     return (

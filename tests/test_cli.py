@@ -284,9 +284,14 @@ def test_sweep_run(tmp_path):
 
 
 def test_sweep_requires_a_list(tmp_path, capsys):
-    rc = main(["sweep-cutoff", "--bic", "--out", str(tmp_path / "s.jsonl")])
-    assert rc == 2
-    assert "a-list" in json.loads(capsys.readouterr().err)["message"]
+    # a list that does not parse is refused too, and "," parses to no
+    # cutoff at all, which sweep_cutoff refuses
+    for a_list, message in [([], "requires --a-list"),
+                            (["--a-list=1,x"], "a-list: expected comma-separated numbers"),
+                            (["--a-list=,"], "a_values must be non-empty")]:
+        rc = main(["sweep-cutoff", "--bic", *a_list, "--out", str(tmp_path / "s.jsonl")])
+        assert rc == 2
+        assert message in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_sweep_far_apart_cutoffs(tmp_path):
@@ -350,9 +355,10 @@ def test_w1_beta_list_without_distinct_files_exits_2(tmp_path, capsys, beta_list
 
 @pytest.mark.parametrize("box,code", [("0.9,inf,-0.01,-0.001", 2),
                                       ("0.99,1.01,-inf,-1e-5", 2),
-                                      ("0.999,1.001,-1e300,-1e-5", 3)])
+                                      ("0.999,1.001,-1e300,-1e-5", 2)])
 def test_census_box_without_finite_integrand_fails_fast(tmp_path, box, code):
-    # a box with an infinite edge, or so deep that G overflows, gives the
+    # a box with an infinite edge, or so deep that G overflows (refused by
+    # root_function at the first such contour sample), would give the
     # winding count segments it can never accept; subdividing them would
     # exhaust memory, so the CLI runs in a child under a 1 GB address-space
     # cap and a timeout, where a regression fails fast
@@ -369,8 +375,7 @@ def test_census_box_without_finite_integrand_fails_fast(tmp_path, box, code):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == code, done.stderr
-    err = json.loads(done.stderr)
-    assert err["error"] == ("ValidationError" if code == 2 else "AmbiguousWinding")
+    assert json.loads(done.stderr)["error"] == "ValidationError"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -423,6 +428,12 @@ def test_config_file_rejects_garbage(tmp_path, capsys):
     rc = main(["phase-shift", "--config", str(cfg),
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    capsys.readouterr()
+    # a path that cannot be read
+    rc = main(["phase-shift", "--config", str(tmp_path / "missing.cfg"),
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "cannot read run file" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
@@ -438,12 +449,14 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 
 def test_run_file_values_are_converted_on_loading(tmp_path, capsys):
     # w1 reads no cutoff, but a value its option's type cannot parse is
-    # refused when the file is loaded, for every command
+    # refused when the file is loaded, for every command; a boolean key
+    # takes only the spellings of true and false
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bic = true\ncutoff = abc\n")
-    assert main(["w1", "--config", str(cfg), "--out", str(tmp_path / "w1.csv")]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError" and "'cutoff'" in err["message"]
+    for line, key in [("cutoff = abc", "'cutoff'"), ("reproducible = maybe", "'reproducible'")]:
+        cfg.write_text(f"bic = true\n{line}\n")
+        assert main(["w1", "--config", str(cfg), "--out", str(tmp_path / "w1.csv")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError" and key in err["message"]
     assert not (tmp_path / "w1.csv").exists()
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import bicscatter as bs
 
@@ -39,14 +40,6 @@ def test_phase_data_matches_q_derivatives():
     assert ph.gamma0 == pytest.approx(d1, rel=1e-7)
     assert ph.gamma1 == pytest.approx(d2, rel=1e-6)
     assert ph.gamma2 == pytest.approx(d3, rel=1e-4)
-
-
-def test_theta_and_gamma_helpers():
-    p = bs.PotentialParams.bic()
-    ph = bs.phase_data(p)
-    assert ph.theta(0.0) == pytest.approx(ph.delta)
-    assert ph.theta(2.0) == pytest.approx(p.q * 2.0 + ph.delta)
-    assert ph.gamma(3.0) == pytest.approx(3.0 + ph.gamma0)
 
 
 def test_w1_value_at_origin():
@@ -243,3 +236,8 @@ def test_singular_potential_raises():
     r = np.linspace(0.0, 30.0, 30001)
     with pytest.raises(bs.SingularPotential):
         bs.potential_v4(bad, r)
+    # a scalar r on the zero of W1 near 0.0245875 meets the pointwise
+    # floor, as no sign change between samples can show it
+    zero = brentq(lambda x: float(bs.w1_bundle(bad, x).w1), 0.02, 0.03, xtol=1e-300)
+    with pytest.raises(bs.SingularPotential, match="W1 vanishes near r = 0.0245875"):
+        bs.potential_v4(bad, zero)

@@ -61,9 +61,11 @@ def test_newton_zero_derivative():
 
 def test_newton_no_convergence():
     # exp has no zeros; |f| keeps decreasing so the iteration never stalls,
-    # it just runs out of budget with a unit step
-    with pytest.raises(bs.NoConvergence):
-        bs.newton_complex(cmath.exp, cmath.exp, 0.0)
+    # it just runs out of budget with a unit step. A constant f stalls: no
+    # step of any size lowers |f|, and the unit step is above tolerance.
+    for f, message in [(cmath.exp, "no convergence after"), (lambda z: 1.0, "stalled at 0j")]:
+        with pytest.raises(bs.NoConvergence, match=message):
+            bs.newton_complex(f, f, 0.0)
 
 
 # -------------------------------------------------------- bracketed newton
@@ -79,6 +81,19 @@ def test_bracketed_newton_simple_root():
     root = numerics._bracketed_newton(f, 1.0, 2.0, -1.0, 2.0)
     assert abs(root - math.sqrt(2.0)) <= 4e-16 * math.sqrt(2.0)
     assert len(calls) <= 6
+
+
+def test_bracketed_newton_starts_at_the_midpoint_between_signed_zeros():
+    # f_lo = 0.0 and f_hi = -0.0 have opposite sign bits but compare equal,
+    # so there is no secant point: Newton starts from the midpoint
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.5, 1.0
+
+    assert numerics._bracketed_newton(f, 0.0, 1.0, 0.0, -0.0) == 0.5
+    assert calls == [0.5]
 
 
 @pytest.mark.parametrize("derivative", [0.0, math.inf, math.nan])

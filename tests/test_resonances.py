@@ -426,6 +426,24 @@ def test_empty_seed_list_fails_certification(config, monkeypatch):
         bs.find_resonances(config)
 
 
+def test_failed_seed_with_a_short_census_raises_no_convergence(config, monkeypatch):
+    # the first seed's Newton run fails, so the census holds one root of
+    # the two the winding number counts
+    newton = resonances.newton_complex
+    seeds = []
+
+    def failing_first(f, fprime, seed):
+        seeds.append(seed)
+        if len(seeds) == 1:
+            raise bs.NoConvergence("patched")
+        return newton(f, fprime, seed)
+
+    monkeypatch.setattr(resonances, "newton_complex", failing_first)
+    with pytest.raises(bs.NoConvergence, match="1 seed.s. failed and census is short: "
+                                               "winding 2, converged 1"):
+        bs.find_resonances(config)
+
+
 def test_search_box_must_be_below_axis(config):
     with pytest.raises(bs.ValidationError):
         bs.find_resonances(config, search_box=bs.ComplexRectangle(0.99, 1.01, -1e-3, 1e-3))

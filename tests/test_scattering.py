@@ -1070,6 +1070,114 @@ def test_complex_k_on_the_real_axis_is_refused(config, fit, call):
         call(config, fit, np.array([1.0003 + 0.2j, 1.0004 + 0.3j]))
 
 
+def _far_config():
+    """alpha = 1e-10, q = 1e10, a = 1: inside the proven alpha*q range,
+    with num and den of tan delta near 1e160 at k = 1.3 q."""
+    return bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=1e-10, q=1e10), a=1.0)
+
+
+def _far_residual():
+    doublet = bs.Doublet(k1=1.2e10, half_width1=0.1, k2=1.4e10, half_width2=0.1)
+    fit = bs.BackgroundFit(lambda0=0.0, lambda1=0.0, doublet=doublet, a=1.0,
+                           fit_report={"minima": [1.2e10, 1.4e10]})
+    return bs.hadamard_residual(_far_config(), fit, [1.3e10])
+
+
+# finite inputs whose results are not finite; k = 1e160 makes e2 = k^2 - q^2
+# overflow, e^{-ika} overflows above the real axis, num^2 + den^2 overflows
+# at a = 1e19 (and at the far config), W1^2 at r = 1e39, and h(k) W1(a)^2,
+# the denominator of F+-'s prefactor, underflows at q = 1e-36, k = 1e-38
+_OVERFLOWS = {
+    "dg": (lambda c, p: bs.dg(c, 1e160), "not finite at k = 1e+160"),
+    "phase_shift": (lambda c, p: bs.phase_shift(c, 1e160), "not finite at k = 1e+160"),
+    "cross_section": (lambda c, p: bs.cross_section(c, [1.3, 1e160]),
+                      "not finite at k = 1e+160"),
+    "regular_solution": (lambda c, p: bs.regular_solution(c, 1e160, 1.0),
+                         "not finite at k = 1e+160, r = 1.0"),
+    "uv_bundle": (lambda c, p: bs.uv_bundle(p, 1e160, 1.0), "not finite at k = 1e+160, r = 1.0"),
+    "jost_value": (lambda c, p: bs.jost_value(p, 1e160, 1.0),
+                   "not finite at k = 1e+160, r = 1.0"),
+    "root_function": (lambda c, p: bs.root_function(c)(1e160), "not finite at k = 1e+160"),
+    "root_function above the axis": (lambda c, p: bs.root_function(c)(1 + 0.1j),
+                                     "not finite at k = (1+0.1j)"),
+    "dg above the axis": (lambda c, p: bs.dg(c, 1 + 0.2j), "not finite at k = (1+0.2j)"),
+    "cross_section at a = 1e19": (
+        lambda c, p: bs.cross_section(dataclasses.replace(c, a=1e19), 1.3),
+        "not finite at k = 1.3"),
+    "cross_section far": (lambda c, p: bs.cross_section(_far_config(), 1.3e10),
+                          "not finite at k = 13000000000.0"),
+    "hadamard_residual far": (lambda c, p: _far_residual(), "not finite at k = 13000000000.0"),
+    "jost_value at r = 1e39": (lambda c, p: bs.jost_value(p, 1.3, 1e39),
+                               "not finite at k = 1.3, r = 1e+39"),
+    "jost_function with an underflowing prefactor": (
+        lambda c, p: bs.jost_function(bs.TruncatedConfig(
+            params=bs.PotentialParams.bic(alpha=1e35, q=1e-36), a=1e37), 1e-38),
+        "not formed at k = 1e-38, where h(k) W1(a)^2 underflows"),
+}
+
+
+@pytest.mark.parametrize("call,message", list(_OVERFLOWS.values()), ids=list(_OVERFLOWS))
+def test_results_that_overflow_are_refused(config, params, call, message):
+    # each returned NaN or inf with no error (only jost_function refused
+    # k = 1e160), and the last raised ZeroDivisionError; numpy warns of the
+    # overflow on the way, and the result is refused, naming the first point
+    # where it is not finite
+    with np.errstate(all="ignore"), pytest.raises(bs.ValidationError, match=re.escape(message)):
+        call(config, params)
+
+
+@pytest.mark.parametrize("alpha,q,a", [(1e-30, 1e30, 1e-20), (1e-40, 1e40, 1e-39)])
+def test_config_refuses_boundary_data_that_are_not_finite(alpha, q, a):
+    # alpha*q = 1 is in the proven range, and the configs were built with 3
+    # and 7 of the 48 numbers they store inf or NaN, so that every
+    # real-axis function returned NaN
+    with np.errstate(all="ignore"), pytest.raises(bs.ValidationError, match="boundary data"):
+        bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
+
+
+_ENTRY_POINTS = {
+    "dg": lambda c, k, r: bs.dg(c, k),
+    "jost_function": lambda c, k, r: bs.jost_function(c, k),
+    "root_function": lambda c, k, r: bs.root_function(c)(k),
+    "root_derivative": lambda c, k, r: bs.root_derivative(c)(k),
+    "phase_shift": lambda c, k, r: bs.phase_shift(c, k),
+    "cross_section": lambda c, k, r: bs.cross_section(c, k),
+    "scattering_point": lambda c, k, r: dataclasses.astuple(bs.scattering_point(c, k)),
+    "regular_solution": lambda c, k, r: bs.regular_solution(c, k, r),
+    "uv_bundle": lambda c, k, r: dataclasses.astuple(bs.uv_bundle(c.params, k, r)),
+    "jost_value": lambda c, k, r: dataclasses.astuple(bs.jost_value(c.params, k, r)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_s=st.floats(math.log10(S_MIN), math.log10(S_MAX)), log_q=st.floats(-40.0, 40.0),
+       log_a=st.floats(-40.0, 40.0), log_k=st.floats(-40.0, 40.0),
+       im_sign=st.sampled_from([0.0, -1.0, 1.0]), log_im=st.floats(-40.0, 40.0),
+       r_share=st.floats(0.0, 1.0))
+def test_results_are_finite_or_refused_over_many_decades(log_s, log_q, log_a, log_k, im_sign,
+                                                         log_im, r_share):
+    """alpha, q, a and k each over many decades, with alpha*q in the proven
+    range: every entry point of a config and a k (and an r in [0, a])
+    returns finite values or raises a BicscatterError. numpy may warn of an
+    overflow on the way to a refusal."""
+    q = 10.0**log_q
+    k = complex(10.0**log_k, im_sign * 10.0**log_im) if im_sign else 10.0**log_k
+    with np.errstate(all="ignore"):
+        try:
+            config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=10.0**log_s / q, q=q),
+                                        a=10.0**log_a)
+        except bs.BicscatterError:
+            return
+        r = r_share * config.a
+        for name, call in _ENTRY_POINTS.items():
+            try:
+                values = call(config, k, r)
+            except bs.BicscatterError:
+                continue
+            values = values if isinstance(values, tuple) else (values,)
+            assert all(np.isfinite(v).all() for v in values if v is not None), (name, values)
+
+
 @pytest.mark.parametrize("alpha,q,a,worst", [
     (1.0, 1.0, 5000.0, [7.2e-3, 9.2e-8, 1.7e-12, 4.3e-13, 4.4e-13]),
     (0.5, 2.0, 1e5, [0.28, 3.9e-6, 9.6e-11, 1.3e-11, 1.4e-11]),
@@ -1636,11 +1744,9 @@ def test_one_noise_mask_keeps_what_the_three_former_rules_kept(alpha, q, log_a):
          if not (k[i] <= q <= k[i + 1] or math.hypot(num[i], den[i]) <= floor
                  or math.hypot(num[i + 1], den[i + 1]) <= floor)]
         for f in (num, den)]
-    # the deviation grid's rule: den above floor^2 once _sin2 has made it
-    # num^2 + den^2, on the window
-    sum_sq = den.copy()
-    scattering._sin2(num.copy(), sum_sq)
-    want_evaluated = k[sum_sq > floor * floor]
+    # the deviation grid's rule: den above floor^2 once _sin2 had made it
+    # den^2 + num^2, on the window
+    want_evaluated = k[den * den + num * num > floor * floor]
 
     unwrapped, brackets, evaluated = [], {}, []
     original_unwrap = scattering._unwrap
