@@ -130,10 +130,11 @@ def model_phase_and_sigma(fit: BackgroundFit, k):
     exact pipeline (principal arctan phase, branch-free sin^2 for sigma).
     Evaluated in blocks through ``_model_num_den``, like
     ``scattering.cross_section``, and refused as it is (ValidationError)
-    where k is not real, a point is not finite and positive, or the model's
+    where k is not real, a point is not finite and positive or lies past
+    the real-axis range (``scattering._checked_real_axis``), or the model's
     num, den or sigma is not finite there."""
     def block(kk):
-        _checked_real_axis(kk)
+        _checked_real_axis(kk, fit.a)
         num, den = _model_num_den(fit.doublet, fit.a, fit.lambda0, fit.lambda1, kk)
         phase = _principal_phase(num, den)  # before _sigma overwrites num, den
         return phase, _sigma(kk, num, den)
@@ -267,8 +268,9 @@ def hadamard_residual(config: TruncatedConfig, fit: BackgroundFit,
     ValidationError
         If the fit was made at another cutoff, or a given grid is empty
         ("empty k grid"), is not real or holds a point that is not finite
-        and positive, or a point where num^2 + den^2 of the exact or the
-        model phase is not finite (``scattering._sin2``),
+        and positive or lies past the real-axis range
+        (``scattering._checked_real_axis``), or a point where num^2 + den^2
+        of the exact or the model phase is not finite (``scattering._sin2``),
         or the default grid fails the window checks or has no point in the
         noise mask (the refusal names the window and the floor, as
         ``scattering.phase_jump``'s does).

@@ -34,6 +34,7 @@ from .jost import bound_state
 from .numerics import ComplexRectangle, _grid_count, _unwrap_grid
 from .resonances import (
     Resonance,
+    _x_window,
     default_search_box,
     doublet_of,
     find_resonances,
@@ -77,8 +78,8 @@ _OPTIONS: Dict[str, _Option] = {
     "r-max": _Option(float, 30.0),
     "dr": _Option(float, 0.01),
     "beta-list": _Option(str, None, "comma-separated betas; negative values allowed here"),
-    "wide-box": _Option(bool, False,
-                        "scan the wider string of zeros instead of just the doublet"),
+    "wide-box": _Option(bool, False, "count the 30 string members with |(k - q) a| <= 50 "
+                                     "instead of just the doublet (refused where q a <= 50)"),
     "box": _Option(str, None, "custom box: re_min,re_max,im_min,im_max"),
     "root-index": _Option(int, 0, "doublet member, 0 or 1"),
     "k-min": _Option(float, None, "default: 0.995 q"),
@@ -313,8 +314,7 @@ def _resonance_box(s: argparse.Namespace, config: TruncatedConfig) -> ComplexRec
     if s.box:
         return ComplexRectangle(*_floats_csv(s.box, "box", "re_min,re_max,im_min,im_max"))
     if s.wide_box:
-        q = config.params.q
-        return ComplexRectangle(q - 0.01, q + 0.01, -0.001, -1e-5)
+        return _x_window(config, 50.0, -5.0, -0.05)
     return default_search_box(config)
 
 

@@ -1,10 +1,15 @@
 """Zeros of the truncated-potential Jost function and Gamow states.
 
-Truncating the potential at r = a converts the embedded bound state at
-k = q into a conjugate-symmetric pair of resonances just below the real
-axis, flanking q at a distance ~pi/a with half-widths ~1/a. They are the
-two innermost members of a regular string of Jost-function zeros spaced
-~pi/a along Re k; a wide search box picks up the rest of the string.
+Truncating the potential at r = a turns the embedded bound state at k = q
+into zeros of the Jost function just below the real axis. Beside the zero
+of order 4 of d + ig at q, which h cancels in F(-k), a fifth, simple and
+ultra-narrow zero k* = q + x*/a carries the trapped state (60-digit
+arithmetic: Im k* = -1.3349e-8 at alpha = q = 1, a = 100, falling like
+a^-4; see ``_limit_root``); no census here counts it. Flanking q at about
+1.6 pi/a, with half-widths ~1/a, is the doublet: a pair of resonances
+mirrored about Re k = q, the two innermost members of a regular string of
+zeros spaced ~pi/a along Re k. A wide search box picks up the rest of the
+string.
 
 The search operates on d(k) + i g(k) (all zeros of F(-k), none of its
 zero-free prefactor), evaluated in an overflow-safe grouping: d and g
@@ -63,9 +68,9 @@ __all__ = [
 
 # Newton steps allowed on the scaling-limit equation (3 to 7 are taken)
 _LIMIT_MAX_ITER = 30
-# two polished roots closer than this many pi/a are the same zero (the
-# string's members are about pi/a apart)
-_DEDUPE_SPACINGS = 1e-3
+# two polished roots closer than this many pi/a are one zero found twice
+# (the string's members are about pi/a apart)
+_SAME_ZERO_SPACINGS = 1e-3
 # gamow_state refuses a k_n unless a |G(k_n) / G'(k_n)|, its distance from a
 # zero of G in units of 1/a, is at most this
 _ROOT_TOL = 1e-6
@@ -236,10 +241,14 @@ def default_search_box(config: TruncatedConfig) -> ComplexRectangle:
     of ``winding_count`` over the envelope. The box reaches Re k <= 0, and
     is refused, where q a <= 2.1 pi.
     """
-    q = config.params.q
-    a = config.a
-    half = 2.1 * math.pi / a
-    return ComplexRectangle(q - half, q + half, -1.5 / a, -0.1 / a)
+    return _x_window(config, 2.1 * math.pi, -1.5, -0.1)
+
+
+def _x_window(config: TruncatedConfig, half: float, lo: float, hi: float) -> ComplexRectangle:
+    """The box |Re x| <= half, lo <= Im x <= hi in x = (k - q) a, where the
+    zero string does not move with the cutoff (``_limit_root``)."""
+    q, a = config.params.q, config.a
+    return ComplexRectangle(q - half / a, q + half / a, lo / a, hi / a)
 
 
 def find_resonances(
@@ -251,9 +260,11 @@ def find_resonances(
     The seeds are the scaling-limit predictions k = q + x_n/a of every
     string member in or near the box (``_limit_seeds``), one damped Newton
     run on the exact G' per member. Polished roots outside the box are
-    dropped, and roots within 1e-3 pi/a of each other count once. The
-    winding number of G around the box is the certificate: the census is
-    returned only if it holds exactly that many distinct roots. A box the
+    dropped. The winding number of G around the box is the certificate:
+    the census is returned only if it holds exactly that many roots, no
+    two of them within 1e-3 pi/a of each other. Two seeds polished onto
+    one zero are refused, not merged: the count alone would pass a census
+    that lists one zero twice and misses another. A box the
     limit does not describe (q a below about 6.3) is refused, not searched
     by other means; one reaching Re k <= 0 or holding k = q is refused
     before any search.
@@ -281,7 +292,8 @@ def find_resonances(
         sample of the winding count's first call, before the count's own
         test for a value that is not finite (``numerics.winding_count``).
     RootCountMismatch
-        Winding number differs from the number of converged distinct roots.
+        Winding number differs from the number of converged roots in the
+        box, or two of them lie within 1e-3 pi/a of each other.
     NoConvergence
         Some seed failed to converge *and* the census came up short.
     """
@@ -296,7 +308,6 @@ def find_resonances(
         raise ValidationError("search box must not hold k = q")
     g = root_function(config)
     g_prime = root_derivative(config)
-    dedupe = _DEDUPE_SPACINGS * math.pi / config.a
 
     count = winding_count(lambda k: g(k) / (k - q) ** _DEFLATION_ORDER, search_box)
     roots: List[Tuple[complex, complex]] = []  # (z, G(z)) as Newton returned them
@@ -307,8 +318,12 @@ def find_resonances(
         except (NoConvergence, ZeroDerivative):
             failures += 1
             continue
-        if search_box.contains(z) and all(abs(z - r) > dedupe for r, _ in roots):
+        if search_box.contains(z):
             roots.append((z, gz))
+
+    same = _SAME_ZERO_SPACINGS * math.pi / config.a
+    if any(abs(z - w) <= same for i, (z, _) in enumerate(roots) for w, _ in roots[:i]):
+        raise RootCountMismatch(f"a zero was found twice: two converged roots within {same:.3g}")
 
     if count != len(roots):
         if failures and count > len(roots):
@@ -317,7 +332,7 @@ def find_resonances(
                 f"converged {len(roots)}"
             )
         raise RootCountMismatch(
-            f"winding number {count} but {len(roots)} distinct converged roots"
+            f"winding number {count} but {len(roots)} converged roots"
         )
 
     boundary_scale = np.max(np.abs(g(np.array(search_box.corners))))

@@ -1,8 +1,12 @@
 """Scattering off the potential truncated at r = a.
 
 Cutting the potential to zero beyond a finite radius a turns the embedded
-bound state into a pair of resonances. Everything observable about the
-truncated problem reduces to two real-analytic functions of k,
+bound state into zeros of the Jost function below the real axis: a fifth,
+ultra-narrow zero k* beside the zero of order 4 of d + ig at k = q (Im k* =
+-1.3349e-8 at alpha = q = 1, a = 100, in 60-digit arithmetic), and around
+it a string of resonances whose innermost pair, the doublet, straddles q
+(``resonances``). Everything observable about the truncated problem
+reduces to two real-analytic functions of k,
 
     d(k) and g(k),
 
@@ -573,11 +577,18 @@ def _jost_prefactor(config: TruncatedConfig, k):
                               "underflows to 0") from exc
 
 
+def _phase_rounding(k, a: float, q: float = 0.0):
+    """About 2 eps (|k| + 2q) a: the relative rounding that the phases k a
+    and q a + delta bring into F+- (``_jost_rounding``) and into tan delta
+    (``_checked_real_axis``)."""
+    return 2.0 * _EPS * (abs(k) + 2.0 * q) * a
+
+
 def _jost_rounding(config: TruncatedConfig, k, d_plus_ig, d_minus_ig, extra=0.0):
     """The estimated relative rounding of ``_jost_from_dg``'s F+-, plus ``extra``."""
     with np.errstate(divide="ignore"):
         noise = _dg_rounding_near_q(config) / np.maximum(abs(d_plus_ig), abs(d_minus_ig))
-    return noise + extra + 2.0 * _EPS * (abs(k) + 2.0 * config.params.q) * config.a
+    return noise + extra + _phase_rounding(k, config.a, config.params.q)
 
 
 def _jost_from_dg(config: TruncatedConfig, k, d, g, extra=0.0):
@@ -628,15 +639,27 @@ def _real(k) -> np.ndarray:
     return k
 
 
-def _checked_real_axis(k: np.ndarray) -> None:
-    """ValidationError unless the 1-d block k is real (``_real``) and every
-    point of it is finite and positive, by one min and one max: the phase
+def _checked_real_axis(k: np.ndarray, a: float, q: float = 0.0) -> None:
+    """ValidationError unless the 1-d block k is real (``_real``), every
+    point of it is finite and positive, by one min and one max (the phase
     is odd in k and steps at k = 0, and sigma = (4 pi / k^2) sin^2 delta is
-    infinite there."""
+    infinite there), and the block lies in the real-axis range: at its
+    largest k the phases k a and q a + delta still resolve tan delta to
+    ``_JOST_RTOL`` relative, the bound F+- are refused by
+    (``_phase_rounding``; q = 0 for the model phase, whose only phase is
+    k a). Against 50 digits the model phase was off by 0.1 to 0.5 times
+    2 eps k a (5e-6 at k = 1.4e7, a = 5000)."""
     _real(k)
-    if k.size and not (0 < k.min() and k.max() < math.inf):
+    if not k.size:
+        return
+    top = k.max()
+    if not (0 < k.min() and top < math.inf):
         bad = k[np.argmin((k > 0) & (k < math.inf))]
         raise ValidationError(f"real-axis k = {float(bad)!r} is not finite and positive")
+    rounding = _phase_rounding(top, a, q)
+    if rounding > _JOST_RTOL:
+        raise ValidationError(f"tan delta at k = {top.item()!r} is resolved only to "
+                              f"{rounding:.1e} relative: k a = {top * a:.3e} has lost its digits")
 
 
 def _num_den(config: TruncatedConfig, k: np.ndarray):
@@ -648,12 +671,14 @@ def _num_den(config: TruncatedConfig, k: np.ndarray):
     powers of e2 and one tangent of ka (``_rotated``), with no d, g or
     second rotation on the way. Every real-axis phase and cross section
     passes through here, so this is where a block is refused unless each
-    of its points is finite and positive (``_checked_real_axis``), and
-    where it is refused if num or den is not finite at one of them
-    (``darboux._checked_finite``, one pass over each).
+    of its points is finite and positive and in the real-axis range
+    (``_checked_real_axis``: at alpha = q = 1 the range ends at a of about
+    7.5e8 for k = q and 6.8e8 for k = 1.3, and at k of about 4.5e5 for
+    a = 5000), and where it is refused if num or den is not finite at one
+    of them (``darboux._checked_finite``, one pass over each).
     """
-    _checked_real_axis(k)
     q = config.params.q
+    _checked_real_axis(k, config.a, q)
     e2 = np.multiply(k, k, dtype=float)
     e2 -= q * q
     num_den = _rotated(config._boundary_data.rows, e2, np.multiply(k, config.a), k)
@@ -687,9 +712,9 @@ def phase_shift(config: TruncatedConfig, k):
     The underlying arctan is branch-ambiguous mod pi; use
     ``phase_shift_unwrapped`` for a continuous curve on a grid. Evaluated
     in blocks of ``_BLOCK`` points through ``_num_den``, which refuses
-    (ValidationError) a point that is not finite and positive, or where
-    num or den of tan delta is not finite (from k of about 4e30 at
-    alpha = q = 1, a = 5000).
+    (ValidationError) a point that is not finite and positive, or past the
+    real-axis range (from k of about 4.5e5 at alpha = q = 1, a = 5000), or
+    where num or den of tan delta is not finite.
     """
     return _blockwise(lambda kk: (_principal_phase(*_num_den(config, kk)),), k)[0]
 
@@ -738,11 +763,11 @@ def cross_section(config: TruncatedConfig, k):
     Raises
     ------
     ValidationError
-        At a point that is not finite and positive, or where num or den of
-        tan delta (``_num_den``), num^2 + den^2 (``_sin2``) or 4 pi / k^2
-        is not finite. num^2 + den^2 overflows well before num and den do:
-        at alpha = q = 1 from k of about 3e13 at a = 5000, and at k = 1.3
-        from a of about 7e18.
+        At a point that is not finite and positive, or past the real-axis
+        range, or where num or den of tan delta (``_num_den``),
+        num^2 + den^2 (``_sin2``) or 4 pi / k^2 is not finite. Inside the
+        range num^2 + den^2 overflows only at small a (at alpha = q = 1 for
+        a <= 1e-8, from k of about 8e16 at a = 1e-10).
     DegenerateNormalizer
         At a point where d = g = 0 (``_sin2``), where sin^2 delta is 0/0.
     """

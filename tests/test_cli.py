@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bicscatter as bs
 from bicscatter import cli
@@ -150,6 +153,41 @@ def test_resonances_wide_box(tmp_path):
     assert doc["winding_count"] == 30
     assert sum(1 for r in doc["roots"] if r["doublet"]) == 2
     assert all(r["residual"] < 1e-8 for r in doc["roots"])
+
+
+def _wide_box(config):
+    return cli._resonance_box(argparse.Namespace(box=None, wide_box=True), config)
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0, 2.7])
+def test_wide_box_preset_at_a_5000_is_the_k_box_it_replaces(q):
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(q=q), a=5000.0)
+    assert _wide_box(config) == bs.ComplexRectangle(q - 0.01, q + 0.01, -0.001, -1e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.3, 3.0), q=st.floats(0.3, 3.0), log_a=st.floats(2.0, 6.0))
+def test_wide_box_preset_holds_the_30_members_over_the_envelope(alpha, q, log_a):
+    """--wide-box is the window |Re x| <= 50, Im x in [-5, -0.05] of
+    x = (k - q) a, which holds the 15 string members a side with
+    |Re x_n| < 50, and reaches k <= 0, where it is refused, where q a <= 50.
+    Nearer q a = 50 the outermost members leave the scaling limit: of 400
+    draws with q a in [50, 60] the census held 30 roots in 175, 29 in 74
+    and was refused with RootCountMismatch in 151, and of 2400 with q a in
+    [60, 600] the only one without 30 roots was at q a = 61.2. A seed that
+    fails there makes the census short, and that refusal is NoConvergence."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=10.0**log_a)
+    box = _wide_box(config)
+    if box.re_min <= 0.0:
+        with pytest.raises(bs.ValidationError, match="Re k > 0"):
+            bs.find_resonances(config, box)
+        return
+    try:
+        found = bs.find_resonances(config, box)
+    except (bs.RootCountMismatch, bs.NoConvergence):
+        assert q * config.a < 70.0
+        return
+    assert len(found) == 30 or (q * config.a < 70.0 and len(found) == 29)
 
 
 def test_resonances_custom_boxes(tmp_path):

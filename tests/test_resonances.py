@@ -393,8 +393,7 @@ def test_box_reaching_re_k_zero_is_refused(monkeypatch):
 
 
 def test_doublet_at_a_3e9_has_both_members():
-    """At a = 3e9 the doublet is 3.4e-9 apart; roots are merged only
-    within 1e-3 pi/a, so both members come back."""
+    """At a = 3e9 the doublet is 3.4e-9 apart, and both members come back."""
     a = 3e9
     config = bs.TruncatedConfig(params=bs.PotentialParams.bic(), a=a)
     first, second = bs.find_resonances(config)
@@ -423,6 +422,19 @@ def test_empty_seed_list_fails_certification(config, monkeypatch):
     # the winding certificate sees two zeros, zero converged roots
     monkeypatch.setattr(resonances, "_limit_seeds", lambda config, box: [])
     with pytest.raises(bs.RootCountMismatch):
+        bs.find_resonances(config)
+
+
+@pytest.mark.parametrize("pick", [lambda seeds: [seeds[0], seeds[0]],
+                                  lambda seeds: seeds + seeds[:1]],
+                         ids=["one zero twice, one missed", "one zero twice, none missed"])
+def test_census_listing_one_zero_twice_is_refused(config, monkeypatch, pick):
+    # the doublet's first seed is run twice, in place of the second member
+    # (so the root count equals the winding number, 2) or beside both; either
+    # census is refused, not merged or certified
+    seeds = resonances._limit_seeds
+    monkeypatch.setattr(resonances, "_limit_seeds", lambda config, box: pick(seeds(config, box)))
+    with pytest.raises(bs.RootCountMismatch, match="a zero was found twice"):
         bs.find_resonances(config)
 
 

@@ -1083,15 +1083,33 @@ def _far_residual():
     return bs.hadamard_residual(_far_config(), fit, [1.3e10])
 
 
+def _tiny_config():
+    """alpha = q = 1, a = 1e-40: the real-axis range reaches k of about
+    2e49, and num and den of tan delta overflow from k of about 1e34."""
+    return bs.TruncatedConfig(params=bs.PotentialParams.bic(), a=1e-40)
+
+
 # finite inputs whose results are not finite; k = 1e160 makes e2 = k^2 - q^2
-# overflow, e^{-ika} overflows above the real axis, num^2 + den^2 overflows
-# at a = 1e19 (and at the far config), W1^2 at r = 1e39, and h(k) W1(a)^2,
-# the denominator of F+-'s prefactor, underflows at q = 1e-36, k = 1e-38
+# overflow, e^{-ika} overflows above the real axis, W1^2 at r = 1e39, and
+# h(k) W1(a)^2, the denominator of F+-'s prefactor, underflows at q = 1e-36,
+# k = 1e-38. The real-axis functions at k = 1e160, at a = 1e19 and at the far
+# config (where num^2 + den^2 overflowed) are refused before that, past the
+# real-axis range, where k a has lost its digits; at a = 1e-40 the range
+# still holds k = 1e35, where num and den overflow, and at a = 1e-10 it
+# holds k = 1e17, where num^2 + den^2 does
 _OVERFLOWS = {
     "dg": (lambda c, p: bs.dg(c, 1e160), "not finite at k = 1e+160"),
-    "phase_shift": (lambda c, p: bs.phase_shift(c, 1e160), "not finite at k = 1e+160"),
+    "phase_shift": (lambda c, p: bs.phase_shift(c, 1e160),
+                    "tan delta at k = 1e+160 is resolved only to"),
     "cross_section": (lambda c, p: bs.cross_section(c, [1.3, 1e160]),
-                      "not finite at k = 1e+160"),
+                      "tan delta at k = 1e+160 is resolved only to"),
+    "phase_shift at a = 1e-40": (lambda c, p: bs.phase_shift(_tiny_config(), 1e35),
+                                 "num, den of tan delta are not finite at k = 1e+35"),
+    "cross_section at a = 1e-40": (lambda c, p: bs.cross_section(_tiny_config(), [1.3, 1e35]),
+                                   "num, den of tan delta are not finite at k = 1e+35"),
+    "cross_section at a = 1e-10": (
+        lambda c, p: bs.cross_section(dataclasses.replace(c, a=1e-10), [1.3, 1e17]),
+        "num^2 + den^2 of tan delta is not finite at k = 1e+17"),
     "regular_solution": (lambda c, p: bs.regular_solution(c, 1e160, 1.0),
                          "not finite at k = 1e+160, r = 1.0"),
     "uv_bundle": (lambda c, p: bs.uv_bundle(p, 1e160, 1.0), "not finite at k = 1e+160, r = 1.0"),
@@ -1103,10 +1121,11 @@ _OVERFLOWS = {
     "dg above the axis": (lambda c, p: bs.dg(c, 1 + 0.2j), "not finite at k = (1+0.2j)"),
     "cross_section at a = 1e19": (
         lambda c, p: bs.cross_section(dataclasses.replace(c, a=1e19), 1.3),
-        "not finite at k = 1.3"),
+        "tan delta at k = 1.3 is resolved only to"),
     "cross_section far": (lambda c, p: bs.cross_section(_far_config(), 1.3e10),
-                          "not finite at k = 13000000000.0"),
-    "hadamard_residual far": (lambda c, p: _far_residual(), "not finite at k = 13000000000.0"),
+                          "tan delta at k = 13000000000.0 is resolved only to"),
+    "hadamard_residual far": (lambda c, p: _far_residual(),
+                              "tan delta at k = 13000000000.0 is resolved only to"),
     "jost_value at r = 1e39": (lambda c, p: bs.jost_value(p, 1.3, 1e39),
                                "not finite at k = 1.3, r = 1e+39"),
     "jost_function with an underflowing prefactor": (
@@ -1124,6 +1143,32 @@ def test_results_that_overflow_are_refused(config, params, call, message):
     # where it is not finite
     with np.errstate(all="ignore"), pytest.raises(bs.ValidationError, match=re.escape(message)):
         call(config, params)
+
+
+@pytest.mark.parametrize("q,a", [(1.0, 7.5e8), (1.0, 5000.0), (2.0, 1e5), (0.3, 1e-4)])
+def test_real_axis_range_ends_where_the_phases_lose_their_digits(q, a):
+    """Real-axis phases are refused from k = 1e-6 / (2 eps a) - 2q on, where
+    2 eps (k + 2q) a, the term F+- are refused by, passes 1e-6: at
+    alpha = q = 1 from a of about 7.5e8 at k = q and 6.8e8 at k = 1.3, and
+    from k of about 4.5e5 at a = 5000. The model phase, whose only phase
+    is k a, is refused from k = 1e-6 / (2 eps a) on. At k = 1.3 phase_shift
+    read -1.04248277262858 for every a from 1e17 to 1e25. At small a
+    (alpha = q = 1: a <= 1e-8) num^2 + den^2 overflows below the cut, and
+    sigma is refused there first ("cross_section at a = 1e-10" above)."""
+    config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=1.0 / q, q=q), a=a)
+    fit = bs.BackgroundFit(lambda0=0.0, lambda1=0.0, a=a, fit_report={},
+                           doublet=bs.Doublet(k1=q, half_width1=1.0, k2=2.0 * q, half_width2=1.0))
+    cut = 1e-6 / (2.0 * np.finfo(float).eps * a)
+    for limit, call in [(cut - 2.0 * q, lambda k: bs.phase_shift(config, k)),
+                        (cut - 2.0 * q, lambda k: bs.cross_section(config, [1e-3 * k, k])),
+                        (cut - 2.0 * q, lambda k: bs.phase_shift_unwrapped(config, [0.5 * k, k])),
+                        (cut - 2.0 * q, lambda k: bs.scattering_point(config, k)),
+                        (cut, lambda k: bs.model_phase_and_sigma(fit, k))]:
+        call(limit * (1.0 - 1e-9))
+        with pytest.raises(bs.ValidationError, match="has lost its digits"):
+            call(limit * (1.0 + 1e-9))
+    with pytest.raises(bs.ValidationError, match="k a = 1.300e[+]17 has lost its digits"):
+        bs.phase_shift(dataclasses.replace(config, a=1e17), 1.3)
 
 
 @pytest.mark.parametrize("alpha,q,a", [(1e-30, 1e30, 1e-20), (1e-40, 1e40, 1e-39)])
@@ -1154,6 +1199,19 @@ _ENTRY_POINTS = {
        log_a=st.floats(-40.0, 40.0), log_k=st.floats(-40.0, 40.0),
        im_sign=st.sampled_from([0.0, -1.0, 1.0]), log_im=st.floats(-40.0, 40.0),
        r_share=st.floats(0.0, 1.0))
+# at alpha = q = 1: k = 1.3 at a = 1e17 and 1e25, where the phase read one
+# value whatever a was; k = 3e13 at a = 5000 and k = 1.3 at a = 7e18, where
+# num^2 + den^2 overflowed; and k = 1e17 at a = 1e-10, where it still does
+# inside the range and sigma is refused
+@example(log_s=0.0, log_q=0.0, log_a=17.0, log_k=math.log10(1.3), im_sign=0.0, log_im=0.0,
+         r_share=0.5)
+@example(log_s=0.0, log_q=0.0, log_a=25.0, log_k=math.log10(1.3), im_sign=0.0, log_im=0.0,
+         r_share=0.5)
+@example(log_s=0.0, log_q=0.0, log_a=math.log10(5000.0), log_k=math.log10(3e13), im_sign=0.0,
+         log_im=0.0, r_share=0.5)
+@example(log_s=0.0, log_q=0.0, log_a=math.log10(7e18), log_k=math.log10(1.3), im_sign=0.0,
+         log_im=0.0, r_share=0.5)
+@example(log_s=0.0, log_q=0.0, log_a=-10.0, log_k=17.0, im_sign=0.0, log_im=0.0, r_share=0.5)
 def test_results_are_finite_or_refused_over_many_decades(log_s, log_q, log_a, log_k, im_sign,
                                                          log_im, r_share):
     """alpha, q, a and k each over many decades, with alpha*q in the proven
