@@ -79,7 +79,8 @@ _OPTIONS: Dict[str, _Option] = {
     "dr": _Option(float, 0.01),
     "beta-list": _Option(str, None, "comma-separated betas; negative values allowed here"),
     "wide-box": _Option(bool, False, "count the 30 string members with |(k - q) a| <= 50 "
-                                     "instead of just the doublet (refused where q a <= 50)"),
+                                     "instead of just the doublet (refused where q a <= 50; "
+                                     "29 roots or refused for 50 < q a <~ 62)"),
     "box": _Option(str, None, "custom box: re_min,re_max,im_min,im_max"),
     "root-index": _Option(int, 0, "doublet member, 0 or 1"),
     "k-min": _Option(float, None, "default: 0.995 q"),

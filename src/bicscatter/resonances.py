@@ -258,8 +258,9 @@ def find_resonances(
     """All zeros of F(-k) inside a box, certified by the argument principle.
 
     The seeds are the scaling-limit predictions k = q + x_n/a of every
-    string member in or near the box (``_limit_seeds``), one damped Newton
-    run on the exact G' per member. Polished roots outside the box are
+    string member in or near the box (``_limit_seeds``), one Newton run on
+    the exact G' per member, damped only on steps above its tolerance
+    (``numerics.newton_complex``). Polished roots outside the box are
     dropped. The winding number of G around the box is the certificate:
     the census is returned only if it holds exactly that many roots, no
     two of them within 1e-3 pi/a of each other. Two seeds polished onto

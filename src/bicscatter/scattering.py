@@ -108,11 +108,14 @@ def _boundary_values(params: PotentialParams, a: float):
 
     Scalar evaluations of one u, v table and of W1's, at order 0 for r = 0
     and 1 for r = a, bit for bit those on the array [0, a]; ValidationError
-    where a coefficient overflows or W1 is not finite (``darboux._w1``)."""
+    where a coefficient overflows or W1 is not finite (``darboux._w1``). A u
+    or v that overflows comes back as inf or nan, without a warning, and
+    TruncatedConfig's finiteness check refuses it."""
     pd = phase_data(params)
-    table = _overflow_checked(_uv_table, params, pd, 0)
-    (at_0,) = _uv_closed_form(params, pd, table, 0.0, 0)
-    at_a = _uv_closed_form(params, pd, table, a, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _overflow_checked(_uv_table, params, pd, 0)
+        (at_0,) = _uv_closed_form(params, pd, table, 0.0, 0)
+        at_a = _uv_closed_form(params, pd, table, a, 1)
     (w1_0,) = _w1(params, 0.0, 0)
     return (at_0.tolist(), [c.tolist() for c in at_a], float(w1_0),
             [float(w) for w in _w1(params, a, 1)])

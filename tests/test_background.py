@@ -188,6 +188,7 @@ def test_closed_form_fit_matches_numpy_at_the_defaults(config, doublet, fit):
         m1, m2, *(-num / den for num, den in num_den))
 
 
+@pytest.mark.envelope
 @settings(max_examples=200, deadline=None)
 @given(m1=st.floats(min_value=0.3, max_value=3.0), log_gap=st.floats(min_value=-7.0, max_value=0.0),
        r=st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=2, max_size=2),
@@ -280,6 +281,7 @@ def test_shape_deviation_far_field_reported(config, fit):
     assert np.isfinite(dev) and dev >= 0
 
 
+@pytest.mark.envelope
 @settings(max_examples=100, deadline=None)
 @given(alpha=st.floats(min_value=0.3, max_value=3.0), q=st.floats(min_value=0.3, max_value=3.0),
        log_a=st.floats(min_value=2.0, max_value=6.0))

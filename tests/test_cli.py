@@ -165,6 +165,7 @@ def test_wide_box_preset_at_a_5000_is_the_k_box_it_replaces(q):
     assert _wide_box(config) == bs.ComplexRectangle(q - 0.01, q + 0.01, -0.001, -1e-5)
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(0.3, 3.0), q=st.floats(0.3, 3.0), log_a=st.floats(2.0, 6.0))
 def test_wide_box_preset_holds_the_30_members_over_the_envelope(alpha, q, log_a):
@@ -415,6 +416,22 @@ def test_census_box_without_finite_integrand_fails_fast(tmp_path, box, code):
     assert done.returncode == code, done.stderr
     assert json.loads(done.stderr)["error"] == "ValidationError"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_overflowing_boundary_data_exit_2_under_warnings_as_errors(tmp_path):
+    # u and v at r = a overflow: the config is refused with the JSON error,
+    # where numpy's overflow warning used to end the run with a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bicscatter.cli", "resonances",
+         "--alpha", "1e10", "--q", "1e-12", "--cutoff", "1e89"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stderr)["error"] == "ValidationError"
+    assert not (tmp_path / "resonances.json").exists()
 
 
 def test_unknown_command_is_usage_error():

@@ -177,6 +177,7 @@ def test_flux_normalized_jost_near_the_pole_against_oracle(alpha, q, r, uv_oracl
         assert _near_pole_errors(p, q * (1.0 + 10.0**-j), r, uv_oracle)[0] <= 1e-14
 
 
+@pytest.mark.envelope
 @settings(max_examples=100, deadline=None)
 @given(log_alpha=st.floats(math.log(0.3), math.log(3.0)),
        log_q=st.floats(math.log(0.3), math.log(3.0)), j=st.integers(6, 15),

@@ -32,6 +32,20 @@ def test_newton_simple_root():
     assert its < 10
 
 
+def test_newton_takes_a_converged_step_without_halving_it():
+    # the seed is the root: the step 0 is within tolerance, so f is called
+    # once at the seed and once at the returned z, not again for 60 halvings
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return z - 1.0
+
+    z, fz, _ = bs.newton_complex(f, lambda z: 1.0, 1.0)
+    assert len(calls) <= 2
+    assert (z, fz) == (1.0, 0.0)
+
+
 def test_newton_constructed_complex_root():
     root = 1 - 0.0002j
 
@@ -220,6 +234,7 @@ def test_winding_evaluates_level_by_level():
 _edge = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
 
 
+@pytest.mark.envelope
 @settings(max_examples=200, deadline=None)
 @given(xs=st.lists(_edge, min_size=2, max_size=2, unique=True),
        ys=st.lists(_edge, min_size=2, max_size=2, unique=True))

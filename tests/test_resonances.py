@@ -185,6 +185,7 @@ def test_n_squared_rounding_reads_d_g_beside_q(exact_zero_config):
     assert estimate(config, kn, d + 1j * g, d - 1j * g) > estimate(config, kn, math.inf, math.inf)
 
 
+@pytest.mark.envelope
 @settings(max_examples=100, deadline=None)
 @given(log_alpha=st.floats(math.log(0.3), math.log(3.0)),
        log_q=st.floats(math.log(0.3), math.log(3.0)), log_a=st.floats(2.0, 6.0))
@@ -315,6 +316,7 @@ def test_aliased_wide_box_is_refused(params):
         bs.find_resonances(config, search_box=bs.ComplexRectangle(0.99, 1.01, -1e-3, -1e-5))
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(0.3, 3.0), q=st.floats(0.3, 3.0), log_a=st.floats(2.0, 6.0))
 def test_default_census_needs_no_grid(alpha, q, log_a):
@@ -323,6 +325,7 @@ def test_default_census_needs_no_grid(alpha, q, log_a):
     assert len(bs.find_resonances(config)) == 2
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(0.3, 3.0), q=st.floats(0.3, 3.0), log_a=st.floats(2.0, 6.0))
 def test_deflated_census_resolves_on_its_first_samples(alpha, q, log_a):

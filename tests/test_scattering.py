@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -427,6 +428,7 @@ def test_w1_bounds_hold_on_the_envelope(alpha, q):
     assert polyval(x_star, lower) > 0.0
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(log_s=st.floats(min_value=math.log(S_MIN), max_value=math.log(S_MAX)),
        q=st.floats(min_value=0.1, max_value=10.0))
@@ -446,6 +448,7 @@ def test_w1_is_positive_where_configs_are_accepted(log_s, q):
     assert np.all(bs.w1_bundle(params, x / q).w1 > 0.0)
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(log_alpha=st.floats(min_value=math.log(0.3), max_value=math.log(3.0)),
        log_q=st.floats(min_value=math.log(0.3), max_value=math.log(3.0)),
@@ -583,6 +586,7 @@ def _same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+@pytest.mark.envelope
 @settings(max_examples=40, deadline=None)
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0),
        x=st.floats(min_value=-20.0, max_value=20.0), y=st.floats(min_value=-3.0, max_value=0.0))
@@ -638,6 +642,7 @@ def _g_polynomial_magnitudes(at_0, at_a, w1_a, q, a):
     return (a_p, b_p, a_q, b_q), g_prime, np.array([b_p, a_p, b_q + b_p, a_q + a_p])
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0))
 @example(alpha=1.865927809385139, q=0.6401951898946958, log_a=3.9468147965929883)
@@ -663,6 +668,7 @@ def test_g_polynomials_match_the_convolve_form(alpha, q, log_a, g_polynomials_co
             assert np.all(np.abs(np.asarray(c) - ref) <= 8.0 * eps * mag)
 
 
+@pytest.mark.envelope
 @settings(max_examples=40, deadline=None)
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=12.0))
 @example(alpha=1.0, q=1.0, log_a=2.0)
@@ -833,6 +839,7 @@ def test_window_points_are_those_of_arange(k_lo, k_hi, dk):
         assert np.array_equal(points, grid[start:stop])
 
 
+@pytest.mark.envelope
 @settings(max_examples=25, deadline=None)
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0),
        cells=st.integers(min_value=64, max_value=10000))
@@ -986,6 +993,7 @@ def test_sigma_matches_s_matrix_route(config):
         assert pt.sigma == pytest.approx((4 * math.pi / k**2) * math.sin(pt.delta_a) ** 2, rel=1e-10)
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0),
        x=st.floats(min_value=-20.0, max_value=20.0))
@@ -1180,6 +1188,15 @@ def test_config_refuses_boundary_data_that_are_not_finite(alpha, q, a):
         bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=alpha, q=q), a=a)
 
 
+def test_config_refuses_overflowing_u_v_without_a_warning():
+    # u and v at r = a overflow in the closed form; numpy's overflow warning,
+    # an error here, used to escape before the finiteness check refused them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bs.ValidationError):
+            bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=1e10, q=1e-12), a=1e89)
+
+
 _ENTRY_POINTS = {
     "dg": lambda c, k, r: bs.dg(c, k),
     "jost_function": lambda c, k, r: bs.jost_function(c, k),
@@ -1194,6 +1211,7 @@ _ENTRY_POINTS = {
 }
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(log_s=st.floats(math.log10(S_MIN), math.log10(S_MAX)), log_q=st.floats(-40.0, 40.0),
        log_a=st.floats(-40.0, 40.0), log_k=st.floats(-40.0, 40.0),
@@ -1216,17 +1234,18 @@ def test_results_are_finite_or_refused_over_many_decades(log_s, log_q, log_a, lo
                                                          log_im, r_share):
     """alpha, q, a and k each over many decades, with alpha*q in the proven
     range: every entry point of a config and a k (and an r in [0, a])
-    returns finite values or raises a BicscatterError. numpy may warn of an
-    overflow on the way to a refusal."""
+    returns finite values or raises a BicscatterError. The config is built
+    without a warning; an entry point may warn of an overflow on the way to
+    a refusal."""
     q = 10.0**log_q
     k = complex(10.0**log_k, im_sign * 10.0**log_im) if im_sign else 10.0**log_k
+    try:
+        config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=10.0**log_s / q, q=q),
+                                    a=10.0**log_a)
+    except bs.BicscatterError:
+        return
+    r = r_share * config.a
     with np.errstate(all="ignore"):
-        try:
-            config = bs.TruncatedConfig(params=bs.PotentialParams.bic(alpha=10.0**log_s / q, q=q),
-                                        a=10.0**log_a)
-        except bs.BicscatterError:
-            return
-        r = r_share * config.a
         for name, call in _ENTRY_POINTS.items():
             try:
                 values = call(config, k, r)
@@ -1439,6 +1458,7 @@ def _landmarks_or_refusal(config, window):
         return bs.MinimaNotFound
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0))
 @example(alpha=2.62, q=2.94, log_a=math.log10(7.8e4))
@@ -1627,6 +1647,7 @@ def _table_examples(fn):
     return fn
 
 
+@pytest.mark.envelope
 @settings(max_examples=80, deadline=None)
 @given(alpha=_log_uniform_envelope, q=_log_uniform_envelope,
        log_a=st.floats(min_value=4.7, max_value=6.0),
@@ -1725,6 +1746,7 @@ def _jump_or_refusal(jump, config, k_lo, k_hi):
         return bs.UnwrapAmbiguity, str(exc)
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0),
        cells=st.floats(min_value=1.0, max_value=1000.0),
@@ -1760,6 +1782,7 @@ def _recorded(owner, name, record):
     return mock.patch.object(owner, name, recording)
 
 
+@pytest.mark.envelope
 @settings(max_examples=60, deadline=None)
 @given(alpha=envelope, q=envelope, log_a=st.floats(min_value=2.0, max_value=6.0))
 @example(alpha=2.403293061183309, q=1.0302044633075347, log_a=math.log10(329.77842326039297))
